@@ -230,7 +230,7 @@ def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.
 def cmd_train(args: argparse.Namespace) -> int:
     task = TK.make_task(args.task, **_task_options(args))
     if not task.trainable:
-        raise CliError(f"task {task.name} is generate/verify only at desk scale (its clause matrix cannot be densified)")
+        raise CliError(f"task {task.name} is generate/verify only (it has no training recipe)")
     config = _resolve_train_config(args, task)
     task_options = _task_options(args)
     if args.mnist and isinstance(task, TK.MnistAddTask):

@@ -1,6 +1,9 @@
-"""The constraint-loss stack and its closed-form gradient oracle.
+"""The constraint-loss stack and its reference routes.
 
-``cnf_loss`` builds, inside the gradient graph, the chain
+Training uses ``cnf_loss_rows``: for binarized 0/1 predictions the loss
+and its gradient are clause counts, so one node computes both for a batch
+of rows from the sparse clause matrix. ``cnf_loss`` is the reference: it
+builds, inside the gradient graph, the dense chain
 
     L_f      = C * f                      (broadcast over rows)
     L_v      = [C==1] * v + [C==-1] * (1 - v)
@@ -14,8 +17,8 @@
 with every bracketed indicator a constant, so the only differentiable
 inputs are the prediction bits ``v``. ``closed_form_grad`` predicts the
 same gradients by counting clause memberships, evaluating satisfaction
-directly on the clause lists and never through the graph above; the two
-routes are compared in the verification suites.
+directly on the clause lists and never through either route above; the
+three are compared in the verification suites.
 """
 
 from __future__ import annotations
@@ -91,26 +94,20 @@ def assemble_prediction(f, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.IST
     return f_t + free * T.binarize(x, fn, ste)
 
 
-def _constant_nodes(matrix: ClauseMatrix) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    # The dense matrix, its polarity indicators, and per-clause literal
-    # counts never change; share them across every loss built on the matrix.
-    nodes = getattr(matrix, "_graph_nodes", None)
-    if nodes is None:
-        dense = matrix.dense()
-        c_t = Tensor(dense)
-        lits = Tensor((dense * dense).sum(axis=-1))
-        nodes = (c_t, T.indicator(c_t, 1.0), T.indicator(c_t, -1.0), lits)
-        matrix._graph_nodes = nodes
-    return nodes
-
-
 def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
-    """Constraint loss of prediction ``v`` against the clause matrix."""
+    """Constraint loss of prediction ``v`` against the dense clause matrix.
+
+    The reference route: every intermediate is a graph node over the
+    m x n matrix, so it suits the verification suites, not training.
+    """
     m, n = matrix.shape
     bits = _fact_bits(f)
     if v.shape != (n,) or bits.shape != (n,):
         raise T.ShapeError(f"cnf_loss: matrix is {m}x{n}, v has shape {v.shape}, f has shape {bits.shape}")
-    c_t, pos, neg, lits = _constant_nodes(matrix)
+    dense = matrix.dense()
+    c_t = Tensor(dense)
+    pos, neg = T.indicator(c_t, 1.0), T.indicator(c_t, -1.0)
+    lits = Tensor((dense * dense).sum(axis=-1))
     f_t = T.constant(bits)
 
     l_f = c_t * f_t

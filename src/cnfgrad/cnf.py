@@ -10,7 +10,7 @@ downstream assume one occurrence per atom per clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -241,8 +241,6 @@ class ClauseMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    _dense: np.ndarray | None = field(default=None, repr=False)
-    _graph_nodes: tuple | None = field(default=None, repr=False)
 
     def row_literal_count(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
@@ -252,14 +250,11 @@ class ClauseMatrix:
         return self.indices[lo:hi], self.values[lo:hi]
 
     def dense(self) -> np.ndarray:
-        """Materialize as float64; cached, so callers must not mutate it."""
-        if self._dense is None:
-            m, n = self.shape
-            out = np.zeros((m, n), dtype=np.float64)
-            rows = np.repeat(np.arange(m), np.diff(self.indptr))
-            out[rows, self.indices] = self.values
-            self._dense = out
-        return self._dense
+        """Materialize as a fresh float64 array."""
+        m, n = self.shape
+        out = np.zeros((m, n), dtype=np.float64)
+        out[np.repeat(np.arange(m), np.diff(self.indptr)), self.indices] = self.values
+        return out
 
 
 def build_matrix(theory: CnfTheory) -> ClauseMatrix:

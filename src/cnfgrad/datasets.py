@@ -67,11 +67,6 @@ def synthetic_features(count: int, classes: int, noise: float, seed, dim: int = 
     return feats, labels
 
 
-def gen_synthetic_digits(count: int, noise: float = 0.2, seed=0, dim: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Ten-class stand-in for digit images; linearly separable at low noise."""
-    return synthetic_features(count, 10, noise, seed, dim=dim)
-
-
 # -- square grids (Sudoku-style) ---------------------------------------------------
 
 @dataclass(frozen=True)

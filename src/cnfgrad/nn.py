@@ -246,7 +246,7 @@ def write_metrics(path: str, rows: Sequence[dict[str, float]]) -> None:
         fh.write(format_metrics(rows))
 
 
-def save_checkpoint(path: str, net: Mlp, optimizer: Optimizer | None = None, meta: dict | None = None) -> str:
+def save_checkpoint(path: str, net: Mlp, meta: dict | None = None) -> str:
     if not path.endswith(".npz"):
         path += ".npz"
     payload: dict[str, np.ndarray] = {
@@ -258,12 +258,6 @@ def save_checkpoint(path: str, net: Mlp, optimizer: Optimizer | None = None, met
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w.data
         payload[f"b{i}"] = b.data
-    if optimizer is not None:
-        payload["opt_kind"] = np.array(optimizer.kind)
-        payload["opt_t"] = np.array(optimizer.t)
-        for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
-            payload[f"opt_m{i}"] = m
-            payload[f"opt_v{i}"] = v
     np.savez(path, **payload)
     return path
 

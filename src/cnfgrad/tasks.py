@@ -22,7 +22,6 @@ from .closs import (
     LossWeights,
     assemble_prediction,
     bound_loss,
-    cnf_loss,
     cnf_loss_forward,
     cnf_loss_rows,
     hint_loss,
@@ -313,7 +312,12 @@ class TaskSpec:
         raise NotImplementedError
 
     def instance_loss(self, net: Mlp, inst, config: TrainConfig) -> dict[str, Tensor]:
-        raise NotImplementedError(f"task {self.name} has no training recipe at desk scale")
+        raise NotImplementedError(f"task {self.name} has no training recipe")
+
+    def constraint_term(self, x: Tensor, facts: FactVector, config: TrainConfig) -> Tensor:
+        """Constraint loss of outputs ``x`` under ``facts``: one row of ``cnf_loss_rows``."""
+        v = assemble_prediction(facts, x, config.fn, config.ste)
+        return T.sum_last(cnf_loss_rows(self.matrix, T.reshape(v, (1, self.theory.n)), facts.bits[None]))
 
     def batch_loss(self, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
         """Mean of each loss term over the instances of the batch that have it.
@@ -391,9 +395,8 @@ class MnistAddTask(TaskSpec):
         outs = [net.forward(Tensor(img)) for img in inst.images]
         x = T.concat([self._joint([p for p, _ in outs]), T.constant(np.zeros(self.theory.n - self.npred))])
         facts = self._facts(inst)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
         terms = {
-            "cnf": cnf_loss(self.matrix, v, facts).l_cnf,
+            "cnf": self.constraint_term(x, facts, config),
             "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
         }
         if config.weights.delta:
@@ -460,10 +463,8 @@ class Add2x2Task(TaskSpec):
             pa, pb = outs[a][0], outs[b][0]
             blocks.append(T.reshape(T.matmul(T.reshape(pa, (10, 1)), T.reshape(pb, (1, 10))), (100,)))
         x = T.concat(blocks + [T.constant(np.zeros(76))])
-        facts = self._facts(inst)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
         return {
-            "cnf": cnf_loss(self.matrix, v, facts).l_cnf,
+            "cnf": self.constraint_term(x, self._facts(inst), config),
             "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
         }
 
@@ -513,10 +514,8 @@ class MemberTask(TaskSpec):
     def instance_loss(self, net: Mlp, inst: MemberInstance, config: TrainConfig) -> dict[str, Tensor]:
         outs = [net.forward(Tensor(img)) for img in inst.images]
         x = T.concat([p for p, _ in outs] + [T.constant(np.zeros(20))])
-        facts = self._facts(inst)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
         return {
-            "cnf": cnf_loss(self.matrix, v, facts).l_cnf,
+            "cnf": self.constraint_term(x, self._facts(inst), config),
             "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
         }
 
@@ -561,9 +560,8 @@ APPLY2X2_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 class Apply2x2Task(TaskSpec):
     """Operator classification from applying row/column operator pairs.
 
-    The clause matrix is far too large to densify, so this task is
-    generate/verify only; the loss recipe is exercised through the
-    sparse forward evaluator.
+    The task has no training recipe, so it is generate/verify only; its
+    clauses are exercised through the sparse forward evaluator.
     """
 
     trainable = False
@@ -636,9 +634,8 @@ class SudokuTask(TaskSpec):
         probs = T.softmax(T.reshape(raw, (self.cells, self.side)))
         x = T.reshape(probs, (self.theory.n,))
         facts = self.board_facts(inst.q)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
         terms = {
-            "cnf": cnf_loss(self.matrix, v, facts).l_cnf,
+            "cnf": self.constraint_term(x, facts, config),
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
@@ -718,15 +715,13 @@ class ShortestPathTask(TaskSpec):
     def instance_loss(self, net: Mlp, inst: D.PathInstance, config: TrainConfig) -> dict[str, Tensor]:
         probs, raw = net.forward(Tensor(inst.features))
         x = T.concat([T.constant(np.zeros(16)), probs])
-        facts = self._facts(inst)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
         label = T.constant(inst.label.astype(np.float64))
         # Clamp away from the sigmoid's saturated endpoints before taking logs.
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         bce = -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe))
         return {
             "base": bce,
-            "cnf": cnf_loss(self.matrix, v, facts).l_cnf,
+            "cnf": self.constraint_term(x, self._facts(inst), config),
             "bound": bound_loss(raw),
         }
 

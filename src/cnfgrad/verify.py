@@ -162,6 +162,8 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
             result.check(float(getattr(breakdown, term).data) >= 0.0, f"{where}: {term} negative")
         sparse = closs.cnf_loss_forward(matrix, bits, facts)
         result.check(sparse.l_cnf == float(breakdown.l_cnf.data), f"{where}: sparse forward disagrees with graph")
+        rows = closs.cnf_loss_rows(matrix, T.reshape(v, (1, theory.n)), facts.bits[None])
+        result.check(float(rows.data[0]) == float(breakdown.l_cnf.data), f"{where}: cnf_loss_rows disagrees with graph")
         result.cases += 1
     return result
 
@@ -169,15 +171,18 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
 # -- gradient properties -----------------------------------------------------------
 
 def _term_grad(matrix, facts, x_data: np.ndarray, fn: str, term: str) -> np.ndarray:
+    """Gradient of one graph term, or of ``cnf_loss_rows`` for term 'rows'."""
     x = Tensor(x_data, requires_grad=True)
     v = assemble_prediction(facts, x, fn, SteMode.ISTE)
-    breakdown = cnf_loss(matrix, v, facts)
-    T.backward(getattr(breakdown, f"l_{term}"))
+    if term == "rows":
+        T.backward(T.sum_last(closs.cnf_loss_rows(matrix, T.reshape(v, (1, x.size)), facts.bits[None])))
+    else:
+        T.backward(getattr(cnf_loss(matrix, v, facts), f"l_{term}"))
     return x.grad
 
 
 def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: int = 30, tol: float = 1e-9) -> SuiteResult:
-    """Graph gradients against the counting oracle, both binarizers.
+    """Graph and ``cnf_loss_rows`` gradients against the counting oracle, both binarizers.
 
     Instances are screened so theory plus facts is satisfiable; the
     deduced-sign dominance of the total gradient is asserted as well.
@@ -203,6 +208,7 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
                 ("unsat", oracle.g_unsat),
                 ("sat", oracle.g_sat),
                 ("cnf", oracle.g_total),
+                ("rows", oracle.g_total),
             ):
                 got = _term_grad(matrix, facts, x_data, fn, term)
                 dev = result.dev(np.max(np.abs(got - want)) if got.size else 0.0)

@@ -190,8 +190,7 @@ class TestInferenceTrick:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         net = Mlp((6, 5, 3), head="sigmoid", seed=3)
-        opt = Optimizer(net.params(), kind="adam", lr=0.01)
-        path = save_checkpoint(str(tmp_path / "ck"), net, opt, meta={"task": "exactly-one"})
+        path = save_checkpoint(str(tmp_path / "ck"), net, meta={"task": "exactly-one"})
         loaded, meta = load_checkpoint(path)
         assert meta["task"] == "exactly-one"
         assert loaded.layer_dims == net.layer_dims and loaded.head == net.head

@@ -8,7 +8,7 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss
-from cnfgrad.cnf import Assignment, FactVector, parse_dimacs, serialize_dimacs
+from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
 from cnfgrad.tensor import Tensor
 
 
@@ -158,6 +158,65 @@ class TestSudokuTask:
         assert np.all(x.grad[facts.bits == 1] == 0.0)
 
 
+def objective_and_grads(net, means, config, batch_size):
+    """Each term's value, and the parameter gradients of the batch objective."""
+    T.backward(N._batch_total(means, config.weights, batch_size, config.cnf_batch_sum))
+    grads = [p.grad.copy() for p in net.params()]
+    for p in net.params():
+        p.grad = None
+    return {name: float(t.data) for name, t in means.items()}, grads
+
+
+def assert_same_objective(got, want):
+    (got_terms, got_grads), (want_terms, want_grads) = got, want
+    assert got_terms.keys() == want_terms.keys()
+    for name in want_terms:
+        assert got_terms[name] == pytest.approx(want_terms[name], rel=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
+
+
+def dense_rows(matrix, v, f):
+    """A one-row stand-in for ``cnf_loss_rows`` built on the dense graph ``cnf_loss``."""
+    assert v.shape[0] == 1
+    return T.reshape(cnf_loss(matrix, T.reshape(v, (v.shape[1],)), f[0]).l_cnf, (1,))
+
+
+def tiny_data(task, seed=0):
+    if isinstance(task, TK.ExactlyOneTask):
+        return task.make_data(seed=seed, n_labeled=2, n_unlabeled=2, n_test=1)
+    return task.make_data(seed=seed, n_train=4, n_test=1)
+
+
+class TestSparseTraining:
+    # sudoku9 is left out because its data generation enumerates every
+    # 9x9 board; apply2x2 has no training recipe.
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n not in ("sudoku9", "apply2x2")])
+    def test_no_training_path_densifies(self, name, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a training path densified the clause matrix")
+
+        monkeypatch.setattr(ClauseMatrix, "dense", refuse)
+        task = TK.make_task(name)
+        assert task.trainable
+        net = task.build_net(0)
+        config = task.default_config(seed=0)
+        batch = tiny_data(task).train[:2]
+        _, grads = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
+    @pytest.mark.parametrize("name", ["mnist-add", "add2x2", "member3", "sudoku4", "shortest-path"])
+    def test_batch_loss_matches_dense_route(self, name, monkeypatch):
+        task = TK.make_task(name)
+        batch = tiny_data(task, seed=3).train
+        net = task.build_net(3)
+        config = task.default_config(seed=3)
+        sparse = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        assert sparse[0]["cnf"] > 0.0
+        monkeypatch.setattr(TK, "cnf_loss_rows", dense_rows)
+        assert_same_objective(sparse, objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch)))
+
+
 def task_bits(inst):
     side = inst.side
     bits = np.zeros(side**3, dtype=np.int8)
@@ -189,26 +248,15 @@ class TestExactlyOneRecipe:
         net = task.build_net(4)
         net.biases[-1].data += 0.3
         config = task.default_config(seed=4, weights=LossWeights(alpha=0.5, beta=0.3))
-
-        def objective_and_grads(means):
-            total = N._batch_total(means, config.weights, len(batch), config.cnf_batch_sum)
-            T.backward(total)
-            grads = [p.grad.copy() for p in net.params()]
-            for p in net.params():
-                p.grad = None
-            return {name: float(t.data) for name, t in means.items()}, grads
-
-        fused, fused_grads = objective_and_grads(task.batch_loss(net, batch, config))
+        fused = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
         acc: dict = {}
         for inst in batch:
             for name, term in self.graph_terms(task, net, inst, config).items():
                 acc.setdefault(name, []).append(term)
-        graph, graph_grads = objective_and_grads({name: (1.0 / len(t)) * TK._tensor_sum(t) for name, t in acc.items()})
-        assert fused.keys() == graph.keys() == {"base", "cnf", "bound"}
-        for name in graph:
-            assert fused[name] == pytest.approx(graph[name], rel=1e-12)
-        for got, want in zip(fused_grads, graph_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        means = {name: (1.0 / len(t)) * TK._tensor_sum(t) for name, t in acc.items()}
+        graph = objective_and_grads(net, means, config, len(batch))
+        assert fused[0].keys() == {"base", "cnf", "bound"}
+        assert_same_objective(fused, graph)
 
     def logit_gradient(self, task, logits, recipe):
         """d(constraint term)/d(logits) for one unlabelled row with these logits."""
@@ -284,13 +332,13 @@ class TestShortestPathData:
 
 class TestSyntheticDigits:
     def test_zero_noise_is_one_hot(self):
-        feats, labels = D.gen_synthetic_digits(50, noise=0.0, seed=1)
+        feats, labels = D.synthetic_features(50, 10, 0.0, 1)
         assert np.array_equal(np.argmax(feats, axis=1), labels)
         assert np.all((feats == 0.0) | (feats == 1.0))
 
     def test_seeded_reproducibility(self):
-        a = D.gen_synthetic_digits(100, noise=0.2, seed=9)
-        b = D.gen_synthetic_digits(100, noise=0.2, seed=9)
+        a = D.synthetic_features(100, 10, 0.2, 9)
+        b = D.synthetic_features(100, 10, 0.2, 9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
