@@ -306,11 +306,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         boards = [np.asarray(values, dtype=np.int64)]
     else:
         boards = [inst.q for inst in D.gen_grid_puzzles(task.side, args.count, tier=args.tier, seed=args.seed)]
+    q = np.array(boards, dtype=np.int64).reshape(-1, task.cells)
+    filled_boards = N.predict_with_inference_trick(net, q, task) if args.inference_trick else task.predict_board(net, q)
     bad = 0
-    for q in boards:
-        filled = (
-            N.predict_with_inference_trick(net, q, task) if args.inference_trick else task.predict_board(net, q)
-        )
+    for filled in filled_boards:
         valid = task.verify_board(filled)
         bad += int(not valid)
         print(" ".join(str(int(v)) for v in filled) + ("" if valid else "  # violates the theory"))

@@ -218,23 +218,24 @@ def sum_loss(probs: Tensor, group_families) -> Tensor:
     ``group_families`` is a sequence of families; each family is a list of
     groups, each group a list of (row, col) positions into ``probs``. The
     squared deviation of each group sum from 1 is averaged within its
-    family, and families are summed.
+    family, and families are summed. ``probs`` is one 2-D matrix (a scalar
+    loss) or a (B, rows, cols) stack of them (one loss per matrix).
     """
-    if len(probs.shape) != 2:
-        raise T.ShapeError(f"sum_loss: probs must be 2-D, got shape {probs.shape}")
-    rows, cols = probs.shape
-    flat = T.reshape(probs, (rows * cols,))
+    if len(probs.shape) not in (2, 3):
+        raise T.ShapeError(f"sum_loss: probs must be 2-D or (B, rows, cols), got shape {probs.shape}")
+    lead, (rows, cols) = probs.shape[:-2], probs.shape[-2:]
+    flat = T.reshape(probs, lead + (rows * cols,))
     total: Tensor | None = None
     for family in group_families:
-        sel = np.zeros((len(family), rows * cols), dtype=np.float64)
+        sel = np.zeros((rows * cols, len(family)), dtype=np.float64)
         for gi, group in enumerate(family):
             for r, c in group:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"sum_loss: position ({r}, {c}) outside {rows}x{cols}")
-                sel[gi, r * cols + c] = 1.0
-        term = T.avg_last(T.square(T.matmul(Tensor(sel), flat) - 1.0))
+                sel[r * cols + c, gi] = 1.0
+        term = T.avg_last(T.square(T.matmul(flat, Tensor(sel)) - 1.0))
         total = term if total is None else total + term
-    return total if total is not None else T.constant(0.0)
+    return total if total is not None else T.constant(np.zeros(lead))
 
 
 def hint_loss(f, x: Tensor, ste: SteMode = SteMode.ISTE, fn: str = "bp") -> Tensor:

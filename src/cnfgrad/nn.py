@@ -130,19 +130,26 @@ class Optimizer:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # Two scratch planes per parameter: an Adam step allocates nothing.
+        self._scratch = [np.empty((2,) + p.shape) for p in self.params] if kind == "adam" else []
 
     def step(self) -> None:
         self.t += 1
+        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if self.kind == "sgd":
                 p.data -= self.lr * g
             else:
-                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-                mhat = self.m[i] / (1.0 - self.beta1**self.t)
-                vhat = self.v[i] / (1.0 - self.beta2**self.t)
-                p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+                # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
+                m, v, (num, den) = self.m[i], self.v[i], self._scratch[i]
+                m *= self.beta1
+                m += np.multiply(g, 1.0 - self.beta1, out=num)
+                v *= self.beta2
+                v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=num), g, out=num)
+                np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
+                p.data -= np.divide(np.multiply(np.divide(m, c1, out=num), self.lr, out=num), den, out=num)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -213,21 +220,25 @@ def run_training(dataset, config: TrainConfig, net: Mlp | None = None) -> tuple[
     return net, rows
 
 
-def predict_with_inference_trick(net: Mlp, board: np.ndarray, task) -> np.ndarray:
-    """Fill a grid one cell at a time, always the single most confident.
+def predict_with_inference_trick(net: Mlp, boards: np.ndarray, task) -> np.ndarray:
+    """Fill grids one cell at a time, always the single most confident.
 
-    Each round runs the net on the current board, picks the empty cell
-    whose best digit has the highest probability (lowest index wins ties),
-    fixes it, and repeats until the board is complete.
+    ``boards`` is one board or a (B, cells) stack. Each round runs the net
+    once on the boards that still have empty cells; on each of them it
+    fixes the empty cell whose best digit has the highest probability
+    (lowest index wins ties), and it repeats until every board is complete.
     """
-    q = np.array(board, dtype=np.int64, copy=True)
+    q = np.array(boards, dtype=np.int64, copy=True)
+    grid = q.reshape(-1, q.shape[-1])  # a view: filling it fills q
     while True:
-        empty = np.flatnonzero(q == 0)
-        if empty.size == 0:
+        active = np.flatnonzero((grid == 0).any(axis=1))
+        if active.size == 0:
             return q
-        probs = task.cell_probs(net, q)
-        cell = int(empty[np.argmax(probs[empty].max(axis=1))])
-        q[cell] = int(np.argmax(probs[cell])) + 1
+        open_boards = grid[active]
+        probs = task.cell_probs(net, open_boards)
+        confidence = np.where(open_boards == 0, probs.max(axis=-1), -np.inf)
+        cell = np.argmax(confidence, axis=1)
+        grid[active, cell] = np.argmax(probs[np.arange(active.size), cell], axis=-1) + 1
 
 
 # -- metrics and checkpoints ---------------------------------------------------

@@ -606,7 +606,11 @@ class Apply2x2Task(TaskSpec):
 
 
 class SudokuTask(TaskSpec):
-    """Unsupervised grid completion from the exactly-one constraints."""
+    """Unsupervised grid completion from the exactly-one constraints.
+
+    Training and completion take (B, cells) stacks of boards: a batch is
+    one net pass and one ``cnf_loss_rows`` call, with the givens as facts.
+    """
 
     def __init__(self, side: int = 4, include_box_uec: bool = False, hidden: tuple[int, ...] = (256, 256)):
         super().__init__(sudoku_theory(side, include_box_uec))
@@ -620,40 +624,47 @@ class SudokuTask(TaskSpec):
         return Mlp((self.input_dim, *self.hidden, self.cells * self.side), head="none", seed=seed)
 
     def encode_board(self, q: np.ndarray) -> np.ndarray:
-        return np.eye(self.side + 1, dtype=np.float64)[np.asarray(q, dtype=np.int64)].reshape(-1)
+        """Net input of one board, or one row per board of a (B, cells) stack."""
+        q = np.asarray(q, dtype=np.int64)
+        return np.eye(self.side + 1)[q].reshape(q.shape[:-1] + (-1,))
+
+    def fact_rows(self, q: np.ndarray) -> np.ndarray:
+        """The givens of one board (n,) or of a (B, cells) stack (B, n), as 0/1 facts."""
+        q = np.asarray(q, dtype=np.int64)
+        return np.eye(self.side + 1, dtype=np.int8)[q][..., 1:].reshape(q.shape[:-1] + (-1,))
 
     def board_facts(self, q: np.ndarray) -> FactVector:
-        bits = np.zeros(self.theory.n, dtype=np.int8)
-        for cell, value in enumerate(np.asarray(q, dtype=np.int64)):
-            if value:
-                bits[self.side * cell + value - 1] = 1
-        return FactVector(bits)
+        return FactVector(self.fact_rows(q))
 
-    def instance_loss(self, net: Mlp, inst: D.GridInstance, config: TrainConfig) -> dict[str, Tensor]:
-        _, raw = net.forward(Tensor(self.encode_board(inst.q)))
-        probs = T.softmax(T.reshape(raw, (self.cells, self.side)))
-        x = T.reshape(probs, (self.theory.n,))
-        facts = self.board_facts(inst.q)
-        terms = {
-            "cnf": self.constraint_term(x, facts, config),
+    def batch_loss(self, net: Mlp, batch: Sequence[D.GridInstance], config: TrainConfig) -> dict[str, Tensor]:
+        """One net pass and one ``cnf_loss_rows`` call; each per-board term is averaged."""
+        q = np.stack([inst.q for inst in batch])
+        rows = len(batch)
+        _, raw = net.forward(Tensor(self.encode_board(q)))
+        probs = T.softmax(T.reshape(raw, (rows * self.cells, self.side)))
+        x = T.reshape(probs, (rows, self.theory.n))
+        facts = self.fact_rows(q)
+        per_board = {
+            "cnf": cnf_loss_rows(self.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            terms["sum"] = sum_loss(probs, sudoku_sum_groups(self.side))
+            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), sudoku_sum_groups(self.side))
         if config.weights.delta:
-            terms["hint"] = hint_loss(facts, x, config.ste)
-        return terms
+            per_board["hint"] = hint_loss(facts, x, config.ste)
+        return {name: (1.0 / rows) * T.sum_last(terms) for name, terms in per_board.items()}
 
     def cell_probs(self, net: Mlp, q: np.ndarray) -> np.ndarray:
+        """(cells, side) digit probabilities of one board, (B, cells, side) of a stack."""
         raw = net.predict(self.encode_board(q))
-        return _softmax_np(raw.reshape(self.cells, self.side))
+        return _softmax_np(raw.reshape(np.shape(q) + (self.side,)))
 
     def predict_board(self, net: Mlp, q: np.ndarray) -> np.ndarray:
-        """One-shot completion: argmax digit for every empty cell."""
+        """One-shot completion of one board or a stack: argmax digit for every empty cell."""
         probs = self.cell_probs(net, q)
         out = np.array(q, dtype=np.int64, copy=True)
         empty = out == 0
-        out[empty] = np.argmax(probs[empty], axis=1) + 1
+        out[empty] = np.argmax(probs[empty], axis=-1) + 1
         return out
 
     def board_assignment(self, board: np.ndarray) -> Assignment:
@@ -669,18 +680,15 @@ class SudokuTask(TaskSpec):
         return self.board_assignment(board).satisfies(self.theory)
 
     def evaluate(self, net: Mlp, instances, inference_trick: bool = True) -> float:
+        """Share of boards completed to their solution (or to a model), all filled in one call."""
         if not len(instances):
             return 0.0
-        good = 0
-        for inst in instances:
-            if inference_trick:
-                filled = N.predict_with_inference_trick(net, inst.q, self)
-            else:
-                filled = self.predict_board(net, inst.q)
-            if inst.solution is not None:
-                good += int(np.array_equal(filled, inst.solution))
-            else:
-                good += int(self.verify_board(filled))
+        q = np.stack([inst.q for inst in instances])
+        filled = N.predict_with_inference_trick(net, q, self) if inference_trick else self.predict_board(net, q)
+        good = sum(
+            np.array_equal(board, inst.solution) if inst.solution is not None else self.verify_board(board)
+            for inst, board in zip(instances, filled)
+        )
         return good / len(instances)
 
     def truth_pairs(self, inst: D.GridInstance) -> list[tuple[np.ndarray, FactVector]]:

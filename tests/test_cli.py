@@ -106,6 +106,18 @@ class TestGradVerify:
         assert "gradients: OK" in out
 
 
+@pytest.fixture(scope="module")
+def sudoku4_checkpoint(tmp_path_factory):
+    """A briefly trained sudoku4 net, saved once: it completes some boards and misses others."""
+    from cnfgrad import tasks as TK
+    from cnfgrad.nn import run_training, save_checkpoint
+
+    task = TK.make_task("sudoku4")
+    net, _ = run_training(task.make_data(seed=2, n_train=1000, n_test=5), task.default_config(seed=2, epochs=2))
+    path = save_checkpoint(str(tmp_path_factory.mktemp("solve") / "fixed"), net, meta={"task": "sudoku4", "options": {}})
+    return task, net, path
+
+
 class TestTrainEvalSolve:
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path, capsys):
         args = [
@@ -176,6 +188,33 @@ class TestTrainEvalSolve:
         code, out, _ = run_cli(capsys, "solve", str(tmp_path / "checkpoint.npz"), "--board", board)
         assert code == 0
         assert out.splitlines()[0].split("  #")[0].strip() == board
+
+    @pytest.mark.parametrize("trick", [True, False])
+    def test_solve_output_matches_per_board_completion(self, sudoku4_checkpoint, capsys, trick):
+        from cnfgrad.datasets import gen_grid_puzzles
+
+        task, net, ckpt = sudoku4_checkpoint
+        lines, bad = [], 0
+        for inst in gen_grid_puzzles(4, 12, tier="easy", seed=6):
+            q = inst.q.copy()
+            if trick:  # one board at a time, the most confident empty cell per round
+                while (empty := np.flatnonzero(q == 0)).size:
+                    probs = task.cell_probs(net, q)
+                    cell = int(empty[np.argmax(probs[empty].max(axis=1))])
+                    q[cell] = int(np.argmax(probs[cell])) + 1
+            else:
+                probs = task.cell_probs(net, q)
+                q[q == 0] = np.argmax(probs[q == 0], axis=1) + 1
+            valid = task.verify_board(q)
+            bad += not valid
+            lines.append(" ".join(str(int(v)) for v in q) + ("" if valid else "  # violates the theory"))
+        assert 0 < bad < len(lines)
+
+        flag = "--inference-trick" if trick else "--no-inference-trick"
+        code, out, err = run_cli(capsys, "solve", ckpt, "--count", "12", "--seed", "6", flag)
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+        assert err == f"{bad}/12 boards violate the theory\n"
 
     def test_default_flags_follow_default_config(self, tmp_path, capsys):
         from cnfgrad import tasks as TK

@@ -103,6 +103,28 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             Optimizer([], kind="rmsprop")
 
+    def test_adam_matches_textbook_formula(self):
+        rng = np.random.default_rng(11)
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        w = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        opt = Optimizer([w, b], kind="adam", lr=lr, beta1=b1, beta2=b2, eps=eps)
+        want = [w.data.copy(), b.data.copy()]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        for t in range(1, 51):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for p in want]
+            w.grad, b.grad = grads[0].copy(), grads[1].copy()
+            opt.step()
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                mhat = m[i] / (1.0 - b1**t)
+                vhat = v[i] / (1.0 - b2**t)
+                want[i] = want[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            assert np.array_equal(w.data, want[0]) and np.array_equal(b.data, want[1])
+            assert np.array_equal(w.grad, grads[0]) and np.array_equal(b.grad, grads[1])
+
 
 class TestTraining:
     def make_dataset(self, n_train=60, n_test=40, seed=0):
@@ -180,11 +202,40 @@ class TestInferenceTrick:
             side = 2
 
             def cell_probs(self, net, q):
-                return np.full((4, 2), 0.5)
+                return np.full(np.shape(q) + (2,), 0.5)
 
         filled = predict_with_inference_trick(None, np.zeros(4, dtype=np.int64), Flat())
         # all probabilities equal: cells fill in index order with digit 1
         assert filled.tolist() == [1, 1, 1, 1]
+
+    def test_fill_order_is_lowest_index_first_on_every_board(self):
+        class Alternating:
+            side = 2
+
+            def cell_probs(self, net, q):
+                # every empty cell ties; the favoured digit flips with each filled cell
+                flip = np.count_nonzero(q, axis=-1) % 2
+                return np.where(np.arange(2) == flip[..., None, None], 0.75, 0.25) * np.ones(np.shape(q) + (1,))
+
+        filled = predict_with_inference_trick(None, np.array([[0, 0, 0, 0], [2, 0, 0, 0], [1, 2, 1, 2]]), Alternating())
+        assert filled.tolist() == [[1, 2, 1, 2], [2, 2, 1, 2], [1, 2, 1, 2]]
+
+    def test_stack_fill_equals_per_board_fill(self):
+        task = TK.make_task("sudoku4")
+        ds = task.make_data(seed=2, n_train=1000, n_test=60)
+        net, rows = run_training(ds, task.default_config(seed=2, epochs=2))
+        stack = np.stack([inst.q for inst in ds.test])
+        filled = predict_with_inference_trick(net, stack, task)
+        singles = [predict_with_inference_trick(net, q, task) for q in stack]
+        assert filled.shape == stack.shape
+        for board, single in zip(filled, singles):
+            assert np.array_equal(board, single)
+        # the stack is not modified in place
+        assert np.array_equal(stack, np.stack([inst.q for inst in ds.test]))
+        # evaluate scores the same boards the per-board calls produce
+        per_board = np.mean([np.array_equal(s, inst.solution) for s, inst in zip(singles, ds.test)])
+        assert rows[-1]["acc_test"] == per_board
+        assert 0.0 < per_board < 1.0
 
 
 class TestCheckpoint:

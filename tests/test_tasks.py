@@ -7,7 +7,7 @@ from cnfgrad import datasets as D
 from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
-from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss
+from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss, sum_loss
 from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
 from cnfgrad.tensor import Tensor
 
@@ -177,9 +177,16 @@ def assert_same_objective(got, want):
 
 
 def dense_rows(matrix, v, f):
-    """A one-row stand-in for ``cnf_loss_rows`` built on the dense graph ``cnf_loss``."""
-    assert v.shape[0] == 1
-    return T.reshape(cnf_loss(matrix, T.reshape(v, (v.shape[1],)), f[0]).l_cnf, (1,))
+    """A stand-in for ``cnf_loss_rows`` that runs the dense graph ``cnf_loss`` once per row.
+
+    Row r of ``v`` is picked out with a one-hot ``matmul``, so the gradient
+    of every row flows back into the shared (rows, n) node.
+    """
+    rows = v.shape[0]
+    picks = np.eye(rows)
+    return T.concat(
+        [T.reshape(cnf_loss(matrix, T.matmul(Tensor(picks[r]), v), f[r]).l_cnf, (1,)) for r in range(rows)]
+    )
 
 
 def tiny_data(task, seed=0):
@@ -215,6 +222,68 @@ class TestSparseTraining:
         assert sparse[0]["cnf"] > 0.0
         monkeypatch.setattr(TK, "cnf_loss_rows", dense_rows)
         assert_same_objective(sparse, objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch)))
+
+
+class TestSudokuBatchLoss:
+    def graph_terms(self, task, net, inst, config):
+        """The per-board recipe for one board, built on the dense graph route."""
+        _, raw = net.forward(Tensor(task.encode_board(inst.q)))
+        probs = T.softmax(T.reshape(raw, (task.cells, task.side)))
+        x = T.reshape(probs, (task.theory.n,))
+        facts = task.board_facts(inst.q)
+        terms = {
+            "cnf": cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf,
+            "bound": bound_loss(raw),
+        }
+        if config.weights.gamma:
+            terms["sum"] = sum_loss(probs, TK.sudoku_sum_groups(task.side))
+        if config.weights.delta:
+            terms["hint"] = hint_loss(facts, x, config.ste)
+        return terms
+
+    @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(beta=0.3, gamma=0.5, delta=0.7)])
+    def test_batch_loss_matches_per_board_graph(self, weights):
+        task = TK.make_task("sudoku4")
+        batch = task.make_data(seed=8, n_train=12, n_test=1).train
+        net = task.build_net(8)
+        config = task.default_config(seed=8, weights=weights)
+        batched = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        acc: dict = {}
+        for inst in batch:
+            for name, term in self.graph_terms(task, net, inst, config).items():
+                acc.setdefault(name, []).append(term)
+        means = {name: (1.0 / len(t)) * TK._tensor_sum(t) for name, t in acc.items()}
+        graph = objective_and_grads(net, means, config, len(batch))
+        want = {"cnf", "bound"} | ({"sum", "hint"} if weights.gamma else set())
+        assert batched[0].keys() == want and batched[0]["cnf"] > 0.0
+        assert_same_objective(batched, graph)
+
+    def test_sum_loss_batch_axis_matches_per_board(self):
+        families = TK.sudoku_sum_groups(4)
+        data = np.random.default_rng(9).dirichlet(np.ones(4), size=(5, 16))
+        stacked = Tensor(data.copy(), requires_grad=True)
+        per_row = sum_loss(stacked, families)
+        assert per_row.shape == (5,)
+        weights = np.arange(1.0, 6.0)
+        T.backward(T.sum_last(per_row * weights))
+        for b in range(5):
+            single = Tensor(data[b].copy(), requires_grad=True)
+            value = sum_loss(single, families)
+            assert value.shape == () and float(value.data) == pytest.approx(per_row.data[b], rel=1e-12)
+            T.backward(weights[b] * value)
+            np.testing.assert_allclose(stacked.grad[b], single.grad, rtol=1e-9, atol=1e-12)
+
+    def test_fact_rows_match_board_facts(self):
+        task = TK.make_task("sudoku4")
+        boards = np.stack([inst.q for inst in task.make_data(seed=1, n_train=6, n_test=0).train])
+        rows = task.fact_rows(boards)
+        assert rows.shape == (6, 64) and rows.dtype == np.int8
+        for q, row in zip(boards, rows):
+            want = np.zeros(64, dtype=np.int8)
+            for cell, value in enumerate(q):
+                if value:
+                    want[4 * cell + value - 1] = 1
+            assert np.array_equal(row, want) and np.array_equal(task.board_facts(q).bits, want)
 
 
 def task_bits(inst):
