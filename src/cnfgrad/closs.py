@@ -216,7 +216,8 @@ def sum_loss(probs: Tensor, group_families) -> Tensor:
     """Penalize index groups whose probabilities do not sum to 1.
 
     ``group_families`` is a sequence of families; each family is a list of
-    groups, each group a list of (row, col) positions into ``probs``. The
+    equal-size groups, each group a list of (row, col) positions into
+    ``probs`` (or the same as a (groups, size, 2) integer array). The
     squared deviation of each group sum from 1 is averaged within its
     family, and families are summed. ``probs`` is one 2-D matrix (a scalar
     loss) or a (B, rows, cols) stack of them (one loss per matrix).
@@ -227,12 +228,12 @@ def sum_loss(probs: Tensor, group_families) -> Tensor:
     flat = T.reshape(probs, lead + (rows * cols,))
     total: Tensor | None = None
     for family in group_families:
+        r, c = np.asarray(family, dtype=np.int64).reshape(-1, 2).T
+        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if outside.size:
+            raise IndexError(f"sum_loss: position ({r[outside[0]]}, {c[outside[0]]}) outside {rows}x{cols}")
         sel = np.zeros((rows * cols, len(family)), dtype=np.float64)
-        for gi, group in enumerate(family):
-            for r, c in group:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"sum_loss: position ({r}, {c}) outside {rows}x{cols}")
-                sel[r * cols + c, gi] = 1.0
+        sel[r * cols + c, np.repeat(np.arange(len(family)), r.size // max(len(family), 1))] = 1.0
         term = T.avg_last(T.square(T.matmul(flat, Tensor(sel)) - 1.0))
         total = term if total is None else total + term
     return total if total is not None else T.constant(np.zeros(lead))

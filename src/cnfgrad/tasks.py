@@ -1,14 +1,16 @@
 """Benchmark tasks: clause families, prediction assembly, and datasets.
 
-Each task bundles a generated theory with the recipe that turns network
-outputs into the atom-probability vector x (products, concatenation,
-zero-padding), the per-instance fact vector, the training loss terms,
-and an accuracy definition. Atom orders follow the assembly recipes, so
-the network-driven atoms always come first and padded atoms last.
+Each task bundles a generated theory, a dataset maker, an accuracy
+definition and a training recipe that takes the batch as the unit of
+work: one net pass per input position, the (B, n) atom-probability rows
+x assembled by products, concatenation and zero-padding, the (B, n) fact
+rows, and one ``cnf_loss_rows`` call. Atom orders follow the assembly
+recipes, so the network-driven atoms always come first and padded last.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -211,21 +213,21 @@ def sudoku_theory(side: int = 9, include_box_uec: bool = False) -> CnfTheory:
     return theory_from_clauses(clauses, side**3, names)
 
 
-def sudoku_sum_groups(side: int = 9) -> list[list[list[tuple[int, int]]]]:
+def sudoku_sum_groups(side: int = 9) -> np.ndarray:
     """Row/column/box families of positions into the (cells, digits) matrix.
 
-    Each group collects the ``side`` probabilities that should sum to 1.
+    A (3, side*side, side, 2) array: per family, per group, the ``side``
+    (cell, digit) positions whose probabilities should sum to 1.
     """
     b = int(round(np.sqrt(side)))
-    row_family = [[(r * side + c, n) for r in range(side)] for c in range(side) for n in range(side)]
-    col_family = [[(r * side + c, n) for c in range(side)] for r in range(side) for n in range(side)]
-    box_family = []
-    for box in range(side):
-        br, bc = divmod(box, b)
-        cells = [(br * b + dr) * side + (bc * b + dc) for dr in range(b) for dc in range(b)]
-        for n in range(side):
-            box_family.append([(cell, n) for cell in cells])
-    return [row_family, col_family, box_family]
+    grid = np.arange(side * side).reshape(side, side)
+    boxes = grid.reshape(b, b, b, b).transpose(0, 2, 1, 3).reshape(side, side)
+    shape = (side, side, side)  # (cell set, digit, position in the set)
+    digits = np.broadcast_to(np.arange(side)[None, :, None], shape)
+    return np.stack([
+        np.stack([np.broadcast_to(cells[:, None, :], shape), digits], axis=-1).reshape(side * side, side, 2)
+        for cells in (grid.T, grid, boxes)
+    ])
 
 
 def shortest_path_theory() -> CnfTheory:
@@ -311,25 +313,9 @@ class TaskSpec:
     def make_data(self, seed: int = 0, **options) -> TaskDataset:
         raise NotImplementedError
 
-    def instance_loss(self, net: Mlp, inst, config: TrainConfig) -> dict[str, Tensor]:
-        raise NotImplementedError(f"task {self.name} has no training recipe")
-
-    def constraint_term(self, x: Tensor, facts: FactVector, config: TrainConfig) -> Tensor:
-        """Constraint loss of outputs ``x`` under ``facts``: one row of ``cnf_loss_rows``."""
-        v = assemble_prediction(facts, x, config.fn, config.ste)
-        return T.sum_last(cnf_loss_rows(self.matrix, T.reshape(v, (1, self.theory.n)), facts.bits[None]))
-
     def batch_loss(self, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
-        """Mean of each loss term over the instances of the batch that have it.
-
-        By default one ``instance_loss`` graph per instance; tasks may
-        override this with a vectorized recipe that keeps the semantics.
-        """
-        acc: dict[str, list[Tensor]] = {}
-        for inst in batch:
-            for name, term in self.instance_loss(net, inst, config).items():
-                acc.setdefault(name, []).append(term)
-        return {name: (1.0 / len(terms)) * _tensor_sum(terms) for name, terms in acc.items()}
+        """The batch mean of each loss term, built as one graph; ``nn.train_epoch`` weights them."""
+        raise NotImplementedError(f"task {self.name} has no training recipe")
 
     def evaluate(self, net: Mlp, instances: Sequence) -> float:
         raise NotImplementedError
@@ -346,6 +332,41 @@ class TaskSpec:
             if cnf_loss_forward(self.matrix, v.astype(np.int8), facts).l_cnf != 0.0:
                 return False
         return True
+
+
+def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The batch mean of each (B,) per-row term."""
+    return {name: (1.0 / rows.shape[0]) * T.sum_last(rows) for name, rows in per_row.items()}
+
+
+def _digit_outputs(net: Mlp, batch: Sequence) -> list[tuple[Tensor, Tensor]]:
+    """One net pass per image position, over the (B, d) stack of that position's images."""
+    return [net.forward(Tensor(np.stack(images))) for images in zip(*(inst.images for inst in batch))]
+
+
+def _fact_rows(task: TaskSpec, batch: Sequence) -> np.ndarray:
+    """The (B, n) fact rows of a batch."""
+    return np.stack([task._facts(inst).bits for inst in batch])
+
+
+def _digit_rows(task: TaskSpec, outs, x: Tensor, facts: np.ndarray, config: TrainConfig) -> dict[str, Tensor]:
+    """Per-row constraint and bound terms of a digit task whose outputs assemble to ``x``."""
+    bounds = [bound_loss(raw) for _, raw in outs]
+    return {
+        "cnf": cnf_loss_rows(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
+        "bound": sum(bounds[1:], bounds[0]),
+    }
+
+
+def _outer_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise outer product of (B, i) and (B, j), flattened to (B, i*j)."""
+    rows, i, j = a.shape[0], a.shape[1], b.shape[1]
+    return T.reshape(T.reshape(a, (rows, i, 1)) * T.reshape(b, (rows, 1, j)), (rows, i * j))
+
+
+def _zero_pad(x: Tensor, n: int) -> Tensor:
+    """(B, k) outputs widened to (B, n) by zero columns after them."""
+    return T.concat([x, T.constant(np.zeros((x.shape[0], n - x.shape[1])))])
 
 
 def _classifier_accuracy(net: Mlp, instances: Sequence[tuple[np.ndarray, int]]) -> float:
@@ -385,23 +406,15 @@ class MnistAddTask(TaskSpec):
     def _facts(self, inst: AddInstance) -> FactVector:
         return FactVector.from_atoms([self.sum_base + inst.label_sum], self.theory.n)
 
-    def _joint(self, probs: list[Tensor]) -> Tensor:
-        acc = probs[0]
-        for nxt in probs[1:]:
-            acc = T.reshape(T.matmul(T.reshape(acc, (acc.size, 1)), T.reshape(nxt, (1, nxt.size))), (acc.size * nxt.size,))
-        return acc
-
-    def instance_loss(self, net: Mlp, inst: AddInstance, config: TrainConfig) -> dict[str, Tensor]:
-        outs = [net.forward(Tensor(img)) for img in inst.images]
-        x = T.concat([self._joint([p for p, _ in outs]), T.constant(np.zeros(self.theory.n - self.npred))])
-        facts = self._facts(inst)
-        terms = {
-            "cnf": self.constraint_term(x, facts, config),
-            "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
-        }
+    def batch_loss(self, net: Mlp, batch: Sequence[AddInstance], config: TrainConfig) -> dict[str, Tensor]:
+        """The joint atoms are the row-wise outer product of the per-image digit probabilities."""
+        outs = _digit_outputs(net, batch)
+        x = _zero_pad(functools.reduce(_outer_rows, [probs for probs, _ in outs]), self.theory.n)
+        facts = _fact_rows(self, batch)
+        per_row = _digit_rows(self, outs, x, facts, config)
         if config.weights.delta:
-            terms["hint"] = hint_loss(facts, x, config.ste)
-        return terms
+            per_row["hint"] = hint_loss(facts, x, config.ste)
+        return _batch_means(per_row)
 
     def evaluate(self, net: Mlp, instances) -> float:
         return _classifier_accuracy(net, instances)
@@ -456,17 +469,10 @@ class Add2x2Task(TaskSpec):
     def _facts(self, inst: Add2x2Instance) -> FactVector:
         return FactVector.from_atoms([400 + 19 * p + r for p, r in enumerate(inst.sums)], 476)
 
-    def instance_loss(self, net: Mlp, inst: Add2x2Instance, config: TrainConfig) -> dict[str, Tensor]:
-        outs = [net.forward(Tensor(img)) for img in inst.images]
-        blocks = []
-        for a, b in ADD2X2_PAIRS:
-            pa, pb = outs[a][0], outs[b][0]
-            blocks.append(T.reshape(T.matmul(T.reshape(pa, (10, 1)), T.reshape(pb, (1, 10))), (100,)))
-        x = T.concat(blocks + [T.constant(np.zeros(76))])
-        return {
-            "cnf": self.constraint_term(x, self._facts(inst), config),
-            "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
-        }
+    def batch_loss(self, net: Mlp, batch: Sequence[Add2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
+        outs = _digit_outputs(net, batch)
+        x = _zero_pad(T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS]), self.theory.n)
+        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def evaluate(self, net: Mlp, instances) -> float:
         return _classifier_accuracy(net, instances)
@@ -511,13 +517,10 @@ class MemberTask(TaskSpec):
     def _facts(self, inst: MemberInstance) -> FactVector:
         return FactVector.from_atoms([10 * self.k + 10 * inst.label + inst.query], self.theory.n)
 
-    def instance_loss(self, net: Mlp, inst: MemberInstance, config: TrainConfig) -> dict[str, Tensor]:
-        outs = [net.forward(Tensor(img)) for img in inst.images]
-        x = T.concat([p for p, _ in outs] + [T.constant(np.zeros(20))])
-        return {
-            "cnf": self.constraint_term(x, self._facts(inst), config),
-            "bound": _tensor_sum([bound_loss(raw) for _, raw in outs]),
-        }
+    def batch_loss(self, net: Mlp, batch: Sequence[MemberInstance], config: TrainConfig) -> dict[str, Tensor]:
+        outs = _digit_outputs(net, batch)
+        x = _zero_pad(T.concat([probs for probs, _ in outs]), self.theory.n)
+        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def evaluate(self, net: Mlp, instances) -> float:
         return _classifier_accuracy(net, instances)
@@ -619,6 +622,7 @@ class SudokuTask(TaskSpec):
         self.hidden = hidden
         self.cells = side * side
         self.input_dim = self.cells * (side + 1)
+        self.sum_groups = sudoku_sum_groups(side)
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, *self.hidden, self.cells * self.side), head="none", seed=seed)
@@ -649,10 +653,10 @@ class SudokuTask(TaskSpec):
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), sudoku_sum_groups(self.side))
+            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), self.sum_groups)
         if config.weights.delta:
             per_board["hint"] = hint_loss(facts, x, config.ste)
-        return {name: (1.0 / rows) * T.sum_last(terms) for name, terms in per_board.items()}
+        return _batch_means(per_board)
 
     def cell_probs(self, net: Mlp, q: np.ndarray) -> np.ndarray:
         """(cells, side) digit probabilities of one board, (B, cells, side) of a stack."""
@@ -720,18 +724,19 @@ class ShortestPathTask(TaskSpec):
     def _facts(self, inst: D.PathInstance) -> FactVector:
         return FactVector(np.concatenate([inst.features[24:].astype(np.int8), np.zeros(24, dtype=np.int8)]))
 
-    def instance_loss(self, net: Mlp, inst: D.PathInstance, config: TrainConfig) -> dict[str, Tensor]:
-        probs, raw = net.forward(Tensor(inst.features))
-        x = T.concat([T.constant(np.zeros(16)), probs])
-        label = T.constant(inst.label.astype(np.float64))
+    def batch_loss(self, net: Mlp, batch: Sequence[D.PathInstance], config: TrainConfig) -> dict[str, Tensor]:
+        """One net pass over the (B, 40) features; the edge outputs follow the 16 terminal atoms."""
+        probs, raw = net.forward(Tensor(np.stack([inst.features for inst in batch])))
+        x = T.concat([T.constant(np.zeros((len(batch), 16))), probs])
+        facts = _fact_rows(self, batch)
+        label = T.constant(np.stack([inst.label for inst in batch]).astype(np.float64))
         # Clamp away from the sigmoid's saturated endpoints before taking logs.
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
-        bce = -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe))
-        return {
-            "base": bce,
-            "cnf": self.constraint_term(x, self._facts(inst), config),
+        return _batch_means({
+            "base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)),
+            "cnf": cnf_loss_rows(self.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
             "bound": bound_loss(raw),
-        }
+        })
 
     def evaluate(self, net: Mlp, instances) -> float:
         """Exact-match accuracy of the thresholded edge predictions."""
@@ -807,9 +812,6 @@ class ExactlyOneTask(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, self.classes), head="none", seed=seed)
 
-    def instance_loss(self, net: Mlp, inst, config: TrainConfig) -> dict[str, Tensor]:
-        return self.batch_loss(net, [inst], config)
-
     def batch_loss(self, net: Mlp, batch, config: TrainConfig) -> dict[str, Tensor]:
         """Labelled and unlabelled rows each go through the net as one matrix.
 
@@ -884,13 +886,6 @@ class ExactlyOneTask(TaskSpec):
         train += unlabeled
         test = [(feats[n_labeled + n_unlabeled + i], int(labels[n_labeled + n_unlabeled + i])) for i in range(n_test)]
         return TaskDataset(self, train, test)
-
-
-def _tensor_sum(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-The op set is deliberately small: elementwise arithmetic with a single
-broadcasting pattern (a length-n vector against the rows of an m x n
-matrix), matrix products, last-axis reductions that squeeze the reduced
-axis, the usual activations, and the threshold nodes whose backward pass
-substitutes a straight-through surrogate (identity or saturated) or the
-analytic sawtooth-gate gradient.
+The op set is deliberately small: elementwise arithmetic under numpy
+broadcasting (gradients are summed back over the broadcast axes), matrix
+products, reshape and last-axis concatenation, last-axis reductions that
+squeeze the reduced axis, the usual activations, and the threshold nodes
+whose backward pass substitutes a straight-through surrogate (identity or
+saturated) or the analytic sawtooth-gate gradient.
 
 Gradients accumulate in the reverse of node-creation order, which is a
 topological order by construction, so repeated runs are bit-identical.
@@ -157,30 +157,26 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 # -- elementwise arithmetic -------------------------------------------------
 
-def _pair_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb or sa == () or sb == ():
-        return
-    if len(sa) == 2 and sb == (sa[1],):
-        return
-    if len(sb) == 2 and sa == (sb[1],):
-        return
-    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+def _broadcast(op: str, fn: np.ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn`` on the data of ``a`` and ``b`` under numpy broadcasting."""
+    try:
+        return fn(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return g.sum()
-    # length-n vector broadcast against the rows of an (m, n) result
-    return g.sum(axis=0)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, s in enumerate(shape) if s == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _pair_shapes(a, b, "add")
-    out = Tensor(a.data + b.data, parents=(a, b), op="add")
+    out = Tensor(_broadcast("add", np.add, a, b), parents=(a, b), op="add")
 
     def back(g: np.ndarray) -> None:
         _acc(a, _unbroadcast(g, a.shape))
@@ -192,8 +188,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _pair_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data, parents=(a, b), op="sub")
+    out = Tensor(_broadcast("sub", np.subtract, a, b), parents=(a, b), op="sub")
 
     def back(g: np.ndarray) -> None:
         _acc(a, _unbroadcast(g, a.shape))
@@ -205,8 +200,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _pair_shapes(a, b, "mul")
-    out = Tensor(a.data * b.data, parents=(a, b), op="mul")
+    out = Tensor(_broadcast("mul", np.multiply, a, b), parents=(a, b), op="mul")
 
     def back(g: np.ndarray) -> None:
         _acc(a, _unbroadcast(g * b.data, a.shape))
@@ -271,17 +265,17 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
 
 
 def concat(parts: Iterable) -> Tensor:
-    """Concatenate 1-D tensors into one vector."""
+    """Join tensors along the last axis; their leading axes must agree."""
     parts = [as_tensor(p) for p in parts]
     for p in parts:
-        if len(p.shape) != 1:
-            raise ShapeError(f"concat: only 1-D tensors supported, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]) if parts else np.zeros(0), parents=tuple(parts), op="concat")
-    offsets = np.cumsum([0] + [p.size for p in parts])
+        if p.shape == () or p.shape[:-1] != parts[0].shape[:-1]:
+            raise ShapeError(f"concat: cannot join shapes {[q.shape for q in parts]} along the last axis")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1) if parts else np.zeros(0), parents=tuple(parts), op="concat")
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def back(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _acc(p, g[lo:hi])
+            _acc(p, g[..., lo:hi])
 
     out._backward = back
     return out

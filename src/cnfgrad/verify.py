@@ -307,6 +307,8 @@ def finite_difference_suite(cases: int = 200, seed: int = 0, tol: float = 1e-6, 
         spec("prod_last", lambda ts, w: dot(T.prod_last(ts[0]), w), mat),
         spec("reshape_concat", lambda ts, w: dot(T.concat([T.reshape(ts[0], (12,)), ts[1]]), w), mat, vec),
         spec("bound_loss", lambda ts, w: bound_loss(ts[0]) * float(w[0]), (6,)),
+        spec("mul_outer", lambda ts, w: dot(ts[0] * ts[1], w), (2, 3, 1), (2, 1, 4)),
+        spec("concat_rows", lambda ts, w: dot(T.concat([ts[0], ts[1]]), w), (3, 4), (3, 2)),
     ]
     for name, build, shapes, low, high in specs:
         for _ in range(cases):
@@ -319,7 +321,7 @@ def finite_difference_suite(cases: int = 200, seed: int = 0, tol: float = 1e-6, 
             out_size = {
                 "matmul": 6, "matmul_vec": 3, "vec_matmul": 2,
                 "sum_last": 3, "avg_last": 3, "prod_last": 3,
-                "reshape_concat": 16, "bound_loss": 1,
+                "reshape_concat": 16, "bound_loss": 1, "mul_outer": 24, "concat_rows": 18,
             }.get(name, 12)
             weights = rng.uniform(-1.0, 1.0, size=out_size)
             _fd_case(result, name, lambda ts, w=weights, b=build: b(ts, w), arrays, tol, h)

@@ -158,6 +158,13 @@ class TestSudokuTask:
         assert np.all(x.grad[facts.bits == 1] == 0.0)
 
 
+def _tensor_sum(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
 def objective_and_grads(net, means, config, batch_size):
     """Each term's value, and the parameter gradients of the batch objective."""
     T.backward(N._batch_total(means, config.weights, batch_size, config.cnf_batch_sum))
@@ -252,7 +259,7 @@ class TestSudokuBatchLoss:
         for inst in batch:
             for name, term in self.graph_terms(task, net, inst, config).items():
                 acc.setdefault(name, []).append(term)
-        means = {name: (1.0 / len(t)) * TK._tensor_sum(t) for name, t in acc.items()}
+        means = {name: (1.0 / len(t)) * _tensor_sum(t) for name, t in acc.items()}
         graph = objective_and_grads(net, means, config, len(batch))
         want = {"cnf", "bound"} | ({"sum", "hint"} if weights.gamma else set())
         assert batched[0].keys() == want and batched[0]["cnf"] > 0.0
@@ -284,6 +291,83 @@ class TestSudokuBatchLoss:
                 if value:
                     want[4 * cell + value - 1] = 1
             assert np.array_equal(row, want) and np.array_equal(task.board_facts(q).bits, want)
+
+
+def outer_chain(probs):
+    """The joint atoms of one instance: chained outer products of its 1-D digit probabilities."""
+    acc = probs[0]
+    for nxt in probs[1:]:
+        acc = T.reshape(T.matmul(T.reshape(acc, (acc.size, 1)), T.reshape(nxt, (1, nxt.size))), (acc.size * nxt.size,))
+    return acc
+
+
+def instance_graph_terms(task, net, inst, config):
+    """The loss terms of one instance, with 1-D net passes and the dense graph ``cnf_loss``."""
+    facts = task._facts(inst)
+    if isinstance(task, TK.ShortestPathTask):
+        probs, raw = net.forward(Tensor(inst.features))
+        x = T.concat([T.constant(np.zeros(16)), probs])
+        label = T.constant(inst.label.astype(np.float64))
+        safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
+        terms = {"base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)), "bound": bound_loss(raw)}
+    else:
+        outs = [net.forward(Tensor(img)) for img in inst.images]
+        probs = [p for p, _ in outs]
+        if isinstance(task, TK.MnistAddTask):
+            parts = [outer_chain(probs)]
+        elif isinstance(task, TK.Add2x2Task):
+            parts = [outer_chain([probs[a], probs[b]]) for a, b in TK.ADD2X2_PAIRS]
+        else:
+            parts = probs
+        width = sum(p.size for p in parts)
+        x = T.concat(parts + [T.constant(np.zeros(task.theory.n - width))])
+        terms = {"bound": _tensor_sum([bound_loss(raw) for _, raw in outs])}
+        if isinstance(task, TK.MnistAddTask) and config.weights.delta:
+            terms["hint"] = hint_loss(facts, x, config.ste)
+    terms["cnf"] = cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf
+    return terms
+
+
+def per_instance_objective(task, net, batch, config):
+    """The batch objective built one instance graph at a time.
+
+    Each instance adds its share of every term's batch mean, and its
+    backward pass adds its share of the parameter gradients, so only one
+    dense graph (about 0.5 GB on mnist-add2) is alive at a time.
+    """
+    values: dict = {}
+    for inst in batch:
+        means = {name: (1.0 / len(batch)) * t for name, t in instance_graph_terms(task, net, inst, config).items()}
+        T.backward(N._batch_total(means, config.weights, len(batch), config.cnf_batch_sum))
+        for name, t in means.items():
+            values[name] = values.get(name, 0.0) + float(t.data)
+    grads = [p.grad.copy() for p in net.params()]
+    for p in net.params():
+        p.grad = None
+    return values, grads
+
+
+class TestDigitAndPathBatchLoss:
+    CASES = [
+        ("mnist-add", 12, None),
+        ("mnist-add", 12, LossWeights(alpha=1.0, beta=0.3, delta=0.7)),
+        ("mnist-add2", 2, None),
+        ("add2x2", 8, None),
+        ("member3", 12, None),
+        ("member5", 12, None),
+        ("shortest-path", 12, None),
+    ]
+
+    @pytest.mark.parametrize("name,size,weights", CASES, ids=[f"{n}-{'default' if w is None else 'delta'}" for n, _, w in CASES])
+    def test_batch_loss_matches_per_instance_graph(self, name, size, weights):
+        task = TK.make_task(name)
+        batch = task.make_data(seed=10, n_train=size, n_test=1).train
+        net = task.build_net(10)
+        config = task.default_config(seed=10) if weights is None else task.default_config(seed=10, weights=weights)
+        batched = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        assert batched[0]["cnf"] > 0.0
+        assert ("hint" in batched[0]) == bool(config.weights.delta)
+        assert_same_objective(batched, per_instance_objective(task, net, batch, config))
 
 
 def task_bits(inst):
@@ -322,7 +406,7 @@ class TestExactlyOneRecipe:
         for inst in batch:
             for name, term in self.graph_terms(task, net, inst, config).items():
                 acc.setdefault(name, []).append(term)
-        means = {name: (1.0 / len(t)) * TK._tensor_sum(t) for name, t in acc.items()}
+        means = {name: (1.0 / len(t)) * _tensor_sum(t) for name, t in acc.items()}
         graph = objective_and_grads(net, means, config, len(batch))
         assert fused[0].keys() == {"base", "cnf", "bound"}
         assert_same_objective(fused, graph)

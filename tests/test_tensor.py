@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,62 @@ class TestForwardValues:
         assert T.reshape(out, (3, 1)).shape == (3, 1)
         with pytest.raises(ShapeError):
             T.reshape(out, (2, 2))
+
+
+def exact_linear_grad(op, a, b, w, which):
+    """d sum(w * op(a, b)) / d operand, one unit bump at a time (exact: op is linear in it)."""
+    base = np.sum(w * op(a, b))
+    target = a if which == 0 else b
+    grad = np.zeros_like(target)
+    for i in np.ndindex(target.shape):
+        bumped = target.copy()
+        bumped[i] += 1.0
+        grad[i] = np.sum(w * (op(bumped, b) if which == 0 else op(a, bumped))) - base
+    return grad
+
+
+class TestBroadcasting:
+    OPS = {"add": (T.add, np.add), "sub": (T.sub, np.subtract), "mul": (T.mul, np.multiply)}
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("sa,sb", [((2, 3, 1), (2, 1, 4)), ((4,), (2, 3, 4)), ((3, 1), (1, 4)), ((1,), (2, 3)), ((), (2, 2))])
+    def test_values_and_gradients(self, op, sa, sb):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        t_op, np_op = self.OPS[op]
+        out = np_op(a, b)
+        w = rng.normal(size=out.shape)
+        ga, gb = grad_of(lambda x, y: T.sum_last(T.reshape(t_op(x, y) * Tensor(w), (out.size,))), a, b)
+        np.testing.assert_array_equal(t_op(Tensor(a), Tensor(b)).data, out)
+        assert ga.shape == sa and gb.shape == sb
+        np.testing.assert_allclose(ga, exact_linear_grad(np_op, a, b, w, 0), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(gb, exact_linear_grad(np_op, a, b, w, 1), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("sa,sb", [((2, 3, 4), (3, 3)), ((2, 1, 3), (4, 2)), ((3,), (4, 2))])
+    def test_incompatible_shapes_name_both(self, sa, sb):
+        for op in (T.add, T.sub, T.mul):
+            with pytest.raises(ShapeError, match=rf"{op.__name__}: incompatible shapes {re.escape(str(sa))} and {re.escape(str(sb))}"):
+                op(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
+
+class TestConcat:
+    def test_last_axis_values_and_gradient_slices(self):
+        rng = np.random.default_rng(8)
+        parts = [rng.normal(size=(4, k)) for k in (3, 1, 5)]
+        w = rng.normal(size=(4, 9))
+        out = T.concat([Tensor(p) for p in parts])
+        np.testing.assert_array_equal(out.data, np.concatenate(parts, axis=1))
+        grads = grad_of(lambda *ts: T.sum_last(T.sum_last(T.concat(ts) * Tensor(w))), *parts)
+        for g, lo, hi in zip(grads, (0, 3, 4), (3, 4, 9)):
+            assert np.array_equal(g, w[:, lo:hi])
+
+    def test_rejects_different_leading_axes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+        with pytest.raises(ShapeError):
+            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones(3))])
+        with pytest.raises(ShapeError):
+            T.concat([Tensor(1.0), Tensor(np.ones(2))])
 
 
 class TestBackward:
