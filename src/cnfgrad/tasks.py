@@ -410,11 +410,7 @@ class MnistAddTask(TaskSpec):
         """The joint atoms are the row-wise outer product of the per-image digit probabilities."""
         outs = _digit_outputs(net, batch)
         x = _zero_pad(functools.reduce(_outer_rows, [probs for probs, _ in outs]), self.theory.n)
-        facts = _fact_rows(self, batch)
-        per_row = _digit_rows(self, outs, x, facts, config)
-        if config.weights.delta:
-            per_row["hint"] = hint_loss(facts, x, config.ste)
-        return _batch_means(per_row)
+        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def evaluate(self, net: Mlp, instances) -> float:
         return _classifier_accuracy(net, instances)

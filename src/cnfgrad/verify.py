@@ -170,15 +170,32 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
 
 # -- gradient properties -----------------------------------------------------------
 
-def _term_grad(matrix, facts, x_data: np.ndarray, fn: str, term: str) -> np.ndarray:
-    """Gradient of one graph term, or of ``cnf_loss_rows`` for term 'rows'."""
-    x = Tensor(x_data, requires_grad=True)
-    v = assemble_prediction(facts, x, fn, SteMode.ISTE)
-    if term == "rows":
-        T.backward(T.sum_last(closs.cnf_loss_rows(matrix, T.reshape(v, (1, x.size)), facts.bits[None])))
-    else:
-        T.backward(getattr(cnf_loss(matrix, v, facts), f"l_{term}"))
+#: The graph terms ``gradient_suite`` checks, in the row order of ``_graph_term_grads``.
+GRAPH_TERMS = ("deduce", "unsat", "sat", "cnf")
+
+
+def _graph_term_grads(matrix, facts, x_data: np.ndarray, fn: str) -> np.ndarray:
+    """Row k is the gradient of graph term ``GRAPH_TERMS[k]``, all from one graph.
+
+    The graph runs over one copy of the instance per term; one-hot weights
+    let row k backpropagate only its own term, so one backward pass yields
+    every term's gradient.
+    """
+    k = len(GRAPH_TERMS)
+    x = Tensor(np.tile(x_data, (k, 1)), requires_grad=True)
+    f_rows = np.tile(facts.bits, (k, 1))
+    breakdown = cnf_loss(matrix, assemble_prediction(f_rows, x, fn, SteMode.ISTE), f_rows)
+    picked = [getattr(breakdown, f"l_{term}") * T.constant(onehot) for term, onehot in zip(GRAPH_TERMS, np.eye(k))]
+    T.backward(T.sum_last(sum(picked[1:], picked[0])))
     return x.grad
+
+
+def _rows_grad(matrix, facts, x_data: np.ndarray, fn: str) -> np.ndarray:
+    """Gradient of ``cnf_loss_rows`` on the instance as a one-row batch."""
+    x = Tensor(x_data[None], requires_grad=True)
+    v = assemble_prediction(facts.bits[None], x, fn, SteMode.ISTE)
+    T.backward(T.sum_last(closs.cnf_loss_rows(matrix, v, facts.bits[None])))
+    return x.grad[0]
 
 
 def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: int = 30, tol: float = 1e-9) -> SuiteResult:
@@ -186,6 +203,8 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
 
     Instances are screened so theory plus facts is satisfiable; the
     deduced-sign dominance of the total gradient is asserted as well.
+    Each (instance, binarizer) builds one graph for the four graph terms
+    (``_graph_term_grads``) and one ``cnf_loss_rows`` node.
     """
     result = SuiteResult("gradients")
     rng = np.random.default_rng(seed)
@@ -197,23 +216,23 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
             continue
         produced += 1
         matrix = build_matrix(theory)
+        fact_idx = facts.bits == 1
         for fn in ("bp", "b"):
             x_data = rng.random(theory.n) if fn == "bp" else rng.uniform(-2.0, 2.0, theory.n)
             threshold = 0.5 if fn == "bp" else 0.0
             bits = np.where(facts.bits == 1, 1, (x_data >= threshold).astype(np.int8)).astype(np.int8)
             oracle = closs.closed_form_grad(theory, facts, Assignment(bits), assume_satisfiable=True)
             where = f"trial {produced} fn={fn} (n={theory.n}, m={theory.m})"
-            for term, want in (
-                ("deduce", oracle.g_deduce),
-                ("unsat", oracle.g_unsat),
-                ("sat", oracle.g_sat),
-                ("cnf", oracle.g_total),
-                ("rows", oracle.g_total),
+            graph = _graph_term_grads(matrix, facts, x_data, fn)
+            for term, got, want in (
+                ("deduce", graph[0], oracle.g_deduce),
+                ("unsat", graph[1], oracle.g_unsat),
+                ("sat", graph[2], oracle.g_sat),
+                ("cnf", graph[3], oracle.g_total),
+                ("rows", _rows_grad(matrix, facts, x_data, fn), oracle.g_total),
             ):
-                got = _term_grad(matrix, facts, x_data, fn, term)
                 dev = result.dev(np.max(np.abs(got - want)) if got.size else 0.0)
                 result.check(dev <= tol, f"{where}: dL_{term} deviates by {dev:.3e}")
-                fact_idx = facts.bits == 1
                 result.check(np.all(got[fact_idx] == 0.0), f"{where}: nonzero gradient at a fact position ({term})")
             nz = oracle.g_deduce != 0
             result.check(

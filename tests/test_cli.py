@@ -160,6 +160,16 @@ class TestTrainEvalSolve:
         code, _, err = run_cli(capsys, "train", "apply2x2", "--out", str(tmp_path))
         assert code != 0 and "generate/verify" in err
 
+    @pytest.mark.parametrize("task,weight", [("mnist-add", "delta"), ("member3", "gamma")])
+    def test_weight_on_a_missing_term_fails_fast(self, tmp_path, capsys, task, weight):
+        code, _, err = run_cli(
+            capsys, "train", task, f"--{weight}", "0.5",
+            "--n-train", "8", "--n-test", "2", "--epochs", "1", "--out", str(tmp_path),
+        )
+        assert code != 0
+        assert f"task {task} builds no" in err and f"{weight}=0.5" in err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_eval_and_solve_sudoku(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "train", "sudoku4", "--unsupervised", "--seed", "0",

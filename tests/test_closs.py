@@ -3,6 +3,7 @@ import pytest
 
 import cnfgrad.tensor as T
 from cnfgrad.closs import (
+    DENSE_BYTES_CAP,
     LossWeights,
     assemble_prediction,
     bound_loss,
@@ -13,7 +14,7 @@ from cnfgrad.closs import (
     hint_loss,
     sum_loss,
 )
-from cnfgrad.cnf import Assignment, FactVector, build_matrix, theory_from_clauses
+from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, theory_from_clauses
 from cnfgrad.tensor import ShapeError, SteMode, Tensor
 from cnfgrad.verify import (
     GOLDEN_FORWARD,
@@ -288,6 +289,83 @@ class TestSparseForward:
             assert sparse.l_unsat == float(bd.l_unsat.data)
             assert sparse.l_cnf == float(bd.l_cnf.data)
             assert np.array_equal(sparse.unsat, bd.unsat.data == 1.0)
+
+
+TERMS = ("l_f", "l_v", "deduce", "unsat", "keep", "l_deduce", "l_unsat", "l_sat", "l_cnf")
+
+
+class TestBatchedGraph:
+    """``cnf_loss`` over a (rows, n) stack against one single-instance graph per row."""
+
+    @pytest.mark.parametrize("fn", ["bp", "b"])
+    def test_rows_equal_single_graphs_bit_for_bit(self, fn):
+        rng = np.random.default_rng(43)
+        rows = 3
+        for _ in range(60):
+            theory = random_theory(rng, n_max=10, m_max=16, allow_empty=True)
+            matrix = build_matrix(theory)
+            facts = np.stack([random_facts(rng, theory.n).bits for _ in range(rows)])
+            xs = rng.uniform(-2.0, 2.0, (rows, theory.n)) if fn == "b" else rng.random((rows, theory.n))
+            for term in ("l_deduce", "l_unsat", "l_sat", "l_cnf"):
+                x = Tensor(xs.copy(), requires_grad=True)
+                batched = cnf_loss(matrix, assemble_prediction(facts, x, fn), facts)
+                assert getattr(batched, term).shape == (rows,)
+                T.backward(T.sum_last(getattr(batched, term)))
+                for r in range(rows):
+                    x_r = Tensor(xs[r].copy(), requires_grad=True)
+                    single = cnf_loss(matrix, assemble_prediction(facts[r], x_r, fn), facts[r])
+                    T.backward(getattr(single, term))
+                    for name in TERMS:
+                        assert np.array_equal(getattr(batched, name).data[r], getattr(single, name).data), name
+                    assert np.array_equal(x.grad[r], x_r.grad), term
+
+    def test_one_graph_yields_every_term_gradient(self):
+        from cnfgrad.verify import GRAPH_TERMS, _graph_term_grads
+
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            theory = random_theory(rng, n_max=10, m_max=16, allow_empty=True)
+            matrix = build_matrix(theory)
+            facts = random_facts(rng, theory.n)
+            for fn in ("bp", "b"):
+                x_data = rng.random(theory.n) if fn == "bp" else rng.uniform(-2.0, 2.0, theory.n)
+                grads = _graph_term_grads(matrix, facts, x_data, fn)
+                for k, term in enumerate(GRAPH_TERMS):
+                    x = Tensor(x_data.copy(), requires_grad=True)
+                    T.backward(getattr(cnf_loss(matrix, assemble_prediction(facts, x, fn), facts), f"l_{term}"))
+                    assert np.array_equal(grads[k], x.grad), term
+
+    def test_one_dimensional_v_keeps_single_instance_shapes(self):
+        theory, matrix, facts = make_golden()
+        single = cnf_loss(matrix, assemble_prediction(facts, Tensor(np.array(GOLDEN_X)), "bp"), facts)
+        batched = cnf_loss(matrix, assemble_prediction(facts.bits[None], Tensor(np.array([GOLDEN_X])), "bp"), facts.bits[None])
+        assert single.l_cnf.shape == () and batched.l_cnf.shape == (1,)
+        assert single.l_v.shape == (2, 3) and batched.l_v.shape == (1, 2, 3)
+        assert single.deduce.shape == (2,) and batched.deduce.shape == (1, 2)
+        for name in TERMS:
+            assert np.array_equal(getattr(batched, name).data[0], getattr(single, name).data), name
+
+    def test_shape_mismatch(self):
+        _, matrix, facts = make_golden()
+        with pytest.raises(ShapeError):
+            cnf_loss(matrix, Tensor(np.ones((2, 3))), facts.bits)
+        with pytest.raises(ShapeError):
+            cnf_loss(matrix, Tensor(np.ones((1, 2, 3))), np.ones((1, 2, 3)))
+        with pytest.raises(ShapeError):
+            cnf_loss(matrix, Tensor(np.ones(4)), np.ones(4))
+
+    def test_memory_guard_scales_with_rows(self, monkeypatch):
+        m, n = 100, 1000  # m empty clauses; 0.8 MB of float64 per row
+        matrix = ClauseMatrix((m, n), np.zeros(m + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
+        assert float(cnf_loss(matrix, Tensor(np.zeros(n)), np.zeros(n)).l_unsat.data) == 1.0
+        rows = DENSE_BYTES_CAP // (m * n * 8) + 1
+
+        def refuse(self):
+            raise AssertionError("the guard let the dense matrix be built")
+
+        monkeypatch.setattr(ClauseMatrix, "dense", refuse)
+        with pytest.raises(ValueError, match=f"{rows} x {m} x {n} float64 is .* MiB"):
+            cnf_loss(matrix, Tensor(np.zeros((rows, n))), np.zeros((rows, n)))
 
 
 class TestFusedRows:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnfgrad.cnf import (
+    MAX_LISTED_MODELS,
     Assignment,
     DimacsError,
     FactVector,
@@ -200,6 +201,37 @@ class TestBruteForce:
                     continue
                 count += Assignment(bits).satisfies(theory)
             assert report.model_count == count
+
+    @staticmethod
+    def reference_models(theory, facts):
+        """Every model in enumeration order: bit t of the counter sets the t-th free atom."""
+        free = np.flatnonzero(facts.bits == 0)
+        out = []
+        for value in range(2 ** free.size):
+            bits = facts.bits.copy()
+            bits[free] = [(value >> t) & 1 for t in range(free.size)]
+            if Assignment(bits).satisfies(theory):
+                out.append(bits.tolist())
+        return out
+
+    def test_lazy_models_match_reference_decode(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            theory = random_theory(rng, n_max=8, m_max=10, allow_empty=True)
+            facts = random_facts(rng, theory.n)
+            report = brute_force(theory, facts)
+            # the per-model, per-bit decode the report once ran eagerly
+            eager = [[(int(v) >> j) & 1 for j in range(theory.n)] for v in report.packed_models]
+            models = report.models
+            assert len(models) == report.model_count
+            assert all(m.bits.dtype == np.int8 and m.bits.shape == (theory.n,) for m in models)
+            assert [m.bits.tolist() for m in models] == eager == self.reference_models(theory, facts)
+
+    def test_models_unlisted_above_the_listing_cap(self):
+        theory = theory_from_clauses([], 13)
+        report = brute_force(theory, FactVector(np.zeros(13, dtype=np.int8)))
+        assert report.model_count == 2**13 > MAX_LISTED_MODELS
+        assert report.models is None and report.packed_models is None
 
 
 class TestDeduceSet:

@@ -1,3 +1,4 @@
+import signal
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss, sum_loss
-from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
+from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, parse_dimacs, serialize_dimacs
 from cnfgrad.tensor import Tensor
 
 
@@ -25,15 +26,31 @@ STATED_SHAPES = {
 }
 
 
+@pytest.fixture(scope="module")
+def mnist_add3_theory():
+    return TK.mnist_add_theory(3)
+
+
 class TestTheoryShapes:
     @pytest.mark.parametrize("name,shape", sorted(STATED_SHAPES.items()))
     def test_stated_shape(self, name, shape):
         theory = TK.make_task(name).theory
         assert (theory.m, theory.n) == shape
 
-    def test_mnist_add3(self):
-        theory = TK.mnist_add_theory(3)
-        assert (theory.m, theory.n) == (1999, 1001999)
+    def test_mnist_add3(self, mnist_add3_theory):
+        assert (mnist_add3_theory.m, mnist_add3_theory.n) == (1999, 1001999)
+
+    def test_dense_reference_refuses_mnist_add3(self, mnist_add3_theory, monkeypatch):
+        # about 16 GB of float64 per dense node: the guard must raise before any of it exists
+        matrix = build_matrix(mnist_add3_theory)
+
+        def refuse(self):
+            raise AssertionError("the guard let the dense matrix be built")
+
+        monkeypatch.setattr(ClauseMatrix, "dense", refuse)
+        n = mnist_add3_theory.n
+        with pytest.raises(ValueError, match="1 x 1999 x 1001999 float64 is 15,282 MiB"):
+            cnf_loss(matrix, Tensor(np.zeros(n)), np.zeros(n))
 
     def test_mnist_add_uec_variant(self):
         theory = TK.mnist_add_theory(1, include_uec=True)
@@ -139,6 +156,20 @@ class TestSudokuTask:
         for inst in D.gen_grid_puzzles(4, 15, tier="hard", seed=3, holes=(6, 12)):
             assert D.naked_single_completion(inst.q, 4) is None
 
+    def test_exhausted_pool_raises_in_bounded_time(self):
+        # only 288 solved 4x4 boards exist, so no 289th distinct zero-hole puzzle exists
+        def overrun(signum, frame):
+            raise TimeoutError("gen_grid_puzzles still running after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValueError, match="288 of 289 distinct easy 4x4 puzzles with 0-0 holes"):
+                D.gen_grid_puzzles(4, 289, holes=(0, 0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_givens_consistent(self):
         for inst in D.gen_grid_puzzles(4, 30, tier="easy", seed=4):
             mask = inst.q != 0
@@ -184,16 +215,8 @@ def assert_same_objective(got, want):
 
 
 def dense_rows(matrix, v, f):
-    """A stand-in for ``cnf_loss_rows`` that runs the dense graph ``cnf_loss`` once per row.
-
-    Row r of ``v`` is picked out with a one-hot ``matmul``, so the gradient
-    of every row flows back into the shared (rows, n) node.
-    """
-    rows = v.shape[0]
-    picks = np.eye(rows)
-    return T.concat(
-        [T.reshape(cnf_loss(matrix, T.matmul(Tensor(picks[r]), v), f[r]).l_cnf, (1,)) for r in range(rows)]
-    )
+    """A stand-in for ``cnf_loss_rows``: the dense graph ``cnf_loss`` over the same rows."""
+    return cnf_loss(matrix, v, f).l_cnf
 
 
 def tiny_data(task, seed=0):
@@ -322,8 +345,6 @@ def instance_graph_terms(task, net, inst, config):
         width = sum(p.size for p in parts)
         x = T.concat(parts + [T.constant(np.zeros(task.theory.n - width))])
         terms = {"bound": _tensor_sum([bound_loss(raw) for _, raw in outs])}
-        if isinstance(task, TK.MnistAddTask) and config.weights.delta:
-            terms["hint"] = hint_loss(facts, x, config.ste)
     terms["cnf"] = cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf
     return terms
 
@@ -348,25 +369,16 @@ def per_instance_objective(task, net, batch, config):
 
 
 class TestDigitAndPathBatchLoss:
-    CASES = [
-        ("mnist-add", 12, None),
-        ("mnist-add", 12, LossWeights(alpha=1.0, beta=0.3, delta=0.7)),
-        ("mnist-add2", 2, None),
-        ("add2x2", 8, None),
-        ("member3", 12, None),
-        ("member5", 12, None),
-        ("shortest-path", 12, None),
-    ]
+    CASES = [("mnist-add", 12), ("mnist-add2", 2), ("add2x2", 8), ("member3", 12), ("member5", 12), ("shortest-path", 12)]
 
-    @pytest.mark.parametrize("name,size,weights", CASES, ids=[f"{n}-{'default' if w is None else 'delta'}" for n, _, w in CASES])
-    def test_batch_loss_matches_per_instance_graph(self, name, size, weights):
+    @pytest.mark.parametrize("name,size", CASES, ids=[f"{n}-default" for n, _ in CASES])
+    def test_batch_loss_matches_per_instance_graph(self, name, size):
         task = TK.make_task(name)
         batch = task.make_data(seed=10, n_train=size, n_test=1).train
         net = task.build_net(10)
-        config = task.default_config(seed=10) if weights is None else task.default_config(seed=10, weights=weights)
+        config = task.default_config(seed=10)
         batched = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
         assert batched[0]["cnf"] > 0.0
-        assert ("hint" in batched[0]) == bool(config.weights.delta)
         assert_same_objective(batched, per_instance_objective(task, net, batch, config))
 
 
