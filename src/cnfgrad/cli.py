@@ -65,8 +65,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainConfig:
     """Merge flags > config file > task defaults into one TrainConfig.
 
-    Starts from ``task.default_config``, so settings without a flag (the
-    batch reduction of the constraint term) follow the task's recipe too.
+    The batch reduction of the constraint term has no flag: it is the
+    task's own (``TaskSpec.cnf_batch_sum``).
     """
     file_conf = _read_config_file(args.config) if args.config else {}
 
@@ -229,8 +229,6 @@ def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.
 
 def cmd_train(args: argparse.Namespace) -> int:
     task = TK.make_task(args.task, **_task_options(args))
-    if not task.trainable:
-        raise CliError(f"task {task.name} is generate/verify only (it has no training recipe)")
     config = _resolve_train_config(args, task)
     task_options = _task_options(args)
     if args.mnist and isinstance(task, TK.MnistAddTask):

@@ -281,7 +281,8 @@ class GradOracleReport:
 
     Per atom j (all zero where f[j] = 1):
       g_deduce = (deduce-set clauses with ¬p_j) - (deduce-set clauses with p_j)
-      g_unsat  = (c2 - c1) / m          over clauses falsified by v
+      g_unsat  = (c2 - c1) / m, counting the clauses falsified by v that
+                 hold ¬p_j (c2) and p_j (c1)
       g_sat    = -c3/m if v asserts p_j else +c3/m, c3 counting satisfied
                  clauses that mention the atom.
     ``satisfiable`` is None when the theory was too large to screen.
@@ -291,11 +292,6 @@ class GradOracleReport:
     g_unsat: np.ndarray
     g_sat: np.ndarray
     g_total: np.ndarray
-    deduce_pos: np.ndarray
-    deduce_neg: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
     satisfiable: bool | None = field(default=None)
 
 
@@ -365,10 +361,5 @@ def closed_form_grad(
         g_unsat=g_unsat,
         g_sat=g_sat,
         g_total=g_deduce + g_unsat + g_sat,
-        deduce_pos=deduce_pos,
-        deduce_neg=deduce_neg,
-        c1=c1,
-        c2=c2,
-        c3=c3,
         satisfiable=satisfiable,
     )

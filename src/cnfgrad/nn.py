@@ -45,11 +45,11 @@ class TrainConfig:
     fn: str = "bp"
     ste: SteMode = SteMode.ISTE
     metrics_path: str | None = None
-    # Sum (rather than average) the constraint term over a batch. Right for
-    # purely constraint-driven tasks, where averaging dilutes the only
-    # learning signal batch-fold; tasks with a baseline loss keep the
-    # paper-weighted per-instance balance and average everything.
-    cnf_batch_sum: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class Mlp:
@@ -192,7 +192,7 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
         batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
         means = task.batch_loss(net, batch, config)
         _check_weighted_terms(task, means, config.weights)
-        total = _batch_total(means, config.weights, len(batch), config.cnf_batch_sum)
+        total = _batch_total(means, config.weights, len(batch), task.cnf_batch_sum)
         for name, t in means.items():
             val = float(t.data)
             if not np.isfinite(val):

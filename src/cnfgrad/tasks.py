@@ -3,8 +3,9 @@
 Each task bundles a generated theory, a dataset maker, an accuracy
 definition and a training recipe that takes the batch as the unit of
 work: one net pass per input position, the (B, n) atom-probability rows
-x assembled by products, concatenation and zero-padding, the (B, n) fact
-rows, and one ``cnf_loss_rows`` call. Atom orders follow the assembly
+x assembled by products, concatenation and zero-padding (four rows per
+instance for apply2x2), the matching fact rows, and one ``cnf_loss_rows``
+call. Atom orders follow the assembly
 recipes, so the network-driven atoms always come first and padded last.
 """
 
@@ -99,7 +100,8 @@ def mnist_add_theory(digits: int = 1, include_uec: bool = False) -> CnfTheory:
     return theory_from_clauses(clauses, npred + 20 + nsum, names)
 
 
-#: add2x2 reads sums along (row 1, row 2, column 1, column 2) of the image grid.
+#: The (row 1, row 2, column 1, column 2) position pairs of a 2x2 grid: add2x2
+#: sums the digits along them, apply2x2 applies the operators along them.
 ADD2X2_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
@@ -284,10 +286,11 @@ class TaskSpec:
     name: str = ""
     fn: str = "bp"
     ste: SteMode = SteMode.ISTE
-    trainable: bool = True
     weights: LossWeights = LossWeights()
-    # Purely constraint-driven tasks sum the constraint term over a batch;
-    # tasks with a baseline loss keep the per-instance weighting.
+    # Sum (rather than average) the constraint term over a batch. Right for
+    # purely constraint-driven tasks, where averaging dilutes the only
+    # learning signal batch-fold; tasks with a baseline loss keep the
+    # paper-weighted per-instance balance and average everything.
     cnf_batch_sum: bool = True
 
     def __init__(self, theory: CnfTheory):
@@ -302,10 +305,8 @@ class TaskSpec:
         return self._matrix
 
     def default_config(self, **overrides) -> TrainConfig:
-        cfg = TrainConfig(weights=replace(self.weights), fn=self.fn, ste=self.ste, cnf_batch_sum=self.cnf_batch_sum)
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        return cfg
+        """The task's recipe as a ``TrainConfig``; ``overrides`` are constructor keywords and win."""
+        return TrainConfig(**{"weights": replace(self.weights), "fn": self.fn, "ste": self.ste, **overrides})
 
     def build_net(self, seed: int) -> Mlp:
         raise NotImplementedError
@@ -318,7 +319,8 @@ class TaskSpec:
         raise NotImplementedError(f"task {self.name} has no training recipe")
 
     def evaluate(self, net: Mlp, instances: Sequence) -> float:
-        raise NotImplementedError
+        """Test accuracy; by default the net classifies (input, label) pairs."""
+        return _classifier_accuracy(net, instances)
 
     def truth_pairs(self, inst) -> list[tuple[np.ndarray, FactVector]]:
         """Assemble x from ground-truth one-hot outputs, with its facts."""
@@ -412,9 +414,6 @@ class MnistAddTask(TaskSpec):
         x = _zero_pad(functools.reduce(_outer_rows, [probs for probs, _ in outs]), self.theory.n)
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
-    def evaluate(self, net: Mlp, instances) -> float:
-        return _classifier_accuracy(net, instances)
-
     def truth_pairs(self, inst: AddInstance) -> list[tuple[np.ndarray, FactVector]]:
         joint = _one_hot(0, 1)
         for d in inst.digits:
@@ -470,9 +469,6 @@ class Add2x2Task(TaskSpec):
         x = _zero_pad(T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS]), self.theory.n)
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
-    def evaluate(self, net: Mlp, instances) -> float:
-        return _classifier_accuracy(net, instances)
-
     def truth_pairs(self, inst: Add2x2Instance) -> list[tuple[np.ndarray, FactVector]]:
         x = np.zeros(476)
         for p, (a, b) in enumerate(ADD2X2_PAIRS):
@@ -518,9 +514,6 @@ class MemberTask(TaskSpec):
         x = _zero_pad(T.concat([probs for probs, _ in outs]), self.theory.n)
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
-    def evaluate(self, net: Mlp, instances) -> float:
-        return _classifier_accuracy(net, instances)
-
     def truth_pairs(self, inst: MemberInstance) -> list[tuple[np.ndarray, FactVector]]:
         x = np.zeros(self.theory.n)
         for i, d in enumerate(inst.digits):
@@ -547,23 +540,18 @@ class MemberTask(TaskSpec):
 @dataclass(frozen=True)
 class Apply2x2Instance:
     digits: tuple[int, int, int]
-    op_images: tuple[np.ndarray, ...]
+    images: tuple[np.ndarray, ...]
     ops: tuple[int, int, int, int]
     results: tuple[int, int, int, int]
-
-
-#: apply2x2 reads results along (row 1, row 2, column 1, column 2) of the operator grid.
-APPLY2X2_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
 class Apply2x2Task(TaskSpec):
     """Operator classification from applying row/column operator pairs.
 
-    The task has no training recipe, so it is generate/verify only; its
-    clauses are exercised through the sparse forward evaluator.
+    The operator grid is read along the add2x2 pairs (row 1, row 2,
+    column 1, column 2); each pair applied to the instance's three digits
+    gives one result, so an instance is four prediction rows.
     """
-
-    trainable = False
 
     def __init__(self, input_dim: int = 16):
         theory, lookup = apply2x2_theory()
@@ -575,18 +563,28 @@ class Apply2x2Task(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 32, 3), head="softmax", seed=seed)
 
+    def batch_loss(self, net: Mlp, batch: Sequence[Apply2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
+        """Row 4i+p holds pair p of instance i: its 9 operator-pair atoms and its result fact.
+
+        An instance's constraint term is the sum of its four rows.
+        """
+        outs = _digit_outputs(net, batch)
+        rows = 4 * len(batch)
+        pairs = T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS])
+        x = _zero_pad(T.reshape(pairs, (rows, 9)), self.theory.n)
+        facts = np.zeros((rows, self.theory.n), dtype=np.int8)
+        facts[np.arange(rows), [self.lookup[(*inst.digits, r)] for inst in batch for r in inst.results]] = 1
+        per_row = _digit_rows(self, outs, x, facts, config)
+        per_row["cnf"] = T.sum_last(T.reshape(per_row["cnf"], (len(batch), 4)))
+        return _batch_means(per_row)
+
     def truth_pairs(self, inst: Apply2x2Instance) -> list[tuple[np.ndarray, FactVector]]:
         out = []
-        for pair_no, (a, b) in enumerate(APPLY2X2_PAIRS):
+        for (a, b), result in zip(ADD2X2_PAIRS, inst.results):
             x = np.zeros(self.theory.n)
             x[3 * inst.ops[a] + inst.ops[b]] = 1.0
-            d1, d2, d3 = inst.digits
-            atom = self.lookup[(d1, d2, d3, inst.results[pair_no])]
-            out.append((x, FactVector.from_atoms([atom], self.theory.n)))
+            out.append((x, FactVector.from_atoms([self.lookup[(*inst.digits, result)]], self.theory.n)))
         return out
-
-    def evaluate(self, net: Mlp, instances) -> float:
-        return _classifier_accuracy(net, instances)
 
     def make_data(self, seed: int = 0, n_train: int = 500, n_test: int = 200, noise: float = 0.2) -> TaskDataset:
         rng = np.random.default_rng([seed, 15])
@@ -595,11 +593,10 @@ class Apply2x2Task(TaskSpec):
         for i in range(n_train):
             ops = tuple(int(o) for o in labels[4 * i : 4 * i + 4])
             digits = tuple(int(d) for d in rng.integers(0, 10, size=3))
-            results = []
-            for a, b in APPLY2X2_PAIRS:
-                r = _apply_op(_apply_op(digits[0], APPLY_OPS[ops[a]], digits[1]), APPLY_OPS[ops[b]], digits[2])
-                results.append(r)
-            train.append(Apply2x2Instance(digits=digits, op_images=tuple(feats[4 * i : 4 * i + 4]), ops=ops, results=tuple(results)))
+            results = tuple(
+                _apply_op(_apply_op(digits[0], APPLY_OPS[ops[a]], digits[1]), APPLY_OPS[ops[b]], digits[2]) for a, b in ADD2X2_PAIRS
+            )
+            train.append(Apply2x2Instance(digits=digits, images=tuple(feats[4 * i : 4 * i + 4]), ops=ops, results=results))
         test = [(feats[4 * n_train + i], int(labels[4 * n_train + i])) for i in range(n_test)]
         return TaskDataset(self, train, test)
 
@@ -835,9 +832,6 @@ class ExactlyOneTask(TaskSpec):
         for name, total in sums.items():
             means[name] = (1.0 / len(batch)) * total
         return means
-
-    def evaluate(self, net: Mlp, instances) -> float:
-        return _classifier_accuracy(net, instances)
 
     def violation_fraction(self, net: Mlp, instances) -> float:
         """Share of inputs whose thresholded logits are not one-hot."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cnfgrad.cli import main
+from cnfgrad.tasks import TASK_NAMES
 
 WORKED = "p cnf 3 2\n-1 -2 3 0\n-1 2 0\n"
 
@@ -156,9 +157,32 @@ class TestTrainEvalSolve:
         )
         assert code != 0 and "unknown config key" in err
 
-    def test_apply2x2_not_trainable(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "train", "apply2x2", "--out", str(tmp_path))
-        assert code != 0 and "generate/verify" in err
+    # sudoku9 is left out because its data generation enumerates every 9x9 board.
+    @pytest.mark.parametrize("task", [name for name in TASK_NAMES if name != "sudoku9"])
+    def test_every_task_trains(self, tmp_path, capsys, task):
+        pool = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ()
+        code, _, err = run_cli(
+            capsys, "train", task, "--n-train", "8", "--n-test", "4", "--epochs", "1", *pool, "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert rows[0] == "epoch,loss_total,loss_base,loss_cnf,loss_bound,loss_sum,loss_hint,acc_test"
+        assert len(rows) == 2 and rows[1].startswith("1,")
+
+    @pytest.mark.parametrize("flag,value,field", [("epochs", "0", "epochs"), ("batch", "-2", "batch_size")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_epochs_or_batch_fails_fast(self, tmp_path, capsys, flag, value, field, source):
+        if source == "flag":
+            extra = (f"--{flag}", value)
+        else:
+            conf = tmp_path / "train.conf"
+            conf.write_text(f"{flag} = {value}\n")
+            extra = ("--config", str(conf))
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "train", "member3", "--n-train", "8", "--n-test", "4", *extra, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and f"{field} must be at least 1, got {value}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("task,weight", [("mnist-add", "delta"), ("member3", "gamma")])
     def test_weight_on_a_missing_term_fails_fast(self, tmp_path, capsys, task, weight):

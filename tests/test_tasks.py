@@ -9,7 +9,8 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss, sum_loss
-from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, parse_dimacs, serialize_dimacs
+from cnfgrad.closs import closed_form_grad
+from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
 from cnfgrad.tensor import Tensor
 
 
@@ -27,8 +28,9 @@ STATED_SHAPES = {
 
 
 @pytest.fixture(scope="module")
-def mnist_add3_theory():
-    return TK.mnist_add_theory(3)
+def mnist_add3_task():
+    """Built once: its theory takes seconds to generate."""
+    return TK.make_task("mnist-add3")
 
 
 class TestTheoryShapes:
@@ -37,18 +39,18 @@ class TestTheoryShapes:
         theory = TK.make_task(name).theory
         assert (theory.m, theory.n) == shape
 
-    def test_mnist_add3(self, mnist_add3_theory):
-        assert (mnist_add3_theory.m, mnist_add3_theory.n) == (1999, 1001999)
+    def test_mnist_add3(self, mnist_add3_task):
+        assert (mnist_add3_task.theory.m, mnist_add3_task.theory.n) == (1999, 1001999)
 
-    def test_dense_reference_refuses_mnist_add3(self, mnist_add3_theory, monkeypatch):
+    def test_dense_reference_refuses_mnist_add3(self, mnist_add3_task, monkeypatch):
         # about 16 GB of float64 per dense node: the guard must raise before any of it exists
-        matrix = build_matrix(mnist_add3_theory)
+        matrix = mnist_add3_task.matrix
 
         def refuse(self):
             raise AssertionError("the guard let the dense matrix be built")
 
         monkeypatch.setattr(ClauseMatrix, "dense", refuse)
-        n = mnist_add3_theory.n
+        n = matrix.shape[1]
         with pytest.raises(ValueError, match="1 x 1999 x 1001999 float64 is 15,282 MiB"):
             cnf_loss(matrix, Tensor(np.zeros(n)), np.zeros(n))
 
@@ -196,9 +198,9 @@ def _tensor_sum(terms):
     return acc
 
 
-def objective_and_grads(net, means, config, batch_size):
+def objective_and_grads(task, net, means, config, batch_size):
     """Each term's value, and the parameter gradients of the batch objective."""
-    T.backward(N._batch_total(means, config.weights, batch_size, config.cnf_batch_sum))
+    T.backward(N._batch_total(means, config.weights, batch_size, task.cnf_batch_sum))
     grads = [p.grad.copy() for p in net.params()]
     for p in net.params():
         p.grad = None
@@ -226,20 +228,18 @@ def tiny_data(task, seed=0):
 
 
 class TestSparseTraining:
-    # sudoku9 is left out because its data generation enumerates every
-    # 9x9 board; apply2x2 has no training recipe.
-    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n not in ("sudoku9", "apply2x2")])
-    def test_no_training_path_densifies(self, name, monkeypatch):
+    # sudoku9 is left out because its data generation enumerates every 9x9 board.
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
+    def test_no_training_path_densifies(self, name, monkeypatch, request):
         def refuse(self):
             raise AssertionError("a training path densified the clause matrix")
 
         monkeypatch.setattr(ClauseMatrix, "dense", refuse)
-        task = TK.make_task(name)
-        assert task.trainable
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
         net = task.build_net(0)
         config = task.default_config(seed=0)
         batch = tiny_data(task).train[:2]
-        _, grads = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        _, grads = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         assert all(np.all(np.isfinite(g)) for g in grads)
 
     @pytest.mark.parametrize("name", ["mnist-add", "add2x2", "member3", "sudoku4", "shortest-path"])
@@ -248,10 +248,10 @@ class TestSparseTraining:
         batch = tiny_data(task, seed=3).train
         net = task.build_net(3)
         config = task.default_config(seed=3)
-        sparse = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        sparse = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         assert sparse[0]["cnf"] > 0.0
         monkeypatch.setattr(TK, "cnf_loss_rows", dense_rows)
-        assert_same_objective(sparse, objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch)))
+        assert_same_objective(sparse, objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch)))
 
 
 class TestSudokuBatchLoss:
@@ -277,13 +277,13 @@ class TestSudokuBatchLoss:
         batch = task.make_data(seed=8, n_train=12, n_test=1).train
         net = task.build_net(8)
         config = task.default_config(seed=8, weights=weights)
-        batched = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        batched = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         acc: dict = {}
         for inst in batch:
             for name, term in self.graph_terms(task, net, inst, config).items():
                 acc.setdefault(name, []).append(term)
         means = {name: (1.0 / len(t)) * _tensor_sum(t) for name, t in acc.items()}
-        graph = objective_and_grads(net, means, config, len(batch))
+        graph = objective_and_grads(task, net, means, config, len(batch))
         want = {"cnf", "bound"} | ({"sum", "hint"} if weights.gamma else set())
         assert batched[0].keys() == want and batched[0]["cnf"] > 0.0
         assert_same_objective(batched, graph)
@@ -359,7 +359,7 @@ def per_instance_objective(task, net, batch, config):
     values: dict = {}
     for inst in batch:
         means = {name: (1.0 / len(batch)) * t for name, t in instance_graph_terms(task, net, inst, config).items()}
-        T.backward(N._batch_total(means, config.weights, len(batch), config.cnf_batch_sum))
+        T.backward(N._batch_total(means, config.weights, len(batch), task.cnf_batch_sum))
         for name, t in means.items():
             values[name] = values.get(name, 0.0) + float(t.data)
     grads = [p.grad.copy() for p in net.params()]
@@ -377,9 +377,61 @@ class TestDigitAndPathBatchLoss:
         batch = task.make_data(seed=10, n_train=size, n_test=1).train
         net = task.build_net(10)
         config = task.default_config(seed=10)
-        batched = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        batched = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         assert batched[0]["cnf"] > 0.0
         assert_same_objective(batched, per_instance_objective(task, net, batch, config))
+
+
+class TestApply2x2BatchLoss:
+    """The dense reference refuses apply2x2 (about 0.9 GB per node), so its rows
+    are checked against the sparse forward evaluator and the counting oracle."""
+
+    def rows_of_batch(self, task, net, batch, config, monkeypatch):
+        captured = {}
+        real = TK.cnf_loss_rows
+
+        def spy(matrix, v, f):
+            captured["v"], captured["f"] = v.data.copy(), f.copy()
+            return real(matrix, v, f)
+
+        monkeypatch.setattr(TK, "cnf_loss_rows", spy)
+        means = task.batch_loss(net, batch, config)
+        return means, captured["v"], captured["f"]
+
+    def test_rows_are_the_truth_pair_layout(self, monkeypatch):
+        task = TK.make_task("apply2x2")
+        batch = task.make_data(seed=11, n_train=3, n_test=1).train
+        net = task.build_net(11)
+        config = task.default_config(seed=11)
+        means, v, f = self.rows_of_batch(task, net, batch, config, monkeypatch)
+        assert v.shape == f.shape == (12, task.theory.n)
+        probs = [net.predict(np.stack(images)) for images in zip(*(inst.images for inst in batch))]
+        per_instance = []
+        for i, inst in enumerate(batch):
+            pairs = task.truth_pairs(inst)
+            for p, ((a, b), (_, facts)) in enumerate(zip(TK.ADD2X2_PAIRS, pairs)):
+                row = 4 * i + p
+                assert np.array_equal(f[row], facts.bits)
+                joint = np.outer(probs[a][i], probs[b][i]).reshape(-1)
+                assert np.array_equal(v[row], f[row] + np.concatenate([joint >= 0.5, np.zeros(task.theory.n - 9)]))
+            per_instance.append(sum(cnf_loss_forward(task.matrix, v[4 * i + p], f[4 * i + p]).l_cnf for p in range(4)))
+        assert float(means["cnf"].data) == pytest.approx(np.mean(per_instance), rel=1e-12)
+        assert np.mean(per_instance) > 0.0
+
+    def test_row_gradients_match_counting_oracle(self, monkeypatch):
+        task = TK.make_task("apply2x2")
+        batch = task.make_data(seed=12, n_train=2, n_test=1).train
+        net = task.build_net(12)
+        _, v, f = self.rows_of_batch(task, net, batch, task.default_config(seed=12), monkeypatch)
+        leaf = Tensor(v, requires_grad=True)
+        T.backward(T.sum_last(TK.cnf_loss_rows(task.matrix, leaf, f)))
+        for row in range(v.shape[0]):
+            oracle = closed_form_grad(
+                task.theory, FactVector(f[row]), Assignment(v[row].astype(np.int8)), assume_satisfiable=True
+            )
+            free = f[row] == 0
+            np.testing.assert_allclose(leaf.grad[row][free], oracle.g_total[free], rtol=0, atol=1e-9)
+            assert np.any(oracle.g_total[free] != 0.0)
 
 
 def task_bits(inst):
@@ -413,13 +465,13 @@ class TestExactlyOneRecipe:
         net = task.build_net(4)
         net.biases[-1].data += 0.3
         config = task.default_config(seed=4, weights=LossWeights(alpha=0.5, beta=0.3))
-        fused = objective_and_grads(net, task.batch_loss(net, batch, config), config, len(batch))
+        fused = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         acc: dict = {}
         for inst in batch:
             for name, term in self.graph_terms(task, net, inst, config).items():
                 acc.setdefault(name, []).append(term)
         means = {name: (1.0 / len(t)) * _tensor_sum(t) for name, t in acc.items()}
-        graph = objective_and_grads(net, means, config, len(batch))
+        graph = objective_and_grads(task, net, means, config, len(batch))
         assert fused[0].keys() == {"base", "cnf", "bound"}
         assert_same_objective(fused, graph)
 
@@ -549,6 +601,17 @@ class TestIdxLoader:
         labels.write_bytes(struct.pack(">II", D.IDX_LABELS_MAGIC, 10) + bytes(10))
         with pytest.raises(D.DataFormatError, match="truncated"):
             D.load_idx(str(images), str(labels))
+
+
+class TestDefaultConfig:
+    def test_overrides_win_over_the_recipe(self):
+        task = TK.make_task("exactly-one")
+        config = task.default_config(fn="bp", weights=LossWeights(alpha=2.0), batch_size=8)
+        assert (config.fn, config.ste, config.weights.alpha, config.batch_size) == ("bp", task.ste, 2.0, 8)
+
+    def test_misspelt_key_raises(self):
+        with pytest.raises(TypeError, match="batchsize"):
+            TK.make_task("member3").default_config(batchsize=8)
 
 
 class TestRegistry:
