@@ -170,6 +170,8 @@ def _check_sample(theory: CnfTheory, facts, cap: int, samples: int, seed: int) -
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if not 0 <= args.cap <= ENUM_CAP:
+        raise CliError(f"--cap {args.cap} is outside 0..{ENUM_CAP} (ENUM_CAP, the most atoms brute_force enumerates)")
     theory = _load_theory(args.cnf, args.names)
     with open(args.facts, encoding="utf-8") as fh:
         facts = parse_facts(fh.read(), theory.n)
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf")
     p.add_argument("facts")
     p.add_argument("--names", help="atom-name sidecar file")
-    p.add_argument("--cap", type=int, default=ENUM_CAP)
+    p.add_argument("--cap", type=int, default=ENUM_CAP, help=f"most atoms to enumerate, 0..{ENUM_CAP} (default {ENUM_CAP})")
     p.add_argument("--sample", type=int, help="for large theories: brute-force N random sub-problems")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)

@@ -308,45 +308,54 @@ def deduce_set(theory: CnfTheory, facts: FactVector) -> list[int]:
     return out
 
 
+#: Most elements in one (m, chunk) or (chunk, free atoms) array of ``brute_force``.
+SCREEN_CHUNK_ELEMENTS = 1 << 20
+
+
 def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> SatReport:
     """Enumerate every assignment extending the facts; report models exactly.
 
-    Assignments are packed into uint64 bit patterns and clauses evaluated
-    with bit masks, chunked to bound memory. Deterministic by construction.
-    The report keeps the models packed; ``SatReport.models`` decodes them.
+    Assignments are packed into uint64 bit patterns, in counter order: bit
+    t of the counter sets the t-th free atom. A clause is falsified exactly
+    when the assignment, masked to the clause's atoms, equals the mask of
+    its negated atoms, so one broadcast over an (m, chunk) array tests
+    every clause of a chunk. Chunks are a power of two long, so the free
+    bits of a chunk's counters are one table, spread once per call, ORed
+    with the chunk's high bits. Arrays hold at most
+    ``SCREEN_CHUNK_ELEMENTS`` elements. Deterministic by construction. The
+    report keeps the models packed; ``SatReport.models`` decodes them.
+    ``cap`` may not exceed ``ENUM_CAP``.
     """
     n = theory.n
+    if cap > ENUM_CAP:
+        raise ValueError(f"enumeration cap {cap} is above ENUM_CAP = {ENUM_CAP} atoms (2^{ENUM_CAP} assignments)")
     if facts.n != n:
         raise ValueError(f"facts length {facts.n} does not match theory n={n}")
     if n > cap:
         raise ValueError(f"theory has {n} atoms, above the enumeration cap {cap}")
 
     free = np.flatnonzero(facts.bits == 0)
-    base = np.uint64(0)
-    for j in np.flatnonzero(facts.bits):
-        base |= np.uint64(1) << np.uint64(j)
+    base = sum(1 << int(j) for j in np.flatnonzero(facts.bits))
+    atom_masks = np.array([sum(1 << (abs(lit) - 1) for lit in clause) for clause in theory.clauses], dtype=np.uint64).reshape(-1, 1)
+    neg_masks = np.array([sum(1 << (-lit - 1) for lit in clause if lit < 0) for clause in theory.clauses], dtype=np.uint64).reshape(-1, 1)
 
-    pos_masks = [np.uint64(sum(1 << (lit - 1) for lit in clause if lit > 0)) for clause in theory.clauses]
-    neg_masks = [np.uint64(sum(1 << (-lit - 1) for lit in clause if lit < 0)) for clause in theory.clauses]
-
-    total = 1 << len(free)
-    chunk = 1 << 20
+    total = 1 << free.size
+    per_chunk = SCREEN_CHUNK_ELEMENTS // max(theory.m, free.size, 1)
+    chunk = min(total, 1 << max(per_chunk.bit_length() - 1, 0))
+    counters = np.arange(chunk, dtype=np.uint64)[:, None]
+    table = np.bitwise_or.reduce(
+        ((counters >> np.arange(free.size, dtype=np.uint64)) & np.uint64(1)) << free.astype(np.uint64), axis=1
+    )
     count = 0
-    and_acc = np.uint64(2**n - 1) if n else np.uint64(0)
+    and_acc = np.uint64((1 << n) - 1)
     or_acc = np.uint64(0)
     listed = np.zeros(0, dtype=np.uint64)
-    full = np.uint64(2**n - 1) if n else np.uint64(0)
 
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        assign = np.full(idx.shape, base, dtype=np.uint64)
-        for t, j in enumerate(free):
-            assign |= ((idx >> np.uint64(t)) & np.uint64(1)) << np.uint64(j)
-        unset = ~assign & full
-        sat = np.ones(idx.shape, dtype=bool)
-        for p, q in zip(pos_masks, neg_masks):
-            sat &= ((assign & p) != 0) | ((unset & q) != 0)
-        models = assign[sat]
+        high = sum(1 << int(j) for t, j in enumerate(free) if start >> t & 1)
+        assign = table | np.uint64(base | high)
+        falsified = np.logical_or.reduce((atom_masks & assign) == neg_masks, axis=0)
+        models = assign[~falsified]
         count += int(models.size)
         if models.size:
             and_acc &= np.bitwise_and.reduce(models)

@@ -219,14 +219,20 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
 
 
 def run_training(dataset, config: TrainConfig, net: Mlp | None = None) -> tuple[Mlp, list[dict[str, float]]]:
-    """Train a fresh (or given) net for the configured number of epochs."""
+    """Train a fresh (or given) net for the configured number of epochs.
+
+    With ``config.metrics_path`` set, ``metrics.csv`` is rewritten after
+    every epoch, so a run that stops early keeps the epochs it finished.
+    """
     task = dataset.task
     if net is None:
         net = task.build_net(config.seed)
     optimizer = Optimizer(net.params(), kind=config.optimizer, lr=config.lr)
-    rows = [train_epoch(net, optimizer, dataset, config, epoch) for epoch in range(1, config.epochs + 1)]
-    if config.metrics_path:
-        write_metrics(config.metrics_path, rows)
+    rows: list[dict[str, float]] = []
+    for epoch in range(1, config.epochs + 1):
+        rows.append(train_epoch(net, optimizer, dataset, config, epoch))
+        if config.metrics_path:
+            write_metrics(config.metrics_path, rows)
     return net, rows
 
 

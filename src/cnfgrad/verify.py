@@ -58,8 +58,9 @@ def random_theory(rng: np.random.Generator, n_max: int, m_max: int, allow_empty:
             clauses.append(())
             continue
         length = int(rng.integers(1, min(n, 5) + 1))
-        atoms = rng.choice(n, size=length, replace=False)
-        clauses.append(tuple(int(a + 1) * (1 if rng.random() < 0.5 else -1) for a in atoms))
+        atoms = rng.choice(n, size=length, replace=False).tolist()
+        positive = (rng.random(length) < 0.5).tolist()
+        clauses.append(tuple(a + 1 if p else -(a + 1) for a, p in zip(atoms, positive)))
     return theory_from_clauses(clauses, n)
 
 
@@ -173,29 +174,43 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
 #: The graph terms ``gradient_suite`` checks, in the row order of ``_graph_term_grads``.
 GRAPH_TERMS = ("deduce", "unsat", "sat", "cnf")
 
+#: The binarizers ``gradient_suite`` checks, in the order it draws their inputs.
+BINARIZERS = ("bp", "b")
 
-def _graph_term_grads(matrix, facts, x_data: np.ndarray, fn: str) -> np.ndarray:
-    """Row k is the gradient of graph term ``GRAPH_TERMS[k]``, all from one graph.
 
-    The graph runs over one copy of the instance per term; one-hot weights
-    let row k backpropagate only its own term, so one backward pass yields
-    every term's gradient.
+def _prediction_stack(facts, xs, fns, copies: int):
+    """One leaf per binarizer, tiled ``copies`` times and binarized by its own ``fn``.
+
+    Returns the leaves and the predictions joined into one
+    (len(fns) * copies, n) stack, binarizer-major, with its fact rows.
+    """
+    n = facts.n
+    f_rows = np.tile(facts.bits, (len(fns) * copies, 1))
+    leaves = [Tensor(np.tile(x, (copies, 1)), requires_grad=True) for x in xs]
+    parts = [T.reshape(assemble_prediction(f_rows[:copies], leaf, fn, SteMode.ISTE), (1, copies * n)) for leaf, fn in zip(leaves, fns)]
+    return leaves, T.reshape(T.concat(parts), (len(fns) * copies, n)), f_rows
+
+
+def _graph_term_grads(matrix, facts, xs, fns) -> np.ndarray:
+    """[b, k] is the gradient of graph term ``GRAPH_TERMS[k]`` under binarizer ``fns[b]``.
+
+    The graph runs over one copy of the instance per (binarizer, term);
+    one-hot weights let each row backpropagate only its own term, so one
+    ``cnf_loss`` and one backward pass yield every gradient.
     """
     k = len(GRAPH_TERMS)
-    x = Tensor(np.tile(x_data, (k, 1)), requires_grad=True)
-    f_rows = np.tile(facts.bits, (k, 1))
-    breakdown = cnf_loss(matrix, assemble_prediction(f_rows, x, fn, SteMode.ISTE), f_rows)
-    picked = [getattr(breakdown, f"l_{term}") * T.constant(onehot) for term, onehot in zip(GRAPH_TERMS, np.eye(k))]
+    leaves, v, f_rows = _prediction_stack(facts, xs, fns, k)
+    breakdown = cnf_loss(matrix, v, f_rows)
+    picked = [getattr(breakdown, f"l_{term}") * T.constant(np.tile(onehot, len(fns))) for term, onehot in zip(GRAPH_TERMS, np.eye(k))]
     T.backward(T.sum_last(sum(picked[1:], picked[0])))
-    return x.grad
+    return np.stack([leaf.grad for leaf in leaves])
 
 
-def _rows_grad(matrix, facts, x_data: np.ndarray, fn: str) -> np.ndarray:
-    """Gradient of ``cnf_loss_rows`` on the instance as a one-row batch."""
-    x = Tensor(x_data[None], requires_grad=True)
-    v = assemble_prediction(facts.bits[None], x, fn, SteMode.ISTE)
-    T.backward(T.sum_last(closs.cnf_loss_rows(matrix, v, facts.bits[None])))
-    return x.grad[0]
+def _rows_grad(matrix, facts, xs, fns) -> np.ndarray:
+    """Row b is the gradient of ``cnf_loss_rows`` on the instance under binarizer ``fns[b]``, from one call."""
+    leaves, v, f_rows = _prediction_stack(facts, xs, fns, 1)
+    T.backward(T.sum_last(closs.cnf_loss_rows(matrix, v, f_rows)))
+    return np.concatenate([leaf.grad for leaf in leaves])
 
 
 def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: int = 30, tol: float = 1e-9) -> SuiteResult:
@@ -203,8 +218,9 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
 
     Instances are screened so theory plus facts is satisfiable; the
     deduced-sign dominance of the total gradient is asserted as well.
-    Each (instance, binarizer) builds one graph for the four graph terms
-    (``_graph_term_grads``) and one ``cnf_loss_rows`` node.
+    Each instance draws ``x`` for 'bp', then for 'b'; both binarizers share
+    one graph for the four graph terms (``_graph_term_grads``) and one
+    ``cnf_loss_rows`` node (``_rows_grad``).
     """
     result = SuiteResult("gradients")
     rng = np.random.default_rng(seed)
@@ -217,19 +233,20 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
         produced += 1
         matrix = build_matrix(theory)
         fact_idx = facts.bits == 1
-        for fn in ("bp", "b"):
-            x_data = rng.random(theory.n) if fn == "bp" else rng.uniform(-2.0, 2.0, theory.n)
+        xs = (rng.random(theory.n), rng.uniform(-2.0, 2.0, theory.n))
+        graph = _graph_term_grads(matrix, facts, xs, BINARIZERS)
+        rows = _rows_grad(matrix, facts, xs, BINARIZERS)
+        for b, (fn, x_data) in enumerate(zip(BINARIZERS, xs)):
             threshold = 0.5 if fn == "bp" else 0.0
             bits = np.where(facts.bits == 1, 1, (x_data >= threshold).astype(np.int8)).astype(np.int8)
             oracle = closs.closed_form_grad(theory, facts, Assignment(bits), assume_satisfiable=True)
             where = f"trial {produced} fn={fn} (n={theory.n}, m={theory.m})"
-            graph = _graph_term_grads(matrix, facts, x_data, fn)
             for term, got, want in (
-                ("deduce", graph[0], oracle.g_deduce),
-                ("unsat", graph[1], oracle.g_unsat),
-                ("sat", graph[2], oracle.g_sat),
-                ("cnf", graph[3], oracle.g_total),
-                ("rows", _rows_grad(matrix, facts, x_data, fn), oracle.g_total),
+                ("deduce", graph[b, 0], oracle.g_deduce),
+                ("unsat", graph[b, 1], oracle.g_unsat),
+                ("sat", graph[b, 2], oracle.g_sat),
+                ("cnf", graph[b, 3], oracle.g_total),
+                ("rows", rows[b], oracle.g_total),
             ):
                 dev = result.dev(np.max(np.abs(got - want)) if got.size else 0.0)
                 result.check(dev <= tol, f"{where}: dL_{term} deviates by {dev:.3e}")

@@ -98,6 +98,19 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", str(tmp_path / "sudoku4.cnf"), str(facts), "--sample", "3", "--cap", "20")
         assert code == 0 and "sample 1/3" in out
 
+    @pytest.mark.parametrize("cap", ["25", "63", "200", "-1"])
+    def test_cap_outside_enum_limit_refused_before_any_work(self, tmp_path, capsys, cap):
+        run_cli(capsys, "gen-cnf", "mnist-add", "--out", str(tmp_path))
+        facts = tmp_path / "empty.facts"
+        facts.write_text("")
+        for extra in ((), ("--sample", "2")):
+            code, out, err = run_cli(capsys, "check", str(tmp_path / "mnist-add.cnf"), str(facts), "--cap", cap, *extra)
+            assert code == 1 and out == ""
+            assert err.startswith("error: --cap") and "ENUM_CAP" in err and "Traceback" not in err
+        # refused before the theory is even read
+        code, _, err = run_cli(capsys, "check", str(tmp_path / "missing.cnf"), str(facts), "--cap", cap)
+        assert code == 1 and "--cap" in err
+
 
 class TestGradVerify:
     def test_small_run_passes(self, capsys):

@@ -164,6 +164,32 @@ class TestPropGradientSuite:
         assert not result.ok
 
 
+class TestRandomDraws:
+    # sha256 of serialize_dimacs plus the fact bits of the first 300
+    # random_theory / random_facts draws at default_rng(0) with (12, 30).
+    # Every gradient-suite case comes from this stream; a change to it
+    # changes every drawn theory.
+    DIGESTS = {
+        False: "7e44a2b52aa256a0dd11497a8246902c4baa4396c0437b48329dcac51b9c6764",
+        True: "fd6f6dd1880b3855d0e3416165a638b060c27e7a5468926e26a33ecf2c71e128",
+    }
+
+    @pytest.mark.parametrize("allow_empty", [False, True])
+    def test_draw_stream_is_pinned(self, allow_empty):
+        import hashlib
+
+        from cnfgrad.cnf import serialize_dimacs
+
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            theory = random_theory(rng, 12, 30, allow_empty=allow_empty)
+            facts = random_facts(rng, theory.n)
+            digest.update(serialize_dimacs(theory).encode())
+            digest.update(facts.bits.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[allow_empty]
+
+
 class TestFactMasking:
     def test_perturbing_fact_positions_changes_nothing(self):
         rng = np.random.default_rng(23)
@@ -320,20 +346,26 @@ class TestBatchedGraph:
                     assert np.array_equal(x.grad[r], x_r.grad), term
 
     def test_one_graph_yields_every_term_gradient(self):
-        from cnfgrad.verify import GRAPH_TERMS, _graph_term_grads
+        from cnfgrad.verify import BINARIZERS, GRAPH_TERMS, _graph_term_grads, _rows_grad
 
         rng = np.random.default_rng(47)
         for _ in range(100):
             theory = random_theory(rng, n_max=10, m_max=16, allow_empty=True)
             matrix = build_matrix(theory)
             facts = random_facts(rng, theory.n)
-            for fn in ("bp", "b"):
-                x_data = rng.random(theory.n) if fn == "bp" else rng.uniform(-2.0, 2.0, theory.n)
-                grads = _graph_term_grads(matrix, facts, x_data, fn)
+            xs = (rng.random(theory.n), rng.uniform(-2.0, 2.0, theory.n))
+            grads = _graph_term_grads(matrix, facts, xs, BINARIZERS)
+            rows = _rows_grad(matrix, facts, xs, BINARIZERS)
+            assert grads.shape == (2, len(GRAPH_TERMS), theory.n) and rows.shape == (2, theory.n)
+            for b, (fn, x_data) in enumerate(zip(BINARIZERS, xs)):
                 for k, term in enumerate(GRAPH_TERMS):
                     x = Tensor(x_data.copy(), requires_grad=True)
                     T.backward(getattr(cnf_loss(matrix, assemble_prediction(facts, x, fn), facts), f"l_{term}"))
-                    assert np.array_equal(grads[k], x.grad), term
+                    assert np.array_equal(grads[b, k], x.grad), (fn, term)
+                x = Tensor(x_data[None].copy(), requires_grad=True)
+                v = assemble_prediction(facts.bits[None], x, fn)
+                T.backward(T.sum_last(cnf_loss_rows(matrix, v, facts.bits[None])))
+                assert np.array_equal(rows[b], x.grad[0]), fn
 
     def test_one_dimensional_v_keeps_single_instance_shapes(self):
         theory, matrix, facts = make_golden()

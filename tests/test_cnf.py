@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cnfgrad import cnf as cnf_module
 from cnfgrad.cnf import (
+    ENUM_CAP,
     MAX_LISTED_MODELS,
     Assignment,
     DimacsError,
@@ -232,6 +234,96 @@ class TestBruteForce:
         report = brute_force(theory, FactVector(np.zeros(13, dtype=np.int8)))
         assert report.model_count == 2**13 > MAX_LISTED_MODELS
         assert report.models is None and report.packed_models is None
+
+    def test_cap_above_enum_cap_refused(self):
+        theory = theory_from_clauses([(1, 2)], 2)
+        facts = FactVector(np.zeros(2, dtype=np.int8))
+        for cap in (ENUM_CAP + 1, 63, 200):
+            with pytest.raises(ValueError, match="ENUM_CAP"):
+                brute_force(theory, facts, cap=cap)
+        assert brute_force(theory, facts, cap=ENUM_CAP).model_count == 3
+
+
+class TestBruteForceAgainstClauseLoop:
+    """The broadcast screen against a per-clause loop over every assignment."""
+
+    @staticmethod
+    def reference(theory, facts):
+        """(model_count, entailed_literals, packed_models) from one mask test per clause."""
+        n = theory.n
+        free = np.flatnonzero(facts.bits == 0)
+        base = np.uint64(0)
+        for j in np.flatnonzero(facts.bits):
+            base |= np.uint64(1) << np.uint64(j)
+        full = np.uint64((1 << n) - 1)
+        idx = np.arange(1 << free.size, dtype=np.uint64)
+        assign = np.full(idx.shape, base, dtype=np.uint64)
+        for t, j in enumerate(free):
+            assign |= ((idx >> np.uint64(t)) & np.uint64(1)) << np.uint64(j)
+        unset = ~assign & full
+        sat = np.ones(idx.shape, dtype=bool)
+        for clause in theory.clauses:
+            p = np.uint64(sum(1 << (lit - 1) for lit in clause if lit > 0))
+            q = np.uint64(sum(1 << (-lit - 1) for lit in clause if lit < 0))
+            sat &= ((assign & p) != 0) | ((unset & q) != 0)
+        models = assign[sat]
+        entailed = []
+        if models.size:
+            and_acc, or_acc = np.bitwise_and.reduce(models), np.bitwise_or.reduce(models)
+            for j in range(n):
+                bit = np.uint64(1) << np.uint64(j)
+                if and_acc & bit:
+                    entailed.append(j + 1)
+                elif not (or_acc & bit):
+                    entailed.append(-(j + 1))
+        listed = models if models.size <= MAX_LISTED_MODELS else None
+        return int(models.size), tuple(entailed), listed
+
+    def assert_matches(self, theory, facts):
+        report = brute_force(theory, facts)
+        count, entailed, listed = self.reference(theory, facts)
+        assert report.model_count == count and report.satisfiable == (count > 0)
+        assert report.entailed_literals == entailed
+        if listed is None:
+            assert report.packed_models is None
+        else:
+            assert report.packed_models.dtype == np.uint64
+            assert np.array_equal(report.packed_models, listed)
+
+    def test_random_theories(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            theory = random_theory(rng, n_max=10, m_max=20, allow_empty=True)
+            self.assert_matches(theory, random_facts(rng, theory.n))
+
+    def test_edge_shapes(self):
+        rng = np.random.default_rng(31)
+        no_atoms = FactVector(np.zeros(0, dtype=np.int8))
+        self.assert_matches(theory_from_clauses([], 0), no_atoms)
+        self.assert_matches(theory_from_clauses([()], 0), no_atoms)
+        for n in (1, 5, 9):
+            self.assert_matches(theory_from_clauses([], n), random_facts(rng, n))
+            self.assert_matches(theory_from_clauses([], n), FactVector(np.ones(n, dtype=np.int8)))
+        for _ in range(50):
+            theory = random_theory(rng, n_max=9, m_max=12, allow_empty=True)
+            self.assert_matches(theory, FactVector(np.ones(theory.n, dtype=np.int8)))
+
+    def test_enumeration_over_several_chunks(self):
+        # 30 clauses and 16 free atoms: 65,536 assignments in chunks of 32,768
+        rng = np.random.default_rng(37)
+        clauses = [tuple(int(a + 1) * int(s) for a, s in zip(rng.choice(18, 3, replace=False), rng.choice([-1, 1], 3))) for _ in range(30)]
+        theory = theory_from_clauses(clauses, 18)
+        facts = FactVector.from_atoms([0, 1], 18)
+        assert (1 << 16) > cnf_module.SCREEN_CHUNK_ELEMENTS // 30
+        self.assert_matches(theory, facts)
+
+    def test_listing_across_small_chunks(self, monkeypatch):
+        # at most 64 elements per chunk array, so models and the listing cross chunk edges
+        monkeypatch.setattr(cnf_module, "SCREEN_CHUNK_ELEMENTS", 64)
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            theory = random_theory(rng, n_max=9, m_max=30, allow_empty=True)
+            self.assert_matches(theory, random_facts(rng, theory.n))
 
 
 class TestDeduceSet:

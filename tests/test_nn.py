@@ -163,6 +163,28 @@ class TestTraining:
             outputs.append(format_metrics(rows))
         assert outputs[0] == outputs[1]
 
+    def test_metrics_written_after_every_epoch(self, tmp_path, monkeypatch):
+        task, ds = self.make_dataset(n_train=40, n_test=10)
+        _, clean = run_training(ds, task.default_config(seed=4, epochs=1))
+        batches_per_epoch = -(-len(ds.train) // task.default_config(seed=4).batch_size)
+        calls = []
+        original = task.batch_loss
+
+        def diverge_in_epoch_two(net, batch, config):
+            means = original(net, batch, config)
+            calls.append(None)
+            if len(calls) > batches_per_epoch:
+                means["cnf"] = means["cnf"] * float("nan")
+            return means
+
+        monkeypatch.setattr(task, "batch_loss", diverge_in_epoch_two)
+        cfg = task.default_config(seed=4, epochs=3)
+        cfg.metrics_path = str(tmp_path / "metrics.csv")
+        with pytest.raises(TrainingDiverged, match="epoch 2"):
+            run_training(ds, cfg)
+        written = (tmp_path / "metrics.csv").read_text()
+        assert written == format_metrics(clean) and len(written.splitlines()) == 2
+
     def test_nan_aborts_with_term_and_batch(self):
         task, ds = self.make_dataset(n_train=40, n_test=10)
         cfg = task.default_config(seed=0, epochs=2, lr=1e200, optimizer="sgd")
