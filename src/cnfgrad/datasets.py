@@ -7,6 +7,7 @@ format checks.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,70 +82,101 @@ class GridInstance:
         return int(round(np.sqrt(self.q.size)))
 
 
-def _box_index(r: int, c: int, side: int) -> int:
-    b = int(round(np.sqrt(side)))
-    return (r // b) * b + c // b
+#: Largest side ``solved_boards`` enumerates. Side 4 has 288 boards; side 9
+#: has about 6.7e21, which neither backtracking nor arrays can list.
+MAX_ENUMERATED_SIDE = 4
 
 
 @lru_cache(maxsize=None)
-def solved_boards(side: int) -> tuple[tuple[int, ...], ...]:
-    """All completed boards of the given side, by backtracking (288 for 4)."""
-    b = int(round(np.sqrt(side)))
-    if b * b != side:
-        raise ValueError(f"side must be a perfect square, got {side}")
-    cells = side * side
-    out: list[tuple[int, ...]] = []
-    board = [0] * cells
+def solved_boards(side: int) -> np.ndarray:
+    """Every completed board of the given side, one per row, in lexicographic order (288 for 4).
 
-    def fill(pos: int) -> None:
-        if pos == cells:
-            out.append(tuple(board))
-            return
-        r, c = divmod(pos, side)
-        used = set()
-        for p in range(pos):
-            rr, cc = divmod(p, side)
-            if rr == r or cc == c or _box_index(rr, cc, side) == _box_index(r, c, side):
-                used.add(board[p])
-        for n in range(1, side + 1):
-            if n not in used:
-                board[pos] = n
-                fill(pos + 1)
-        board[pos] = 0
-
-    fill(0)
-    return tuple(out)
-
-
-def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | None:
-    """Iterate single-candidate deduction; None if a cell gets stuck.
-
-    A cell is filled only when exactly one digit avoids an immediate
-    row/column/box conflict; the loop repeats until complete or stalled.
+    Boards grow row by row: every partial board is extended by every
+    permutation of 1..side, taken in lexicographic order, and the
+    extensions that repeat a digit in a column or a box are dropped. The
+    array is shared through the cache, so it is read-only. Sides above
+    ``MAX_ENUMERATED_SIDE`` raise ValueError.
     """
-    board = np.array(q, dtype=np.int64).reshape(side, side)
-    while True:
-        empties = np.argwhere(board == 0)
-        if empties.size == 0:
-            return board.reshape(-1)
-        progressed = False
-        for r, c in empties:
-            used = set(board[r, :]) | set(board[:, c])
-            b = int(round(np.sqrt(side)))
-            used |= set(board[(r // b) * b : (r // b) * b + b, (c // b) * b : (c // b) * b + b].ravel())
-            candidates = [n for n in range(1, side + 1) if n not in used]
-            if not candidates:
-                return None
-            if len(candidates) == 1:
-                board[r, c] = candidates[0]
-                progressed = True
-        if not progressed:
-            return None
+    b = int(round(np.sqrt(side)))
+    if side < 1 or b * b != side:
+        raise ValueError(f"side must be a positive perfect square, got {side}")
+    if side > MAX_ENUMERATED_SIDE:
+        raise ValueError(
+            f"solved_boards({side}): enumerating every board is limited to side <= {MAX_ENUMERATED_SIDE} "
+            f"(288 boards); side 9 alone has about 6.7e21"
+        )
+    perms = np.array(list(itertools.permutations(range(1, side + 1))), dtype=np.int64)
+    same_box = (np.arange(side) // b)[:, None] == (np.arange(side) // b)[None, :]
+    boards = np.zeros((1, 0), dtype=np.int64)
+    for r in range(side):
+        # clash[p, j]: row perms[j] under partial board p repeats a digit in a column or a box
+        rows = boards.reshape(len(boards), 1, r, side)
+        clash = np.any(rows == perms[:, None, :], axis=(2, 3))
+        band = rows[:, :, (r // b) * b :, None, :]
+        clash |= np.any((band == perms[:, None, :, None]) & same_box, axis=(2, 3, 4))
+        # nonzero lists (p, j) in row-major order, which keeps the boards lexicographic
+        p, j = np.nonzero(~clash)
+        boards = np.concatenate([boards[p], perms[j]], axis=1)
+    boards.setflags(write=False)
+    return boards
+
+
+def _peer_cells(side: int) -> np.ndarray:
+    """(cells, 3 * side): the row, column and box cells of each cell, itself included."""
+    b = int(round(np.sqrt(side)))
+    r, c = np.divmod(np.arange(side * side), side)
+    k = np.arange(side)
+    box_r, box_c = (r // b * b)[:, None] + k // b, (c // b * b)[:, None] + k % b
+    return np.concatenate([r[:, None] * side + k, k * side + c[:, None], box_r * side + box_c], axis=1)
+
+
+def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | list[np.ndarray | None] | None:
+    """Iterate single-candidate deduction; None where a board gets stuck.
+
+    ``q`` is one board of ``side * side`` cells, which gives the completed
+    board or None, or a (B, cells) stack, which gives a list of B such
+    results. Each sweep visits the cells that were empty when it started,
+    in row-major order, and sees the cells filled earlier in the sweep. A
+    cell's candidates are the digits its row, column and box do not use;
+    it is filled when exactly one is left. A board is stuck when a cell
+    has none, or when a sweep fills nothing; it is done when no cell is
+    empty. One cell position is handled for all boards at once.
+    """
+    cells = side * side
+    boards = np.array(q, dtype=np.int64).reshape(-1, cells)
+    peers = _peer_cells(side)
+    digits = np.arange(1, side + 1)
+    done = np.zeros(len(boards), dtype=bool)
+    active = np.arange(len(boards))
+    while active.size:
+        empty = boards[active] == 0
+        full = ~empty.any(axis=1)
+        done[active[full]] = True
+        active, empty = active[~full], empty[~full]
+        filled = np.zeros(len(active), dtype=bool)
+        stuck = np.zeros(len(active), dtype=bool)
+        for pos in range(cells):
+            sel = np.flatnonzero(empty[:, pos] & ~stuck)
+            if not sel.size:
+                continue
+            rows = active[sel]
+            candidates = ~np.any(boards[rows[:, None], peers[pos], None] == digits, axis=1)
+            count = candidates.sum(axis=1)
+            stuck[sel[count == 0]] = True
+            single = count == 1
+            boards[rows[single], pos] = np.argmax(candidates[single], axis=1) + 1
+            filled[sel[single]] = True
+        active = active[filled & ~stuck]
+    results = [board if ok else None for board, ok in zip(boards, done)]
+    return results if np.ndim(q) == 2 else results[0]
 
 
 #: Draws ``gen_grid_puzzles`` may make in a row without finding a new puzzle.
 #: The longest run measured on 4x4 boards, easy tier with 12-16 holes, was 565.
 PUZZLE_MISS_BUDGET = 10_000
+
+#: Fewest draws ``gen_grid_puzzles`` screens in one ``naked_single_completion`` call.
+SCREEN_CHUNK = 256
 
 
 def gen_grid_puzzles(
@@ -161,35 +193,46 @@ def gen_grid_puzzles(
     distinct from each other. Raises ValueError, naming the tier, the hole
     range and the count, after ``PUZZLE_MISS_BUDGET`` draws in a row yield
     no new puzzle: fewer distinct puzzles may exist than were asked for.
+
+    Each draw picks a board, a hole count and the holes, in that order
+    from one seeded stream. Draws are made in chunks of at least as many
+    as are still missing, screened with one ``naked_single_completion``
+    call, and then taken in draw order; the draws of a chunk that are not
+    needed are dropped.
     """
     if tier not in ("easy", "hard"):
         raise ValueError(f"unknown tier {tier!r}")
     solutions = solved_boards(side)
+    cells = side * side
     rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
     out: list[GridInstance] = []
     lo, hi = holes
     misses = 0
     while len(out) < count:
-        if misses == PUZZLE_MISS_BUDGET:
-            raise ValueError(
-                f"gen_grid_puzzles: found {len(out)} of {count} distinct {tier} {side}x{side} puzzles "
-                f"with {lo}-{hi} holes; the last {PUZZLE_MISS_BUDGET} draws found no new one"
-            )
-        misses += 1
-        sol = np.array(solutions[rng.integers(len(solutions))], dtype=np.int64)
-        k = int(rng.integers(lo, hi + 1))
-        q = sol.copy()
-        q[rng.choice(side * side, size=k, replace=False)] = 0
-        key = q.tobytes()
-        if key in seen:
-            continue
-        completed = naked_single_completion(q, side)
-        if (tier == "easy") != (completed is not None):
-            continue
-        seen.add(key)
-        out.append(GridInstance(q=q, solution=sol))
-        misses = 0
+        picks = np.empty(max(SCREEN_CHUNK, count - len(out)), dtype=np.int64)
+        qs = np.empty((len(picks), cells), dtype=np.int64)
+        for i in range(len(picks)):
+            picks[i] = rng.integers(len(solutions))
+            k = int(rng.integers(lo, hi + 1))
+            qs[i] = solutions[picks[i]]
+            qs[i, rng.choice(cells, size=k, replace=False)] = 0
+        completed = naked_single_completion(qs, side)
+        for q, pick, board in zip(qs, picks, completed):
+            if misses == PUZZLE_MISS_BUDGET:
+                raise ValueError(
+                    f"gen_grid_puzzles: found {len(out)} of {count} distinct {tier} {side}x{side} puzzles "
+                    f"with {lo}-{hi} holes; the last {PUZZLE_MISS_BUDGET} draws found no new one"
+                )
+            misses += 1
+            key = q.tobytes()
+            if key in seen or (tier == "easy") != (board is not None):
+                continue
+            seen.add(key)
+            out.append(GridInstance(q=q.copy(), solution=solutions[pick].copy()))
+            misses = 0
+            if len(out) == count:
+                break
     return out
 
 

@@ -150,7 +150,9 @@ def constant(value) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    # Constants were never given a grad buffer; skip them.
+    # Constants were never given a grad buffer; skip them. Ops whose
+    # operands are often constants test ``grad`` themselves before they
+    # compute the operand's gradient at all.
     if t.grad is not None:
         t.grad += g
 
@@ -179,8 +181,10 @@ def add(a, b) -> Tensor:
     out = Tensor(_broadcast("add", np.add, a, b), parents=(a, b), op="add")
 
     def back(g: np.ndarray) -> None:
-        _acc(a, _unbroadcast(g, a.shape))
-        _acc(b, _unbroadcast(g, b.shape))
+        if a.grad is not None:
+            _acc(a, _unbroadcast(g, a.shape))
+        if b.grad is not None:
+            _acc(b, _unbroadcast(g, b.shape))
 
     out._backward = back
     return out
@@ -191,8 +195,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(_broadcast("sub", np.subtract, a, b), parents=(a, b), op="sub")
 
     def back(g: np.ndarray) -> None:
-        _acc(a, _unbroadcast(g, a.shape))
-        _acc(b, _unbroadcast(-g, b.shape))
+        if a.grad is not None:
+            _acc(a, _unbroadcast(g, a.shape))
+        if b.grad is not None:
+            _acc(b, _unbroadcast(-g, b.shape))
 
     out._backward = back
     return out
@@ -203,8 +209,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(_broadcast("mul", np.multiply, a, b), parents=(a, b), op="mul")
 
     def back(g: np.ndarray) -> None:
-        _acc(a, _unbroadcast(g * b.data, a.shape))
-        _acc(b, _unbroadcast(g * a.data, b.shape))
+        if a.grad is not None:
+            _acc(a, _unbroadcast(g * b.data, a.shape))
+        if b.grad is not None:
+            _acc(b, _unbroadcast(g * a.data, b.shape))
 
     out._backward = back
     return out
@@ -231,18 +239,16 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data, parents=(a, b), op="matmul")
 
     def back(g: np.ndarray) -> None:
-        if len(sa) == 2 and len(sb) == 2:
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.T @ g)
-        elif len(sa) == 1 and len(sb) == 2:
-            _acc(a, b.data @ g)
-            _acc(b, np.outer(a.data, g))
-        elif len(sa) == 2 and len(sb) == 1:
-            _acc(a, np.outer(g, b.data))
-            _acc(b, a.data.T @ g)
-        else:  # 1-D dot product
-            _acc(a, g * b.data)
-            _acc(b, g * a.data)
+        if a.grad is not None:
+            if len(sb) == 2:
+                _acc(a, g @ b.data.T if len(sa) == 2 else b.data @ g)
+            else:
+                _acc(a, np.outer(g, b.data) if len(sa) == 2 else g * b.data)
+        if b.grad is not None:
+            if len(sa) == 2:
+                _acc(b, a.data.T @ g)
+            else:
+                _acc(b, np.outer(a.data, g) if len(sb) == 2 else g * a.data)
 
     out._backward = back
     return out
@@ -275,7 +281,8 @@ def concat(parts: Iterable) -> Tensor:
 
     def back(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _acc(p, g[..., lo:hi])
+            if p.grad is not None:
+                _acc(p, g[..., lo:hi])
 
     out._backward = back
     return out

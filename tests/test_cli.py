@@ -170,7 +170,7 @@ class TestTrainEvalSolve:
         )
         assert code != 0 and "unknown config key" in err
 
-    # sudoku9 is left out because its data generation enumerates every 9x9 board.
+    # sudoku9 is left out: its data generation refuses boards above 4x4 (test_sudoku9_data_fails_fast).
     @pytest.mark.parametrize("task", [name for name in TASK_NAMES if name != "sudoku9"])
     def test_every_task_trains(self, tmp_path, capsys, task):
         pool = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ()
@@ -223,6 +223,27 @@ class TestTrainEvalSolve:
         assert code == 0
         boards = [line.split("#")[0].split() for line in out.splitlines()]
         assert all(len(b) == 16 for b in boards)
+
+    def test_sudoku9_data_fails_fast(self, tmp_path, capsys, time_limit):
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "s9"), TK.make_task("sudoku9").build_net(0), meta={"task": "sudoku9", "options": {}})
+        with time_limit(30, "sudoku9 train/eval/solve"):
+            for argv in (
+                ("train", "sudoku9", "--n-train", "8", "--n-test", "2", "--out", str(tmp_path / "run")),
+                ("eval", ckpt),
+                ("solve", ckpt, "--count", "2"),
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 1 and out == ""
+                assert err.startswith("error: solved_boards(9): enumerating every board is limited to side <= 4")
+            assert not (tmp_path / "run").exists()
+
+            # a given board needs no generated data
+            board = " ".join(str((3 * (r % 3) + r // 3 + c) % 9 + 1) for r in range(9) for c in range(9))
+            code, out, _ = run_cli(capsys, "solve", ckpt, "--board", board)
+            assert code == 0 and out.strip() == board
 
     def test_solve_complete_board_echoes(self, tmp_path, capsys):
         from cnfgrad.datasets import solved_boards

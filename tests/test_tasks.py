@@ -1,4 +1,3 @@
-import signal
 import struct
 
 import numpy as np
@@ -8,6 +7,7 @@ from cnfgrad import datasets as D
 from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
+from cnfgrad import verify as V
 from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss, sum_loss
 from cnfgrad.closs import closed_form_grad
 from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
@@ -158,19 +158,11 @@ class TestSudokuTask:
         for inst in D.gen_grid_puzzles(4, 15, tier="hard", seed=3, holes=(6, 12)):
             assert D.naked_single_completion(inst.q, 4) is None
 
-    def test_exhausted_pool_raises_in_bounded_time(self):
+    def test_exhausted_pool_raises_in_bounded_time(self, time_limit):
         # only 288 solved 4x4 boards exist, so no 289th distinct zero-hole puzzle exists
-        def overrun(signum, frame):
-            raise TimeoutError("gen_grid_puzzles still running after 30 s")
-
-        previous = signal.signal(signal.SIGALRM, overrun)
-        signal.alarm(30)
-        try:
+        with time_limit(30, "gen_grid_puzzles"):
             with pytest.raises(ValueError, match="288 of 289 distinct easy 4x4 puzzles with 0-0 holes"):
                 D.gen_grid_puzzles(4, 289, holes=(0, 0))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_givens_consistent(self):
         for inst in D.gen_grid_puzzles(4, 30, tier="easy", seed=4):
@@ -228,7 +220,7 @@ def tiny_data(task, seed=0):
 
 
 class TestSparseTraining:
-    # sudoku9 is left out because its data generation enumerates every 9x9 board.
+    # sudoku9 is left out: its data generation refuses boards above 4x4 (tests/test_datasets.py).
     @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
     def test_no_training_path_densifies(self, name, monkeypatch, request):
         def refuse(self):
@@ -252,6 +244,37 @@ class TestSparseTraining:
         assert sparse[0]["cnf"] > 0.0
         monkeypatch.setattr(TK, "cnf_loss_rows", dense_rows)
         assert_same_objective(sparse, objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch)))
+
+
+class TestNoGradientForConstants:
+    """Backward closures skip an operand without a grad buffer before computing its gradient."""
+
+    @staticmethod
+    def watch_acc(monkeypatch) -> list[bool]:
+        has_buffer = []
+        original = T._acc
+
+        def spy(t, g):
+            has_buffer.append(t.grad is not None)
+            original(t, g)
+
+        monkeypatch.setattr(T, "_acc", spy)
+        return has_buffer
+
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
+    def test_training_step(self, name, monkeypatch, request):
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        net = task.build_net(0)
+        config = task.default_config(seed=0)
+        batch = tiny_data(task).train[:2]
+        has_buffer = self.watch_acc(monkeypatch)
+        objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
+        assert has_buffer and all(has_buffer)
+
+    def test_gradient_suite_case(self, monkeypatch):
+        has_buffer = self.watch_acc(monkeypatch)
+        assert V.gradient_suite(trials=1, seed=0).ok
+        assert has_buffer and all(has_buffer)
 
 
 class TestSudokuBatchLoss:
