@@ -1,9 +1,11 @@
 """The constraint-loss stack and its reference routes.
 
-Training uses ``cnf_loss_rows``: for binarized 0/1 predictions the loss
-and its gradient are clause counts, so one node computes both for a batch
-of rows from the sparse clause matrix. ``cnf_loss`` is the reference: it
-builds, inside the gradient graph, the dense chain (for one instance, or
+Training uses ``cnf_loss_rows``: it takes a batch of the net's output
+columns and fact rows, binarizes the columns and overlays the facts
+itself, and since the loss of binarized 0/1 predictions and its gradient
+are clause counts, one node computes both from the sparse clause matrix.
+``cnf_loss`` is the reference: on predictions that ``assemble_prediction``
+builds as graph nodes, it builds the dense chain (for one instance, or
 for each row of a stack of them)
 
     L_f      = C * f                      (broadcast over clauses)
@@ -77,8 +79,7 @@ class ForwardBreakdown:
 
 
 def _fact_bits(f) -> np.ndarray:
-    bits = f.bits if isinstance(f, FactVector) else np.asarray(f)
-    return np.asarray(bits, dtype=np.float64)
+    return f.bits if isinstance(f, FactVector) else np.asarray(f)
 
 
 def assemble_prediction(f, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
@@ -146,24 +147,39 @@ def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
     return LossBreakdown(l_f, l_v, deduce, unsat, keep, l_deduce, l_unsat, l_sat, l_cnf)
 
 
-def _clause_counts(matrix: ClauseMatrix, v: np.ndarray, f: np.ndarray):
-    """Clause statistics of 0/1 predictions ``v`` under facts ``f``, both (rows, n).
+def _per_clause(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per-clause counts of (rows, nonzeros) flags, as differences of a running count."""
+    run = np.zeros((flags.shape[0], flags.shape[1] + 1), dtype=np.int32)
+    np.cumsum(flags, axis=1, dtype=np.int32, out=run[:, 1:])
+    return run[:, indptr[1:]] - run[:, indptr[:-1]]
 
-    Returns the clause of every nonzero, whether each literal occurrence is
-    true (rows, nnz), the true-literal count of every clause (rows, m) and
-    deduce-set membership (rows, m), all from the sparse rows.
-    """
-    m = matrix.shape[0]
-    rows = v.shape[0]
-    clause_of = np.repeat(np.arange(m), np.diff(matrix.indptr))
-    slot = (np.arange(rows)[:, None] * m + clause_of).ravel()
+
+def _clause_counts(matrix: ClauseMatrix, v: np.ndarray, fact: np.ndarray):
+    """Literal truth (rows, nnz), true-literal counts and deduce membership (rows, m)
+    of boolean predictions ``v`` under boolean facts ``fact``, both (rows, n)."""
+    indptr = matrix.indptr
     pos = matrix.values > 0
-    lit_true = np.where(pos, v[:, matrix.indices] == 1, v[:, matrix.indices] == 0)
-    true_counts = np.bincount(slot, weights=lit_true.ravel().astype(np.float64), minlength=rows * m)
-    neg_fact = ~pos & (f[:, matrix.indices] == 1)
-    neg_counts = np.bincount(slot, weights=neg_fact.ravel().astype(np.float64), minlength=rows * m)
-    deduce = (np.diff(matrix.indptr) - neg_counts.reshape(rows, m)) == 1
-    return clause_of, lit_true, true_counts.reshape(rows, m), deduce
+    lit_true = v.take(matrix.indices, axis=1) == pos
+    neg_fact = fact.take(matrix.indices, axis=1) > pos
+    deduce = indptr[1:] - indptr[:-1] - _per_clause(indptr, neg_fact) == 1
+    return lit_true, _per_clause(indptr, lit_true), deduce
+
+
+def _literal_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Both terms of a literal's gradient in ``cnf_loss_rows``, per (sign, literal true, clause key).
+
+    The gradient is -sign * [deduce and alone] + (-sign if unsat or literal
+    true, else sign) / m. A true literal is alone when its clause has one true
+    literal, a false one when it has none, so a clause's key holds (deduce and
+    alone, unsat or true) for its true literals in bits 2-3, for its false ones in bits 0-1.
+    """
+    key = np.arange(16)
+    index = 4 * np.arange(2)[:, None, None] + np.where(np.array([False, True])[:, None], key >> 2, key & 3)
+    sign = np.where(index >= 4, 1.0, -1.0)
+    return (-sign * (index >> 1 & 1)).ravel(), np.where(index & 1, -sign, sign).ravel()
+
+
+_DEDUCE_TERM, _SIGNED_TERM = _literal_terms()
 
 
 def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> ForwardBreakdown:
@@ -177,7 +193,7 @@ def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> Forwar
     fb = np.asarray(f_bits.bits if isinstance(f_bits, FactVector) else f_bits, dtype=np.int8)
     if v.shape != (n,) or fb.shape != (n,):
         raise T.ShapeError(f"cnf_loss_forward: matrix is {m}x{n}, v has shape {v.shape}, f has shape {fb.shape}")
-    _, _, true_counts, deduce = _clause_counts(matrix, v[None], fb[None])
+    _, true_counts, deduce = _clause_counts(matrix, v[None] == 1, fb[None] == 1)
     unsat = true_counts[0] == 0
     deduce = deduce[0]
     l_deduce = float(np.sum(deduce & unsat))
@@ -186,14 +202,17 @@ def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> Forwar
     return ForwardBreakdown(l_deduce, l_unsat, 0.0, l_cnf, deduce, unsat)
 
 
-def cnf_loss_rows(matrix: ClauseMatrix, v: Tensor, f) -> Tensor:
+def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
     """``cnf_loss(matrix, v[r], f[r]).l_cnf`` for every row r of a batch, as one node.
 
-    ``v`` is (rows, n) with every entry 0 or 1, as ``assemble_prediction``
-    makes it, and ``f`` holds the matching fact rows. For 0/1 predictions
-    the loss and its gradient are clause counts, so both come from the
-    sparse rows in O(rows * nonzeros) instead of the dense m x n graph.
-    For clause i and its literal on atom j, with sign C_ij:
+    ``x`` is (rows, k) with k <= n: the net outputs for atoms 0..k-1.
+    ``f`` holds the (rows, n) fact rows. The prediction is the one
+    ``assemble_prediction`` makes from ``x`` padded with zero columns: 1 at
+    a fact, else ``binarize(x, fn)`` (ties go to 1), and ``binarize(0)``
+    in the columns from k on. For such 0/1 predictions the loss and its
+    gradient are clause counts, so both come from the sparse rows in
+    O(rows * nonzeros), without the dense m x n graph or a (rows, n)
+    prediction node. For clause i and its literal on atom j, with sign C_ij:
 
       d L_deduce / d v_j = -C_ij      if i is in the deduce set and no
                                       other literal of i is true
@@ -201,28 +220,46 @@ def cnf_loss_rows(matrix: ClauseMatrix, v: Tensor, f) -> Tensor:
       d L_sat    / d v_j = -C_ij / m  if i is satisfied and the literal
                                       true, +C_ij / m if it is false
 
-    At non-fact atoms these sum to the gradient ``closed_form_grad`` predicts.
+    Only ``x`` gets a gradient: that sum, zeroed at facts and, under
+    SSTE, outside [-1, 1]. At non-fact atoms it is the gradient
+    ``closed_form_grad`` predicts.
     """
     m, n = matrix.shape
     bits = _fact_bits(f)
-    if len(v.shape) != 2 or v.shape[1] != n or bits.shape != v.shape:
-        raise T.ShapeError(f"cnf_loss_rows: matrix is {m}x{n}, v has shape {v.shape}, f has shape {bits.shape}")
-    if not np.all((v.data == 0.0) | (v.data == 1.0)):
-        raise ValueError("cnf_loss_rows: v must be binarized (every entry 0 or 1)")
-    clause_of, lit_true, true_counts, deduce = _clause_counts(matrix, v.data, bits)
+    if len(x.shape) != 2 or x.shape[1] > n or bits.shape != (x.shape[0], n):
+        raise T.ShapeError(f"cnf_loss_rows: matrix is {m}x{n}, x has shape {x.shape}, f has shape {bits.shape}")
+    if fn == "bp" and np.any((x.data < 0.0) | (x.data > 1.0)):
+        raise ValueError("cnf_loss_rows: 'bp' input must lie in [0, 1]")
+    if fn not in ("b", "bp"):
+        raise ValueError(f"cnf_loss_rows: unknown fn {fn!r} (use 'b' or 'bp')")
+    threshold = 0.5 if fn == "bp" else 0.0
+    rows, k = x.shape
+    fact = bits != 0
+    v = fact.copy()
+    v[:, :k] |= x.data >= threshold
+    v[:, k:] |= 0.0 >= threshold  # binarize(0) past the net's columns, as a zero pad gives
+    lit_true, true_counts, deduce = _clause_counts(matrix, v, fact)
     unsat = true_counts == 0
-    l_unsat = np.sum(unsat, axis=1) / m if m else np.zeros(v.shape[0])
-    out = Tensor(np.sum(deduce & unsat, axis=1) + l_unsat, parents=(v,), op="cnf_loss_rows")
-
-    sign = matrix.values.astype(np.float64)
-    alone = true_counts[:, clause_of] == lit_true
-    per_literal = -sign * (deduce[:, clause_of] & alone) + np.where(unsat[:, clause_of] | lit_true, -sign, sign) / m
-    rows = v.shape[0]
-    slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
-    grad = np.bincount(slot, weights=per_literal.ravel(), minlength=rows * n).reshape(rows, n)
+    l_unsat = unsat.sum(axis=1) / m if m else np.zeros(rows)
+    out = Tensor((deduce & unsat).sum(axis=1) + l_unsat, parents=(x,), op="cnf_loss_rows")
 
     def back(g: np.ndarray) -> None:
-        T._acc(v, g[:, None] * grad)
+        if x.grad is None:
+            return
+        # The clause key of ``_literal_terms``, then the literal's sign and truth above it.
+        key = (4 * (2 * (deduce & (true_counts == 1)) + 1) + 2 * (deduce & unsat) + unsat).astype(np.uint8)
+        index = key.take(np.repeat(np.arange(m), matrix.indptr[1:] - matrix.indptr[:-1]), axis=1)
+        index |= lit_true.view(np.uint8) << 4
+        index |= (matrix.values > 0).view(np.uint8) << 5
+        per_literal = (_DEDUCE_TERM + _SIGNED_TERM / max(m, 1)).take(index).ravel()
+        slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
+        grad = np.bincount(slot, weights=per_literal, minlength=rows * n).reshape(rows, n)
+        del index, per_literal, slot  # free the (rows, nnz) arrays before the products below
+        grad = g[:, None] * grad[:, :k]
+        grad *= ~fact[:, :k]
+        if ste is SteMode.SSTE:
+            grad *= (x.data >= -1.0) & (x.data <= 1.0)
+        T._acc(x, grad)
 
     out._backward = back
     return out

@@ -261,10 +261,6 @@ class ClauseMatrix:
     def row_literal_count(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
     def dense(self) -> np.ndarray:
         """Materialize as a fresh float64 array."""
         m, n = self.shape

@@ -2,11 +2,12 @@
 
 Each task bundles a generated theory, a dataset maker, an accuracy
 definition and a training recipe that takes the batch as the unit of
-work: one net pass per input position, the (B, n) atom-probability rows
-x assembled by products, concatenation and zero-padding (four rows per
-instance for apply2x2), the matching fact rows, and one ``cnf_loss_rows``
-call. Atom orders follow the assembly
-recipes, so the network-driven atoms always come first and padded last.
+work: one net pass per input position, the (B, k) atom-probability rows
+x assembled by products and concatenation (four rows per instance for
+apply2x2), the matching (B, n) fact rows, and one ``cnf_loss_rows`` call.
+Atom orders follow the assembly recipes, so the k network-driven atoms
+always come first; the atoms after them read as binarize(0), which under
+the default ``bp`` leaves them to the facts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import nn as N
 from . import tensor as T
 from .closs import (
     LossWeights,
-    assemble_prediction,
     bound_loss,
     cnf_loss_forward,
     cnf_loss_rows,
@@ -355,7 +355,7 @@ def _digit_rows(task: TaskSpec, outs, x: Tensor, facts: np.ndarray, config: Trai
     """Per-row constraint and bound terms of a digit task whose outputs assemble to ``x``."""
     bounds = [bound_loss(raw) for _, raw in outs]
     return {
-        "cnf": cnf_loss_rows(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
+        "cnf": cnf_loss_rows(task.matrix, x, facts, config.fn, config.ste),
         "bound": sum(bounds[1:], bounds[0]),
     }
 
@@ -364,11 +364,6 @@ def _outer_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise outer product of (B, i) and (B, j), flattened to (B, i*j)."""
     rows, i, j = a.shape[0], a.shape[1], b.shape[1]
     return T.reshape(T.reshape(a, (rows, i, 1)) * T.reshape(b, (rows, 1, j)), (rows, i * j))
-
-
-def _zero_pad(x: Tensor, n: int) -> Tensor:
-    """(B, k) outputs widened to (B, n) by zero columns after them."""
-    return T.concat([x, T.constant(np.zeros((x.shape[0], n - x.shape[1])))])
 
 
 def _classifier_accuracy(net: Mlp, instances: Sequence[tuple[np.ndarray, int]]) -> float:
@@ -411,7 +406,7 @@ class MnistAddTask(TaskSpec):
     def batch_loss(self, net: Mlp, batch: Sequence[AddInstance], config: TrainConfig) -> dict[str, Tensor]:
         """The joint atoms are the row-wise outer product of the per-image digit probabilities."""
         outs = _digit_outputs(net, batch)
-        x = _zero_pad(functools.reduce(_outer_rows, [probs for probs, _ in outs]), self.theory.n)
+        x = functools.reduce(_outer_rows, [probs for probs, _ in outs])
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def truth_pairs(self, inst: AddInstance) -> list[tuple[np.ndarray, FactVector]]:
@@ -466,7 +461,7 @@ class Add2x2Task(TaskSpec):
 
     def batch_loss(self, net: Mlp, batch: Sequence[Add2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
         outs = _digit_outputs(net, batch)
-        x = _zero_pad(T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS]), self.theory.n)
+        x = T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS])
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def truth_pairs(self, inst: Add2x2Instance) -> list[tuple[np.ndarray, FactVector]]:
@@ -511,7 +506,7 @@ class MemberTask(TaskSpec):
 
     def batch_loss(self, net: Mlp, batch: Sequence[MemberInstance], config: TrainConfig) -> dict[str, Tensor]:
         outs = _digit_outputs(net, batch)
-        x = _zero_pad(T.concat([probs for probs, _ in outs]), self.theory.n)
+        x = T.concat([probs for probs, _ in outs])
         return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
 
     def truth_pairs(self, inst: MemberInstance) -> list[tuple[np.ndarray, FactVector]]:
@@ -571,7 +566,7 @@ class Apply2x2Task(TaskSpec):
         outs = _digit_outputs(net, batch)
         rows = 4 * len(batch)
         pairs = T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS])
-        x = _zero_pad(T.reshape(pairs, (rows, 9)), self.theory.n)
+        x = T.reshape(pairs, (rows, 9))
         facts = np.zeros((rows, self.theory.n), dtype=np.int8)
         facts[np.arange(rows), [self.lookup[(*inst.digits, r)] for inst in batch for r in inst.results]] = 1
         per_row = _digit_rows(self, outs, x, facts, config)
@@ -642,7 +637,7 @@ class SudokuTask(TaskSpec):
         x = T.reshape(probs, (rows, self.theory.n))
         facts = self.fact_rows(q)
         per_board = {
-            "cnf": cnf_loss_rows(self.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
+            "cnf": cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste),
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
@@ -727,7 +722,7 @@ class ShortestPathTask(TaskSpec):
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         return _batch_means({
             "base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)),
-            "cnf": cnf_loss_rows(self.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts),
+            "cnf": cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste),
             "bound": bound_loss(raw),
         })
 
@@ -824,8 +819,8 @@ class ExactlyOneTask(TaskSpec):
                 means["base"] = T.cross_entropy(logits, np.eye(self.classes)[classes])
             facts = np.eye(self.classes, dtype=np.int8)[classes]
             x = logits * (1.0 / self.logit_scale)
-            v = assemble_prediction(facts, x, config.fn, config.ste)
-            cnf = cnf_loss_rows(self.matrix, v, facts) + self.hint_weight * hint_loss(facts, x, config.ste, config.fn)
+            cnf = cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste)
+            cnf = cnf + self.hint_weight * hint_loss(facts, x, config.ste, config.fn)
             for name, per_row in (("cnf", cnf), ("bound", bound_loss(raw))):
                 total = T.sum_last(per_row)
                 sums[name] = total if name not in sums else sums[name] + total

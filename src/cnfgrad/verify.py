@@ -163,7 +163,7 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
             result.check(float(getattr(breakdown, term).data) >= 0.0, f"{where}: {term} negative")
         sparse = closs.cnf_loss_forward(matrix, bits, facts)
         result.check(sparse.l_cnf == float(breakdown.l_cnf.data), f"{where}: sparse forward disagrees with graph")
-        rows = closs.cnf_loss_rows(matrix, T.reshape(v, (1, theory.n)), facts.bits[None])
+        rows = closs.cnf_loss_rows(matrix, T.reshape(x, (1, theory.n)), facts.bits[None])
         result.check(float(rows.data[0]) == float(breakdown.l_cnf.data), f"{where}: cnf_loss_rows disagrees with graph")
         result.cases += 1
     return result
@@ -182,7 +182,8 @@ def _prediction_stack(facts, xs, fns, copies: int):
     """One leaf per binarizer, tiled ``copies`` times and binarized by its own ``fn``.
 
     Returns the leaves and the predictions joined into one
-    (len(fns) * copies, n) stack, binarizer-major, with its fact rows.
+    (len(fns) * copies, n) stack, binarizer-major, with its fact rows:
+    the input of the dense graph ``_graph_term_grads`` builds.
     """
     n = facts.n
     f_rows = np.tile(facts.bits, (len(fns) * copies, 1))
@@ -207,9 +208,10 @@ def _graph_term_grads(matrix, facts, xs, fns) -> np.ndarray:
 
 
 def _rows_grad(matrix, facts, xs, fns) -> np.ndarray:
-    """Row b is the gradient of ``cnf_loss_rows`` on the instance under binarizer ``fns[b]``, from one call."""
-    leaves, v, f_rows = _prediction_stack(facts, xs, fns, 1)
-    T.backward(T.sum_last(closs.cnf_loss_rows(matrix, v, f_rows)))
+    """Row b is the gradient of ``cnf_loss_rows`` on the instance under binarizer ``fns[b]``, one call each."""
+    leaves = [Tensor(x[None], requires_grad=True) for x in xs]
+    for leaf, fn in zip(leaves, fns):
+        T.backward(T.sum_last(closs.cnf_loss_rows(matrix, leaf, facts.bits[None], fn)))
     return np.concatenate([leaf.grad for leaf in leaves])
 
 
@@ -219,8 +221,8 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
     Instances are screened so theory plus facts is satisfiable; the
     deduced-sign dominance of the total gradient is asserted as well.
     Each instance draws ``x`` for 'bp', then for 'b'; both binarizers share
-    one graph for the four graph terms (``_graph_term_grads``) and one
-    ``cnf_loss_rows`` node (``_rows_grad``).
+    one graph for the four graph terms (``_graph_term_grads``), and each
+    makes one ``cnf_loss_rows`` call (``_rows_grad``).
     """
     result = SuiteResult("gradients")
     rng = np.random.default_rng(seed)

@@ -27,6 +27,7 @@ from cnfgrad.verify import (
     random_theory,
     value_suite,
 )
+from kernel_reference import reference_rows
 
 
 def make_golden():
@@ -363,8 +364,7 @@ class TestBatchedGraph:
                     T.backward(getattr(cnf_loss(matrix, assemble_prediction(facts, x, fn), facts), f"l_{term}"))
                     assert np.array_equal(grads[b, k], x.grad), (fn, term)
                 x = Tensor(x_data[None].copy(), requires_grad=True)
-                v = assemble_prediction(facts.bits[None], x, fn)
-                T.backward(T.sum_last(cnf_loss_rows(matrix, v, facts.bits[None])))
+                T.backward(T.sum_last(cnf_loss_rows(matrix, x, facts.bits[None], fn)))
                 assert np.array_equal(rows[b], x.grad[0]), fn
 
     def test_one_dimensional_v_keeps_single_instance_shapes(self):
@@ -401,7 +401,32 @@ class TestBatchedGraph:
 
 
 class TestFusedRows:
-    """``cnf_loss_rows`` against the dense graph and the counting oracle."""
+    """``cnf_loss_rows`` against the pre-fusion chain, the dense graph and the counting oracle."""
+
+    def test_matches_reference_chain_bytes(self):
+        rng = np.random.default_rng(53)
+        kinds = set()
+        for case in range(2400):
+            theory = random_theory(rng, n_max=10, m_max=16, allow_empty=True)
+            matrix = build_matrix(theory)
+            rows, n = int(rng.integers(1, 4)), theory.n
+            k = n if case % 2 else int(rng.integers(0, n + 1))
+            fn = ("bp", "b")[case % 4 // 2]
+            ste = (SteMode.ISTE, SteMode.SSTE)[case % 8 // 4]
+            facts = (rng.random((rows, n)) < 0.3).astype(np.int8)
+            xs = rng.random((rows, k)) if fn == "bp" else rng.uniform(-2.0, 2.0, (rows, k))
+            if case % 3 == 0:
+                xs = np.round(xs * 4.0) / 4.0  # ties at the threshold and the box edges
+            weights = Tensor(rng.normal(size=rows))
+            got, want = Tensor(xs.copy(), requires_grad=True), Tensor(xs.copy(), requires_grad=True)
+            fused = cnf_loss_rows(matrix, got, facts, fn, ste)
+            chain = reference_rows(matrix, want, facts, fn, ste)
+            assert fused.data.tobytes() == chain.data.tobytes()
+            T.backward(T.sum_last(fused * weights))
+            T.backward(T.sum_last(chain * weights))
+            assert got.grad.tobytes() == want.grad.tobytes()
+            kinds.add((fn, ste, k < n, any(not cl for cl in theory.clauses)))
+        assert len(kinds) == 16
 
     @pytest.mark.parametrize("fn", ["b", "bp"])
     def test_matches_graph_and_oracle(self, fn):
@@ -413,50 +438,67 @@ class TestFusedRows:
             xs = rng.uniform(-1.0, 1.0, (3, theory.n)) if fn == "b" else rng.random((3, theory.n))
 
             x = Tensor(xs.copy(), requires_grad=True)
-            v = assemble_prediction(facts, x, fn)
-            loss = cnf_loss_rows(matrix, v, facts)
+            loss = cnf_loss_rows(matrix, x, facts, fn)
             T.backward(T.sum_last(loss))
             for r in range(3):
                 x_r = Tensor(xs[r].copy(), requires_grad=True)
-                graph = cnf_loss(matrix, assemble_prediction(facts[r], x_r, fn), facts[r]).l_cnf
+                v = assemble_prediction(facts[r], x_r, fn)
+                graph = cnf_loss(matrix, v, facts[r]).l_cnf
                 T.backward(graph)
                 assert loss.data[r] == float(graph.data)
                 np.testing.assert_allclose(x.grad[r], x_r.grad, rtol=0.0, atol=1e-12)
 
-                # the gradient with respect to v itself, fact positions included
-                bits = v.data[r]
+                # at free atoms, the gradient with respect to the prediction bits themselves
+                bits = v.data
                 v_graph = Tensor(bits.copy(), requires_grad=True)
                 T.backward(cnf_loss(matrix, v_graph, facts[r]).l_cnf)
                 v_rows = Tensor(bits[None].copy(), requires_grad=True)
                 T.backward(T.sum_last(cnf_loss_rows(matrix, v_rows, facts[r][None])))
-                np.testing.assert_allclose(v_rows.grad[0], v_graph.grad, rtol=0.0, atol=1e-12)
+                free = facts[r] == 0
+                assert np.all(v_rows.grad[0][~free] == 0.0)
+                np.testing.assert_allclose(v_rows.grad[0][free], v_graph.grad[free], rtol=0.0, atol=1e-12)
 
                 oracle = closed_form_grad(
                     theory, FactVector(facts[r]), Assignment(bits.astype(np.int8)), assume_satisfiable=True
                 )
-                free = facts[r] == 0
                 np.testing.assert_allclose(v_rows.grad[0][free], oracle.g_total[free], rtol=0.0, atol=1e-12)
 
     def test_golden_example(self):
         theory, matrix, facts = make_golden()
         x = Tensor(np.array([GOLDEN_X]), requires_grad=True)
-        loss = cnf_loss_rows(matrix, assemble_prediction(facts.bits[None], x, "bp"), facts.bits[None])
+        loss = cnf_loss_rows(matrix, x, facts.bits[None], "bp")
         assert loss.data.tolist() == [GOLDEN_FORWARD["cnf"]]
         T.backward(T.sum_last(loss))
         assert x.grad[0].tolist() == list(GOLDEN_GRADS["cnf"])
 
     def test_upstream_gradient_scales_each_row(self):
         _, matrix, facts = make_golden()
-        bits = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-        v = Tensor(bits, requires_grad=True)
-        loss = cnf_loss_rows(matrix, v, np.stack([facts.bits, facts.bits]))
+        x = Tensor(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), requires_grad=True)
+        loss = cnf_loss_rows(matrix, x, np.stack([facts.bits, facts.bits]))
         T.backward(T.sum_last(loss * Tensor(np.array([1.0, 3.0]))))
-        assert np.array_equal(v.grad[1], 3.0 * v.grad[0])
+        assert np.array_equal(x.grad[1], 3.0 * x.grad[0])
 
-    def test_rejects_unbinarized_rows(self):
+    @pytest.mark.parametrize("fn,tail", [("bp", 0.0), ("b", 1.0)])
+    def test_columns_past_x_are_binarized_zeros_unless_facts(self, fn, tail):
+        # (p3) and (-p3 | p2): only the atoms after the k = 1 columns of x decide the loss
+        matrix = build_matrix(theory_from_clauses([(3,), (-3, 2)], 3))
+        facts = np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int8)
+        x = Tensor(np.full((3, 1), 0.25), requires_grad=True)
+        loss = cnf_loss_rows(matrix, x, facts, fn)
+        v = np.where(facts == 1, 1.0, np.concatenate([np.zeros((3, 1)), np.full((3, 2), tail)], axis=1))
+        want = [float(cnf_loss(matrix, Tensor(v[r]), facts[r]).l_cnf.data) for r in range(3)]
+        assert loss.data.tolist() == want
+        assert want == ([1.5, 1.5, 1.5] if fn == "bp" else [0.0, 0.0, 0.0])
+        T.backward(T.sum_last(loss))
+        assert x.grad.shape == (3, 1) and np.all(x.grad == 0.0)
+
+    def test_rejects_bp_input_outside_unit_interval(self):
         _, matrix, facts = make_golden()
-        with pytest.raises(ValueError, match="binarized"):
-            cnf_loss_rows(matrix, Tensor(np.array([[1.0, 0.5, 0.0]])), facts.bits[None])
+        with pytest.raises(ValueError, match=r"'bp' input must lie in \[0, 1\]"):
+            cnf_loss_rows(matrix, Tensor(np.array([[0.2, 1.5]])), facts.bits[None], "bp")
+        assert cnf_loss_rows(matrix, Tensor(np.array([[0.2, 1.5]])), facts.bits[None], "b").shape == (1,)
+        with pytest.raises(ValueError, match="unknown fn"):
+            cnf_loss_rows(matrix, Tensor(np.array([[0.2]])), facts.bits[None], "sign")
 
     def test_shape_mismatch(self):
         _, matrix, facts = make_golden()
@@ -464,6 +506,10 @@ class TestFusedRows:
             cnf_loss_rows(matrix, Tensor(np.array([1.0, 0.0, 1.0])), facts.bits)
         with pytest.raises(ShapeError):
             cnf_loss_rows(matrix, Tensor(np.ones((2, 3))), facts.bits[None])
+        with pytest.raises(ShapeError, match=r"x has shape \(1, 4\)"):
+            cnf_loss_rows(matrix, Tensor(np.ones((1, 4))), np.zeros((1, 4)))
+        with pytest.raises(ShapeError):
+            cnf_loss_rows(matrix, Tensor(np.ones((1, 2))), np.zeros((1, 2)))
 
 
 class TestLossWeights:

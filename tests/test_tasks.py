@@ -8,10 +8,11 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad import verify as V
-from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, hint_loss, sum_loss
+from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, hint_loss, sum_loss
 from cnfgrad.closs import closed_form_grad
-from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, parse_dimacs, serialize_dimacs
+from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, parse_dimacs, serialize_dimacs
 from cnfgrad.tensor import Tensor
+from kernel_reference import reference_rows
 
 
 STATED_SHAPES = {
@@ -208,9 +209,10 @@ def assert_same_objective(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12)
 
 
-def dense_rows(matrix, v, f):
-    """A stand-in for ``cnf_loss_rows``: the dense graph ``cnf_loss`` over the same rows."""
-    return cnf_loss(matrix, v, f).l_cnf
+def dense_rows(matrix, x, f, fn="bp", ste=T.SteMode.ISTE):
+    """A stand-in for ``cnf_loss_rows``: the dense graph ``cnf_loss`` over the zero-padded, assembled rows."""
+    padded = T.concat([x, T.constant(np.zeros((x.shape[0], matrix.shape[1] - x.shape[1])))])
+    return cnf_loss(matrix, assemble_prediction(f, padded, fn, ste), f).l_cnf
 
 
 def tiny_data(task, seed=0):
@@ -245,6 +247,38 @@ class TestSparseTraining:
         monkeypatch.setattr(TK, "cnf_loss_rows", dense_rows)
         assert_same_objective(sparse, objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch)))
 
+    @pytest.mark.parametrize("name", TK.TASK_NAMES)
+    def test_kernel_matches_reference_chain_on_registered_theory(self, name, request):
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        n = task.theory.n
+        rng = np.random.default_rng(len(name))
+        for fn, ste in (("bp", T.SteMode.ISTE), ("b", T.SteMode.SSTE)):
+            k = int(rng.integers(1, n + 1))
+            facts = (rng.random((2, n)) < 0.05).astype(np.int8)
+            xs = rng.random((2, k)) if fn == "bp" else rng.uniform(-2.0, 2.0, (2, k))
+            weights = Tensor(rng.normal(size=2))
+            got, want = Tensor(xs.copy(), requires_grad=True), Tensor(xs.copy(), requires_grad=True)
+            fused = cnf_loss_rows(task.matrix, got, facts, fn, ste)
+            chain = reference_rows(task.matrix, want, facts, fn, ste)
+            assert fused.data.tobytes() == chain.data.tobytes()
+            T.backward(T.sum_last(fused * weights))
+            T.backward(T.sum_last(chain * weights))
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    # sudoku9 is left out: its data generation refuses boards above 4x4 (tests/test_datasets.py).
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
+    def test_training_matches_reference_chain_bytes(self, name, monkeypatch, request):
+        """Two small epochs through the fused kernel and through the pre-fusion chain train the same bytes."""
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        data = tiny_data(task, seed=5)
+        config = task.default_config(seed=5, epochs=2, batch_size=2)
+        runs, calls = [], []
+        for _ in range(2):
+            net, rows = N.run_training(data, config)
+            runs.append((N.format_metrics(rows), [p.data.tobytes() for p in net.params()]))
+            monkeypatch.setattr(TK, "cnf_loss_rows", lambda *args: calls.append(args) or reference_rows(*args))
+        assert calls and runs[0] == runs[1]
+
 
 class TestNoGradientForConstants:
     """Backward closures skip an operand without a grad buffer before computing its gradient."""
@@ -275,6 +309,20 @@ class TestNoGradientForConstants:
         has_buffer = self.watch_acc(monkeypatch)
         assert V.gradient_suite(trials=1, seed=0).ok
         assert has_buffer and all(has_buffer)
+
+    def test_constraint_kernel_on_constant_outputs(self, monkeypatch):
+        theory, facts = V.golden_theory()
+        scale = Tensor(np.ones(1), requires_grad=True)
+        loss = T.sum_last(cnf_loss_rows(build_matrix(theory), Tensor(np.array([V.GOLDEN_X])), facts.bits[None]) * scale)
+        has_buffer = self.watch_acc(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel computed a gradient for constant outputs")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        T.backward(loss)
+        assert has_buffer and all(has_buffer)
+        assert scale.grad.tolist() == [V.GOLDEN_FORWARD["cnf"]]
 
 
 class TestSudokuBatchLoss:
@@ -410,16 +458,21 @@ class TestApply2x2BatchLoss:
     are checked against the sparse forward evaluator and the counting oracle."""
 
     def rows_of_batch(self, task, net, batch, config, monkeypatch):
+        """The batch's terms, and the 0/1 prediction rows and fact rows its kernel call reads."""
         captured = {}
         real = TK.cnf_loss_rows
 
-        def spy(matrix, v, f):
-            captured["v"], captured["f"] = v.data.copy(), f.copy()
-            return real(matrix, v, f)
+        def spy(matrix, x, f, fn, ste):
+            captured["x"], captured["f"] = x.data.copy(), f.copy()
+            assert fn == config.fn == "bp"
+            return real(matrix, x, f, fn, ste)
 
         monkeypatch.setattr(TK, "cnf_loss_rows", spy)
         means = task.batch_loss(net, batch, config)
-        return means, captured["v"], captured["f"]
+        x, f = captured["x"], captured["f"]
+        assert x.shape == (f.shape[0], 9)
+        v = f | np.concatenate([x >= 0.5, np.zeros((f.shape[0], task.theory.n - 9), dtype=bool)], axis=1)
+        return means, v.astype(np.float64), f
 
     def test_rows_are_the_truth_pair_layout(self, monkeypatch):
         task = TK.make_task("apply2x2")
@@ -447,7 +500,7 @@ class TestApply2x2BatchLoss:
         net = task.build_net(12)
         _, v, f = self.rows_of_batch(task, net, batch, task.default_config(seed=12), monkeypatch)
         leaf = Tensor(v, requires_grad=True)
-        T.backward(T.sum_last(TK.cnf_loss_rows(task.matrix, leaf, f)))
+        T.backward(T.sum_last(cnf_loss_rows(task.matrix, leaf, f)))
         for row in range(v.shape[0]):
             oracle = closed_form_grad(
                 task.theory, FactVector(f[row]), Assignment(v[row].astype(np.int8)), assume_satisfiable=True
