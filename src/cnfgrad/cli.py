@@ -157,7 +157,7 @@ def _check_sample(theory: CnfTheory, facts, cap: int, samples: int, seed: int) -
         sub_clauses = [
             tuple((1 if lit > 0 else -1) * (remap[abs(lit) - 1] + 1) for lit in theory.clauses[i]) for i in chosen
         ]
-        sub = theory_from_clauses(sub_clauses, len(order), [theory.atom_names[a] for a in order])
+        sub = theory_from_clauses(sub_clauses, len(order))
         sub_facts = parse_facts("".join(f"{remap[a] + 1}\n" for a in facts.atoms if a in remap), len(order))
         report = brute_force(sub, sub_facts, cap=cap)
         status = "SAT" if report.satisfiable else "UNSAT"

@@ -1,17 +1,20 @@
 """Propositional CNF theories: parsing, matrices, and exhaustive oracles.
 
-Clauses are stored as tuples of nonzero DIMACS-style literals: literal
-``+k`` is atom index ``k-1`` positive, ``-k`` the same atom negated. A
-clause may be empty (it is then unsatisfiable under every assignment),
-but no clause may mention the same atom twice: duplicated or tautological
-clauses are rejected at construction time because the loss equations
-downstream assume one occurrence per atom per clause.
+Literals are nonzero DIMACS-style integers: ``+k`` is atom index ``k-1``
+positive, ``-k`` the same atom negated. Clause i of a theory is
+``literals[indptr[i]:indptr[i + 1]]``. A clause may be empty (it is then
+unsatisfiable under every assignment), but no clause may mention the same
+atom twice: duplicated or tautological clauses are rejected at
+construction time because the loss equations downstream assume one
+occurrence per atom per clause.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,51 +31,61 @@ class DimacsError(ValueError):
     """Malformed DIMACS / facts / name-map input."""
 
 
-def _check_clause(lits: Sequence[int], n: int, where: str) -> Clause:
-    seen: set[int] = set()
-    for lit in lits:
-        if lit == 0:
-            raise DimacsError(f"{where}: literal 0 is reserved as the clause terminator")
-        if abs(lit) > n:
-            raise DimacsError(f"{where}: variable {abs(lit)} out of range (n={n})")
-        atom = abs(lit) - 1
-        if atom in seen:
-            raise DimacsError(f"{where}: duplicate or tautological occurrence of variable {abs(lit)}")
-        seen.add(atom)
-    return tuple(int(lit) for lit in lits)
-
-
-@dataclass(frozen=True)
 class CnfTheory:
-    """A clause set over a fixed, ordered atom signature."""
+    """A clause set over ``n`` ordered atoms, stored as CSR literal arrays.
 
-    atom_names: tuple[str, ...]
-    clauses: tuple[Clause, ...]
+    ``clauses`` (tuples) and ``atom_names`` (listed by ``names``; by
+    default ``"1"``..``"n"``) are built on first read.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.atom_names)
-        checked = tuple(_check_clause(cl, n, f"clause {i + 1}") for i, cl in enumerate(self.clauses))
-        object.__setattr__(self, "clauses", checked)
-
-    @property
-    def n(self) -> int:
-        return len(self.atom_names)
+    def __init__(self, n: int, indptr, literals, names: Callable[[], Iterable[str]] | None = None):
+        self.n = n
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.literals = np.asarray(literals, dtype=np.int64)
+        if self.indptr[0] != 0 or self.indptr[-1] != self.literals.size or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("clause offsets must rise from 0 to the literal count")
+        self.indptr.setflags(write=False)
+        self.literals.setflags(write=False)
+        self._names = names or (lambda: map(str, range(1, n + 1)))
+        atoms = np.abs(self.literals)
+        bad = (atoms == 0) | (atoms > n)
+        # A repeated atom repeats its clause*(n+1)+atom key; stable order keeps the first occurrence first.
+        keys = np.repeat(np.arange(self.m), np.diff(self.indptr)) * (n + 1) + np.where(bad, 0, atoms)
+        order = np.argsort(keys, kind="stable")
+        bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        if bad.any():
+            at = int(np.argmax(bad))
+            lit, where = int(self.literals[at]), f"clause {np.searchsorted(self.indptr, at, side='right')}"
+            if lit == 0:
+                raise DimacsError(f"{where}: literal 0 is reserved as the clause terminator")
+            if abs(lit) > n:
+                raise DimacsError(f"{where}: variable {abs(lit)} out of range (n={n})")
+            raise DimacsError(f"{where}: duplicate or tautological occurrence of variable {abs(lit)}")
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return self.indptr.size - 1
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        lits, ends = self.literals.tolist(), self.indptr.tolist()
+        return tuple(tuple(lits[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def atom_names(self) -> tuple[str, ...]:
+        names = tuple(self._names())
+        if len(names) != self.n:
+            raise DimacsError(f"{len(names)} names for {self.n} atoms")
+        return names
 
     def with_atom_names(self, names: Sequence[str]) -> "CnfTheory":
-        if len(names) != self.n:
-            raise DimacsError(f"name map has {len(names)} names for {self.n} atoms")
-        return CnfTheory(tuple(names), self.clauses)
+        return CnfTheory(self.n, self.indptr, self.literals, lambda: names)
 
 
-def theory_from_clauses(clauses: Iterable[Sequence[int]], n: int, atom_names: Sequence[str] | None = None) -> CnfTheory:
-    names = tuple(atom_names) if atom_names is not None else tuple(str(k) for k in range(1, n + 1))
-    if len(names) != n:
-        raise DimacsError(f"{len(names)} names for {n} atoms")
-    return CnfTheory(names, tuple(tuple(cl) for cl in clauses))
+def theory_from_clauses(clauses: Iterable[Sequence[int]], n: int, names: Callable[[], Iterable[str]] | None = None) -> CnfTheory:
+    clauses = list(clauses)
+    indptr = np.cumsum([0, *map(len, clauses)])
+    return CnfTheory(n, indptr, np.fromiter(itertools.chain.from_iterable(clauses), np.int64, int(indptr[-1])), names)
 
 
 @dataclass(frozen=True)
@@ -187,19 +200,13 @@ def parse_dimacs(text: str) -> CnfTheory:
         raise DimacsError("missing 'p cnf' header")
     n, m = header
 
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            clauses.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        raise DimacsError(f"clause {len(clauses) + 1}: missing '0' terminator")
-    if len(clauses) != m:
-        raise DimacsError(f"header promises {m} clauses, found {len(clauses)}")
-    return theory_from_clauses(clauses, n)
+    toks = np.array(tokens, dtype=np.int64)
+    ends = np.flatnonzero(toks == 0)
+    if toks.size and toks[-1] != 0:
+        raise DimacsError(f"clause {ends.size + 1}: missing '0' terminator")
+    if ends.size != m:
+        raise DimacsError(f"header promises {m} clauses, found {ends.size}")
+    return CnfTheory(n, np.concatenate([[0], ends - np.arange(m)]), toks[toks != 0])
 
 
 def serialize_dimacs(theory: CnfTheory) -> str:
@@ -258,9 +265,6 @@ class ClauseMatrix:
     indices: np.ndarray
     values: np.ndarray
 
-    def row_literal_count(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def dense(self) -> np.ndarray:
         """Materialize as a fresh float64 array."""
         m, n = self.shape
@@ -270,20 +274,8 @@ class ClauseMatrix:
 
 
 def build_matrix(theory: CnfTheory) -> ClauseMatrix:
-    indptr = np.zeros(theory.m + 1, dtype=np.int64)
-    cols: list[int] = []
-    vals: list[int] = []
-    for i, clause in enumerate(theory.clauses):
-        for lit in clause:
-            cols.append(abs(lit) - 1)
-            vals.append(1 if lit > 0 else -1)
-        indptr[i + 1] = len(cols)
-    return ClauseMatrix(
-        shape=(theory.m, theory.n),
-        indptr=indptr,
-        indices=np.asarray(cols, dtype=np.int64),
-        values=np.asarray(vals, dtype=np.int8),
-    )
+    """The theory's matrix; it shares the theory's read-only ``indptr``."""
+    return ClauseMatrix((theory.m, theory.n), theory.indptr, np.abs(theory.literals) - 1, np.sign(theory.literals).astype(np.int8))
 
 
 # -- exhaustive reasoning -----------------------------------------------------

@@ -25,12 +25,11 @@ from . import tensor as T
 from .closs import (
     LossWeights,
     bound_loss,
-    cnf_loss_forward,
     cnf_loss_rows,
     hint_loss,
     sum_loss,
 )
-from .cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, build_matrix, theory_from_clauses
+from .cnf import Assignment, CnfTheory, FactVector, build_matrix, theory_from_clauses
 from .nn import Mlp, TrainConfig
 from .tensor import SteMode, Tensor
 
@@ -73,31 +72,23 @@ def mnist_add_theory(digits: int = 1, include_uec: bool = False) -> CnfTheory:
     sums = tuples // base + tuples % base
     order = np.argsort(sums, kind="stable")
     bounds = np.searchsorted(sums[order], np.arange(nsum + 1))
+    sum_base = npred + (20 if include_uec else 0)
+    # Sum clause l is -sum(l) followed by the joint atoms that reach l, in atom order.
+    indptr = bounds + np.arange(nsum + 1)
+    literals = np.insert(order + 1, bounds[:-1], -(sum_base + 1 + np.arange(nsum)))
 
-    width = 2 * digits
-    pred_names = [
-        "pred(" + ",".join(str((p // 10**(width - 1 - k)) % 10) for k in range(width)) + ")" for p in range(npred)
-    ]
+    def names() -> list[str]:
+        numbers = [",".join(f"{k:0{digits}d}") for k in range(base)]
+        preds = [f"pred({first},{second})" for first in numbers for second in numbers]
+        if include_uec:
+            preds = ["conj(" + name[5:] for name in preds] + [f"digit({i},{n})" for i in (1, 2) for n in range(10)]
+        return preds + [f"sum({l})" for l in range(nsum)]
 
     if not include_uec:
-        names = pred_names + [f"sum({l})" for l in range(nsum)]
-        clauses = [
-            (-(npred + l + 1),) + tuple(int(p) + 1 for p in order[bounds[l] : bounds[l + 1]]) for l in range(nsum)
-        ]
-        return theory_from_clauses(clauses, npred + nsum, names)
-
-    conj_names = ["conj(" + name[5:] for name in pred_names]
-    names = conj_names + [f"digit({i},{n})" for i in (1, 2) for n in range(10)] + [f"sum({l})" for l in range(nsum)]
-    sum_base = npred + 20
-    clauses = [
-        (-(sum_base + l + 1),) + tuple(int(p) + 1 for p in order[bounds[l] : bounds[l + 1]]) for l in range(nsum)
-    ]
-    for i in range(2):
-        clauses.append(tuple(npred + 10 * i + n + 1 for n in range(10)))
-    for i in range(2):
-        for n1, n2 in itertools.combinations(range(10), 2):
-            clauses.append((-(npred + 10 * i + n1 + 1), -(npred + 10 * i + n2 + 1)))
-    return theory_from_clauses(clauses, npred + 20 + nsum, names)
+        return CnfTheory(npred + nsum, indptr, literals, names)
+    digit_atoms = [range(npred + 10 * i + 1, npred + 10 * i + 11) for i in range(2)]
+    exclusions = [(-a, -b) for atoms in digit_atoms for a, b in itertools.combinations(atoms, 2)]
+    return theory_from_clauses(np.split(literals, indptr[1:-1]) + digit_atoms + exclusions, npred + 20 + nsum, names)
 
 
 #: The (row 1, row 2, column 1, column 2) position pairs of a 2x2 grid: add2x2
@@ -107,7 +98,7 @@ ADD2X2_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 def add2x2_theory() -> CnfTheory:
     """Four families of sum clauses, one per row/column pair of the grid."""
-    names = [
+    names = lambda: [
         f"conj(i{a + 1},{i},i{b + 1},{j})" for a, b in ADD2X2_PAIRS for i in range(10) for j in range(10)
     ] + [f"sum(i{a + 1},i{b + 1},{r})" for a, b in ADD2X2_PAIRS for r in range(19)]
     clauses = []
@@ -136,7 +127,6 @@ def apply2x2_theory() -> tuple[CnfTheory, dict[tuple[int, int, int, int], int]]:
     atom per reachable (d1, d2, d3, result) combination over digits 0-10.
     Returns the theory plus the lookup from that combination to its atom.
     """
-    names = [f"op({s1},{s2})" for s1 in APPLY_OPS for s2 in APPLY_OPS]
     clauses = []
     lookup: dict[tuple[int, int, int, int], int] = {}
     for d1 in range(11):
@@ -150,9 +140,9 @@ def apply2x2_theory() -> tuple[CnfTheory, dict[tuple[int, int, int, int], int]]:
                 for r in sorted(results):
                     atom = 9 + len(lookup)
                     lookup[(d1, d2, d3, r)] = atom
-                    names.append(f"apply({d1},{d2},{d3},{r})")
                     clauses.append((-(atom + 1),) + tuple(pair + 1 for pair in results[r]))
-    return theory_from_clauses(clauses, len(names), names), lookup
+    names = lambda: [f"op({s1},{s2})" for s1 in APPLY_OPS for s2 in APPLY_OPS] + [f"apply({d1},{d2},{d3},{r})" for d1, d2, d3, r in lookup]
+    return theory_from_clauses(clauses, 9 + len(lookup), names), lookup
 
 
 def member_theory(k: int = 3) -> CnfTheory:
@@ -164,8 +154,7 @@ def member_theory(k: int = 3) -> CnfTheory:
     """
     if k < 1:
         raise ValueError("member needs at least one image")
-    names = [f"digit(i{i + 1},{d})" for i in range(k) for d in range(10)]
-    names += [f"in({d},0)" for d in range(10)] + [f"in({d},1)" for d in range(10)]
+    names = lambda: [f"digit(i{i + 1},{d})" for i in range(k) for d in range(10)] + [f"in({d},{b})" for b in (0, 1) for d in range(10)]
     clauses = []
     for d in range(10):
         clauses.append((-(10 * k + 10 + d + 1),) + tuple(10 * i + d + 1 for i in range(k)))
@@ -187,32 +176,21 @@ def sudoku_theory(side: int = 9, include_box_uec: bool = False) -> CnfTheory:
     if b * b != side:
         raise ValueError(f"side must be a perfect square, got {side}")
 
-    def atom(r: int, c: int, n: int) -> int:
-        return side * (side * r + c) + n
-
-    names = [f"a({r + 1},{c + 1},{n + 1})" for r in range(side) for c in range(side) for n in range(side)]
-    groups: list[list[int]] = []
-    for c in range(side):
-        for n in range(side):
-            groups.append([atom(r, c, n) for r in range(side)])
-    for r in range(side):
-        for n in range(side):
-            groups.append([atom(r, c, n) for c in range(side)])
-    for r in range(side):
-        for c in range(side):
-            groups.append([atom(r, c, n) for n in range(side)])
+    cube = np.arange(side**3).reshape(side, side, side)
+    groups = [cube.transpose(1, 2, 0), cube.transpose(0, 2, 1), cube]
     if include_box_uec:
-        for box in range(side):
-            br, bc = divmod(box, b)
-            cells = [(br * b + dr, bc * b + dc) for dr in range(b) for dc in range(b)]
-            for n in range(side):
-                groups.append([atom(r, c, n) for r, c in cells])
-    clauses = []
-    for group in groups:
-        clauses.append(tuple(a + 1 for a in group))
-        for a1, a2 in itertools.combinations(group, 2):
-            clauses.append((-(a1 + 1), -(a2 + 1)))
-    return theory_from_clauses(clauses, side**3, names)
+        groups.append(cube.reshape(b, b, b, b, side).transpose(0, 2, 4, 1, 3))
+    names = lambda: [f"a({r + 1},{c + 1},{n + 1})" for r in range(side) for c in range(side) for n in range(side)]
+    return CnfTheory(side**3, *_exactly_one(np.concatenate([g.reshape(-1, side) for g in groups])), names)
+
+
+def _exactly_one(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of, per row of atom indices, its existence clause and then its pairwise exclusions."""
+    count, size = groups.shape
+    pairs = np.array(list(itertools.combinations(range(size), 2)), dtype=np.int64).reshape(-1, 2)
+    literals = np.concatenate([groups + 1, -1 - groups[:, pairs].reshape(count, -1)], axis=1)
+    lengths = np.tile([size] + [2] * len(pairs), count)
+    return np.concatenate([[0], np.cumsum(lengths)]), literals.reshape(-1)
 
 
 def sudoku_sum_groups(side: int = 9) -> np.ndarray:
@@ -241,8 +219,9 @@ def shortest_path_theory() -> CnfTheory:
     """
     edges = D.grid_edges()
     side = D.GRID_SIDE
-    names = [f"terminal({i + 1},{j + 1})" for i in range(side) for j in range(side)]
-    names += [f"sp({u // side + 1},{u % side + 1},{v // side + 1},{v % side + 1})" for u, v in edges]
+    names = lambda: [f"terminal({i + 1},{j + 1})" for i in range(side) for j in range(side)] + [
+        f"sp({u // side + 1},{u % side + 1},{v // side + 1},{v % side + 1})" for u, v in edges
+    ]
     incident: list[list[int]] = [[] for _ in range(side * side)]
     for e, (u, v) in enumerate(edges):
         incident[u].append(e)
@@ -262,11 +241,7 @@ def exactly_one_theory(classes: int = 10) -> CnfTheory:
     """One existence clause plus pairwise exclusions over class atoms."""
     if classes < 1:
         raise ValueError("need at least one class")
-    names = [f"pred({c})" for c in range(classes)]
-    clauses = [tuple(range(1, classes + 1))]
-    for c1, c2 in itertools.combinations(range(classes), 2):
-        clauses.append((-(c1 + 1), -(c2 + 1)))
-    return theory_from_clauses(clauses, classes, names)
+    return CnfTheory(classes, *_exactly_one(np.arange(classes)[None]), lambda: [f"pred({c})" for c in range(classes)])
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +271,7 @@ class TaskSpec:
     def __init__(self, theory: CnfTheory):
         self.theory = theory
         self.weights = replace(self.weights)
-        self._matrix: ClauseMatrix | None = None
-
-    @property
-    def matrix(self) -> ClauseMatrix:
-        if self._matrix is None:
-            self._matrix = build_matrix(self.theory)
-        return self._matrix
+        self.matrix = build_matrix(theory)
 
     def default_config(self, **overrides) -> TrainConfig:
         """The task's recipe as a ``TrainConfig``; ``overrides`` are constructor keywords and win."""
@@ -328,12 +297,11 @@ class TaskSpec:
 
     def check_instance(self, inst) -> bool:
         """Ground-truth assembly must satisfy the theory (zero loss)."""
-        threshold = 0.5 if self.fn == "bp" else 0.0
-        for x, facts in self.truth_pairs(inst):
-            v = facts.bits + (1 - facts.bits) * (x >= threshold)
-            if cnf_loss_forward(self.matrix, v.astype(np.int8), facts).l_cnf != 0.0:
-                return False
-        return True
+        pairs = self.truth_pairs(inst)
+        if not pairs:
+            return True
+        x = T.constant(np.stack([x for x, _ in pairs]))
+        return not cnf_loss_rows(self.matrix, x, np.stack([facts.bits for _, facts in pairs]), self.fn).data.any()
 
 
 def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:

@@ -95,7 +95,7 @@ GOLDEN_GRADS = {
 
 
 def golden_theory() -> tuple[CnfTheory, FactVector]:
-    theory = theory_from_clauses([(-1, -2, 3), (-1, 2)], 3, ["a", "b", "c"])
+    theory = theory_from_clauses([(-1, -2, 3), (-1, 2)], 3, lambda: ("a", "b", "c"))
     return theory, FactVector.from_atoms([0], 3)
 
 

@@ -6,6 +6,7 @@ from cnfgrad.cnf import (
     ENUM_CAP,
     MAX_LISTED_MODELS,
     Assignment,
+    CnfTheory,
     DimacsError,
     FactVector,
     brute_force,
@@ -71,6 +72,76 @@ class TestParseDimacs:
     def test_empty_clause_is_legal(self):
         theory = parse_dimacs("p cnf 2 1\n0\n")
         assert theory.clauses == ((),)
+
+
+def scan_first_error(clauses, n):
+    """The per-literal validation the array check replaced: the message of the first bad literal, or None."""
+    for k, clause in enumerate(clauses, start=1):
+        seen = set()
+        for lit in clause:
+            if lit == 0:
+                return f"clause {k}: literal 0 is reserved as the clause terminator"
+            if abs(lit) > n:
+                return f"clause {k}: variable {abs(lit)} out of range (n={n})"
+            if abs(lit) in seen:
+                return f"clause {k}: duplicate or tautological occurrence of variable {abs(lit)}"
+            seen.add(abs(lit))
+    return None
+
+
+class TestArrayInput:
+    # Clause 1 is (1, 2), clause 2 is empty, clause 3 holds the last two literals.
+    INDPTR = [0, 2, 2, 4]
+
+    @pytest.mark.parametrize(
+        "literals,message",
+        [
+            ([1, 2, 3, 0], "clause 3: literal 0 is reserved as the clause terminator"),
+            ([1, 2, -4, 3], "clause 3: variable 4 out of range (n=3)"),
+            ([1, 2, -3, 3], "clause 3: duplicate or tautological occurrence of variable 3"),
+            ([1, -1, 4, 0], "clause 1: duplicate or tautological occurrence of variable 1"),
+        ],
+    )
+    def test_bad_literal_names_its_clause(self, literals, message):
+        with pytest.raises(DimacsError) as info:
+            CnfTheory(3, self.INDPTR, np.array(literals))
+        assert str(info.value) == message
+
+    def test_offsets_must_cover_the_literals(self):
+        for indptr in ([1, 2, 2, 4], [0, 2, 2, 3], [0, 3, 2, 4]):
+            with pytest.raises(ValueError, match="clause offsets"):
+                CnfTheory(3, indptr, np.array([1, 2, 3, -1]))
+
+    def test_clauses_and_names_are_built_from_the_arrays(self):
+        theory = CnfTheory(3, self.INDPTR, np.array([1, -2, -3, 1]), lambda: "abc")
+        assert theory.m == 3 and theory.clauses == ((1, -2), (), (-3, 1))
+        assert theory.atom_names == ("a", "b", "c")
+        with pytest.raises(ValueError, match="read-only"):
+            theory.literals[0] = 2
+
+    def test_name_count_is_checked_when_names_are_read(self):
+        theory = parse_dimacs(WORKED).with_atom_names(["a", "b"])
+        with pytest.raises(DimacsError, match="2 names for 3 atoms"):
+            theory.atom_names
+
+    def test_matches_per_literal_scan(self):
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            clauses = [
+                tuple(int(v) for v in rng.integers(-n - 1, n + 2, size=int(rng.integers(0, 4))))
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            want = scan_first_error(clauses, n)
+            outcomes.add(want.split(": ")[1][:8] if want else None)
+            if want is None:
+                assert theory_from_clauses(clauses, n).clauses == tuple(clauses)
+                continue
+            with pytest.raises(DimacsError) as info:
+                theory_from_clauses(clauses, n)
+            assert str(info.value) == want
+        assert outcomes == {None, "literal ", "variable", "duplicat"}
 
 
 class TestSerializeDimacs:
@@ -141,10 +212,25 @@ class TestClauseMatrix:
             theory = random_theory(rng, n_max=8, m_max=12, allow_empty=True)
             matrix = build_matrix(theory)
             dense = matrix.dense()
+            assert np.diff(matrix.indptr).tolist() == [len(clause) for clause in theory.clauses]
             for i, clause in enumerate(theory.clauses):
-                assert matrix.row_literal_count(i) == len(clause)
                 assert np.abs(dense[i]).sum() == len(clause)
                 assert (dense[i] * dense[i]).sum() == len(clause)
+
+    def test_matches_per_literal_build(self):
+        # The loop build_matrix used before it read the theory's arrays.
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            theory = random_theory(rng, n_max=8, m_max=12, allow_empty=True)
+            indptr, cols, vals = [0], [], []
+            for clause in theory.clauses:
+                cols += [abs(lit) - 1 for lit in clause]
+                vals += [1 if lit > 0 else -1 for lit in clause]
+                indptr.append(len(cols))
+            matrix = build_matrix(theory)
+            arrays = (matrix.indptr, matrix.indices, matrix.values)
+            for got, want, dtype in zip(arrays, (indptr, cols, vals), (np.int64, np.int64, np.int8)):
+                assert got.dtype == dtype and got.tobytes() == np.array(want, dtype=dtype).tobytes()
 
     def test_entries_match_literals(self):
         theory = parse_dimacs(WORKED)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -10,7 +12,7 @@ from cnfgrad import tensor as T
 from cnfgrad import verify as V
 from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, hint_loss, sum_loss
 from cnfgrad.closs import closed_form_grad
-from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, parse_dimacs, serialize_dimacs
+from cnfgrad.cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, build_matrix, parse_dimacs, serialize_atom_names, serialize_dimacs
 from cnfgrad.tensor import Tensor
 from kernel_reference import reference_rows
 
@@ -30,7 +32,7 @@ STATED_SHAPES = {
 
 @pytest.fixture(scope="module")
 def mnist_add3_task():
-    """Built once: its theory takes seconds to generate."""
+    """Built once and shared by the tests of the largest theory."""
     return TK.make_task("mnist-add3")
 
 
@@ -108,6 +110,13 @@ class TestGroundTruthAssembly:
         ds = task.make_data(seed=5, n_labeled=30, n_unlabeled=5, n_test=5)
         assert all(task.check_instance(inst) for inst in ds.train)
 
+    @pytest.mark.parametrize("name,wrong", [("mnist-add", "label_sum"), ("member3", "label")])
+    def test_wrong_label_fails_the_check(self, name, wrong):
+        task = TK.make_task(name)
+        for inst in task.make_data(seed=5, n_train=10, n_test=2).train:
+            flipped = (getattr(inst, wrong) + 1) % (19 if wrong == "label_sum" else 2)
+            assert not task.check_instance(dataclasses.replace(inst, **{wrong: flipped}))
+
     def test_mnist_add2_truth(self):
         task = TK.make_task("mnist-add2")
         ds = task.make_data(seed=5, n_train=10, n_test=2)
@@ -182,6 +191,123 @@ class TestSudokuTask:
         facts = task.board_facts(inst.q)
         T.backward(cnf_loss(task.matrix, assemble_prediction(facts, x, "bp"), facts).l_cnf)
         assert np.all(x.grad[facts.bits == 1] == 0.0)
+
+
+class TestTheoryPins:
+    # sha256 of serialize_dimacs, of serialize_atom_names and of the
+    # build_matrix arrays (dtype string, then bytes, for indptr, indices,
+    # values) of every registered theory and its --uec / box variant, taken
+    # from the per-literal builders these array builders replaced.
+    DIGESTS = {
+        ("mnist-add", ""): (
+            "c33d55f9ce21389feffe6d3f2dd0ce845934a73ee7ccdb9375b53606100e36d7",
+            "57336ad2ba0f26ee1c51d53f2367c61f2ed1d00db625adfb79ad7740c76c5a6f",
+            "1a6f0dea86bea0268b264a0ebbc5ce199dac169ef5b57292450b84a12748f4b7",
+        ),
+        ("mnist-add2", ""): (
+            "7949268e32e786b993b278a95564231fb6e832a2ce1654ef9bd9bd783a394583",
+            "7be90b023e10f13d9e0605a7dd890e9fe12c2cac581084784511bcc6a372d08f",
+            "47cfb4488e8896216c768c15402d7daa0bb5f8416343ae18c599d989282cb51d",
+        ),
+        ("mnist-add3", ""): (
+            "2d470b82fccd4faedda44ee4c18444ff09719c24a8e39d2790c78b292980d1aa",
+            "b9311e386a681c0b6f428e61816787594294c86833fb7ae82a642f2a3da68f5f",
+            "e36f258b465aafec9e9bc498c2be07b0f08dbf619f9c0843840402de46122fd3",
+        ),
+        ("add2x2", ""): (
+            "d001c0a4e6dd503d1b39d6d6a431865ce0a42e58a1faf1c48db7b2b9acef11b3",
+            "72294da15daebee7c7f97788688e1c475fafb6db076a240abce3551d6f4206e6",
+            "ee62a04555cd9dc23ba0f1d0f9ae0b2f8b8a951df5f3746a7c871c981a3403d7",
+        ),
+        ("apply2x2", ""): (
+            "ead77224f23a7c176af551b435c7b99328255eb929353d2eef3acba08bee58a5",
+            "7be0410593fe6a9c3cc6745a6efa4cfef2582b6a27f274c7eccd41f69f118602",
+            "5d0d9df77f954a7b3f390ba43975f88670c1c085681847e809eccb5954bc99b0",
+        ),
+        ("member3", ""): (
+            "f5080cab12b708cb56d0e40dbc984ffbe944250751a88b0b35ddf4881ecdb444",
+            "5d7daa38b5a286cdd828b7f1f355fbd342a810033e3d6a9d76e41237fb52c913",
+            "0097c251d752021eba3a36bfbc7435bd5f4a4665d852bbf330430b5a732012bc",
+        ),
+        ("member5", ""): (
+            "8ccb958e68afdb3d9e9a87512e1b9e60c3a9134019fc00ecad720a48c163a086",
+            "6f3d3b3ff5f9c3eb8a9d03625a53b72f2232859d4358d45b04e8eac82ccba2d1",
+            "a4b1f124c7876f7fad7f949281f41b84d270380a212c8275f4888cf9dfaf51eb",
+        ),
+        ("sudoku4", ""): (
+            "e0611e7d0e73eee1fbb62de5caed7f3400e198ba3dd4e17849bc10abcd8643e5",
+            "09e2c0bea6b20e3fff879ae95d79722264ae3171a37730f837510b5f7d9cac00",
+            "5d6d1a2a64ca37d6cd96e4dc8a2d61916e867280a2f322085b812e98d5a7b1c3",
+        ),
+        ("sudoku9", ""): (
+            "5284e0e873a36c101302ca3b5e2fdb6a64be624aff878283cb6bc569ff2d5f8e",
+            "63de27976008c6d9a66dd7a8b48d1d3927df1cf62c1714f47d719a986a4ba8fa",
+            "3172314693cb8a974f7a1554524a35de65aa5f6f979f5cadf5797d2a159eb589",
+        ),
+        ("shortest-path", ""): (
+            "844a32cb518e12053eb172b862b015ed26fb754113469e4c35e0a88dbd009aff",
+            "37402f6e8829fa9be732e86c31b80c4a7658c106251355bf79a634015f55aa32",
+            "5228ed50ef6d056eee6db803400bb894af44b13e9ac3a96e6020da0aac8aa05c",
+        ),
+        ("exactly-one", ""): (
+            "ed6bc75d6e7f583a0eb75551a699a51a72d3a3dba097a824dec6baa28bb9bc14",
+            "d2e7eff1f924cb6329c7284990035f850901d9795b4ebba3e3f1366697afa103",
+            "ddd0e7b5cf76f0b570df13fcff5de90fb522b7f2679eea334a8aabc4c48448eb",
+        ),
+        ("mnist-add", "include_uec"): (
+            "e9c677bc9eee1c1282174bc8768f1d2236f9abd4a43df957a49b9d8b97414641",
+            "9d34ccc1cf84bafa5823b297da8de17eb8ceb27e5f33d4c760ca0a0ae5dc8944",
+            "f9641a5b12f02fdb4890ad9741e0a0e9c8a7d7e664282002eb5e2489acaea71a",
+        ),
+        ("sudoku4", "include_box_uec"): (
+            "c677bc9cae4942370afd0a56d2da1bb217f29373d534bd732ec39e7d8b454959",
+            "09e2c0bea6b20e3fff879ae95d79722264ae3171a37730f837510b5f7d9cac00",
+            "7bfdf5686d50ce897bb124ab628b165e4e77da3ed11d619eba3f4fa61d8ddde7",
+        ),
+        ("sudoku9", "include_box_uec"): (
+            "3b19fed3f801c4e4d9246f3db70313adddab40f63e5da75487bf6f736891e6e9",
+            "63de27976008c6d9a66dd7a8b48d1d3927df1cf62c1714f47d719a986a4ba8fa",
+            "e0a38113e42492860c991951f894d171faa360a61e40639b93c1503fe177fb3d",
+        ),
+    }
+
+    @staticmethod
+    def matrix_digest(matrix) -> str:
+        digest = hashlib.sha256()
+        for arr in (matrix.indptr, matrix.indices, matrix.values):
+            digest.update(arr.dtype.str.encode())
+            digest.update(arr.tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("name,option", sorted(DIGESTS))
+    def test_theory_bytes_are_pinned(self, name, option):
+        # A fresh task, so that the shared mnist-add3 fixture does not keep a million cached names.
+        task = TK.make_task(name, **({option: True} if option else {}))
+        dimacs, names, matrix = self.DIGESTS[(name, option)]
+        assert hashlib.sha256(serialize_dimacs(task.theory).encode()).hexdigest() == dimacs
+        assert hashlib.sha256(serialize_atom_names(task.theory).encode()).hexdigest() == names
+        assert self.matrix_digest(build_matrix(task.theory)) == matrix
+
+
+class TestTheoryBuildCost:
+    @pytest.mark.parametrize("name", ["mnist-add2", "mnist-add3"])
+    def test_training_builds_no_names_or_clause_tuples(self, name, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a training path built atom names or clause tuples")
+
+        monkeypatch.setattr(CnfTheory, "atom_names", property(refuse))
+        monkeypatch.setattr(CnfTheory, "clauses", property(refuse))
+        task = TK.make_task(name)
+        net = task.build_net(0)
+        config = task.default_config(seed=0)
+        batch = tiny_data(task).train[:2]
+        _, grads = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
+    def test_mnist_add3_theory_and_matrix_build_fast(self, time_limit):
+        with time_limit(2, "mnist_add_theory(3) plus build_matrix"):
+            matrix = build_matrix(TK.mnist_add_theory(3))
+        assert matrix.shape == (1999, 1001999) and matrix.indptr[-1] == 10**6 + 1999
 
 
 def _tensor_sum(terms):
