@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from . import datasets as D
 from . import nn as N
 from . import tasks as TK
 from . import verify as V
-from .closs import LossWeights
 from .cnf import (
     ENUM_CAP,
     CnfTheory,
@@ -35,7 +35,17 @@ from .cnf import (
 from .nn import TrainConfig
 from .tensor import SteMode
 
-TRAIN_KEYS = ("seed", "batch", "epochs", "lr", "optimizer", "alpha", "beta", "gamma", "delta", "fn", "ste")
+# Training flag / config key -> the cast of a config-file value.
+TRAIN_KEYS = {
+    "seed": int, "batch": int, "epochs": int, "lr": float, "optimizer": str,
+    "alpha": float, "beta": float, "gamma": float, "delta": float, "fn": str, "ste": str,
+}
+
+# Task flag -> (constructor option, the tasks that take it).
+TASK_FLAGS = {
+    "include_box": ("include_box_uec", ("sudoku4", "sudoku9")),
+    "uec": ("include_uec", ("mnist-add",)),
+}
 
 
 class CliError(Exception):
@@ -65,43 +75,29 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainConfig:
     """Merge flags > config file > task defaults into one TrainConfig.
 
+    Only the keys that a flag or the file sets reach ``task.default_config``.
     The batch reduction of the constraint term has no flag: it is the
     task's own (``TaskSpec.cnf_batch_sum``).
     """
     file_conf = _read_config_file(args.config) if args.config else {}
-
-    def pick(key: str, cast, fallback):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        if key in file_conf:
-            return cast(file_conf[key])
-        return fallback
-
-    weights = LossWeights(
-        alpha=pick("alpha", float, task.weights.alpha),
-        beta=pick("beta", float, task.weights.beta),
-        gamma=pick("gamma", float, task.weights.gamma),
-        delta=pick("delta", float, task.weights.delta),
-    )
-    return task.default_config(
-        seed=pick("seed", int, 0),
-        batch_size=pick("batch", int, 16),
-        epochs=pick("epochs", int, 5),
-        lr=pick("lr", float, 1e-3),
-        optimizer=pick("optimizer", str, "adam"),
-        weights=weights,
-        fn=pick("fn", str, task.fn),
-        ste=SteMode.parse(pick("ste", str, task.ste.value)),
-    )
+    values = {key: TRAIN_KEYS[key](text) for key, text in file_conf.items() if getattr(args, key) is None}
+    values.update((key, getattr(args, key)) for key in TRAIN_KEYS if getattr(args, key) is not None)
+    weights = {key: values.pop(key) for key in ("alpha", "beta", "gamma", "delta") if key in values}
+    if "batch" in values:
+        values["batch_size"] = values.pop("batch")
+    if "ste" in values:
+        values["ste"] = SteMode.parse(values["ste"])
+    return task.default_config(weights=replace(task.weights, **weights), **values)
 
 
 def _task_options(args: argparse.Namespace) -> dict:
+    """Constructor options from the task flags; a flag on a task that does not take it is refused."""
     options = {}
-    if getattr(args, "include_box", False):
-        options["include_box_uec"] = True
-    if getattr(args, "uec", False):
-        options["include_uec"] = True
+    for flag, (option, tasks) in TASK_FLAGS.items():
+        if getattr(args, flag):
+            if args.task not in tasks:
+                raise CliError(f"--{flag.replace('_', '-')} applies to {' and '.join(tasks)} only, not {args.task}")
+            options[option] = True
     return options
 
 
@@ -230,12 +226,11 @@ def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    task = TK.make_task(args.task, **_task_options(args))
-    config = _resolve_train_config(args, task)
     task_options = _task_options(args)
-    if args.mnist and isinstance(task, TK.MnistAddTask):
+    if args.mnist and args.task.startswith("mnist-add"):
         task_options.update(input_dim=784, hidden=[128])
-        task = TK.MnistAddTask(digits=task.digits, **task_options)
+    task = TK.make_task(args.task, **task_options)
+    config = _resolve_train_config(args, task)
     dataset = _make_dataset(task, args, config.seed)
 
     out_dir = args.out or os.path.join(_data_dir(), "runs", task.name)

@@ -297,14 +297,14 @@ def _unique_shortest_path(present: np.ndarray, s: int, t: int, side: int = GRID_
     return label
 
 
-def gen_path_instances(count: int, seed=0, removed: int = 8) -> list[PathInstance]:
+def gen_path_instances(count: int, seed=0) -> list[PathInstance]:
     """Random 4x4 grids with 8 edges removed and a unique shortest path."""
     edges = grid_edges()
     rng = np.random.default_rng(seed)
     out: list[PathInstance] = []
     while len(out) < count:
         present = np.ones(len(edges), dtype=np.int8)
-        present[rng.choice(len(edges), size=removed, replace=False)] = 0
+        present[rng.choice(len(edges), size=8, replace=False)] = 0
         s, t = rng.choice(GRID_SIDE * GRID_SIDE, size=2, replace=False)
         label = _unique_shortest_path(present, int(s), int(t))
         if label is None:

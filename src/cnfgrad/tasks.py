@@ -2,12 +2,13 @@
 
 Each task bundles a generated theory, a dataset maker, an accuracy
 definition and a training recipe that takes the batch as the unit of
-work: one net pass per input position, the (B, k) atom-probability rows
-x assembled by products and concatenation (four rows per instance for
-apply2x2), the matching (B, n) fact rows, and one ``cnf_loss_rows`` call.
-Atom orders follow the assembly recipes, so the k network-driven atoms
-always come first; the atoms after them read as binarize(0), which under
-the default ``bp`` leaves them to the facts.
+work: one net pass per input position, the (rows, k) atom-probability
+columns x from the task's ``assemble`` (four rows per instance for
+apply2x2), the (rows, n) fact rows from its ``fact_rows``, and one
+``cnf_loss_rows`` call. The ground-truth check feeds one-hot labels
+through the same assembly. Atom orders follow the assembly recipes, so
+the k network-driven atoms always come first; the atoms after them read
+as binarize(0), which under the default ``bp`` leaves them to the facts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .closs import (
     hint_loss,
     sum_loss,
 )
-from .cnf import Assignment, CnfTheory, FactVector, build_matrix, theory_from_clauses
+from .cnf import Assignment, CnfTheory, build_matrix, theory_from_clauses
 from .nn import Mlp, TrainConfig
 from .tensor import SteMode, Tensor
 
@@ -37,12 +38,6 @@ from .tensor import SteMode, Tensor
 def _softmax_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(z - z.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def _one_hot(index: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.float64)
-    out[index] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +278,33 @@ class TaskSpec:
     def make_data(self, seed: int = 0, **options) -> TaskDataset:
         raise NotImplementedError
 
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """The (rows, k) columns of the first k atoms, from the (B, classes) outputs of each input position."""
+        raise NotImplementedError(f"task {self.name} has no output assembly")
+
+    def fact_rows(self, batch: Sequence) -> np.ndarray:
+        """The (rows, n) int8 facts that a batch's labels pin."""
+        raise NotImplementedError(f"task {self.name} has no fact rows")
+
     def batch_loss(self, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
-        """The batch mean of each loss term, built as one graph; ``nn.train_epoch`` weights them."""
-        raise NotImplementedError(f"task {self.name} has no training recipe")
+        """The batch mean of each loss term, built as one graph; ``nn.train_epoch`` weights them.
+
+        By default one constraint row per instance, from the assembled digit outputs.
+        """
+        return _batch_means(_digit_rows(self, net, batch, config))
+
+    def truth_rows(self, batch: Sequence) -> tuple[Tensor, np.ndarray]:
+        """The ground truth's x and fact rows; by default each image's one-hot digit goes through ``assemble``."""
+        return self.assemble(_truth_outputs([inst.digits for inst in batch], 10)), self.fact_rows(batch)
 
     def evaluate(self, net: Mlp, instances: Sequence) -> float:
         """Test accuracy; by default the net classifies (input, label) pairs."""
         return _classifier_accuracy(net, instances)
 
-    def truth_pairs(self, inst) -> list[tuple[np.ndarray, FactVector]]:
-        """Assemble x from ground-truth one-hot outputs, with its facts."""
-        raise NotImplementedError
-
     def check_instance(self, inst) -> bool:
-        """Ground-truth assembly must satisfy the theory (zero loss)."""
-        pairs = self.truth_pairs(inst)
-        if not pairs:
-            return True
-        x = T.constant(np.stack([x for x, _ in pairs]))
-        return not cnf_loss_rows(self.matrix, x, np.stack([facts.bits for _, facts in pairs]), self.fn).data.any()
+        """The ground truth, laid out as training lays out the net's outputs, must satisfy the theory (zero loss)."""
+        x, facts = self.truth_rows([inst])
+        return not cnf_loss_rows(self.matrix, x, facts, self.fn).data.any()
 
 
 def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -309,18 +312,16 @@ def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: (1.0 / rows.shape[0]) * T.sum_last(rows) for name, rows in per_row.items()}
 
 
-def _digit_outputs(net: Mlp, batch: Sequence) -> list[tuple[Tensor, Tensor]]:
-    """One net pass per image position, over the (B, d) stack of that position's images."""
-    return [net.forward(Tensor(np.stack(images))) for images in zip(*(inst.images for inst in batch))]
+def _truth_outputs(labels: Sequence[Sequence[int]], classes: int) -> list[Tensor]:
+    """Per input position, the (B, classes) one-hot rows of the instances' labels at that position."""
+    return [T.constant(np.eye(classes)[list(position)]) for position in zip(*labels)]
 
 
-def _fact_rows(task: TaskSpec, batch: Sequence) -> np.ndarray:
-    """The (B, n) fact rows of a batch."""
-    return np.stack([task._facts(inst).bits for inst in batch])
-
-
-def _digit_rows(task: TaskSpec, outs, x: Tensor, facts: np.ndarray, config: TrainConfig) -> dict[str, Tensor]:
-    """Per-row constraint and bound terms of a digit task whose outputs assemble to ``x``."""
+def _digit_rows(task: TaskSpec, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
+    """Per-row constraint and bound terms: one net pass per image position, over the (B, d) stack of its images."""
+    outs = [net.forward(Tensor(np.stack(images))) for images in zip(*(inst.images for inst in batch))]
+    x = task.assemble([probs for probs, _ in outs])
+    facts = task.fact_rows(batch)
     bounds = [bound_loss(raw) for _, raw in outs]
     return {
         "cnf": cnf_loss_rows(task.matrix, x, facts, config.fn, config.ste),
@@ -332,6 +333,13 @@ def _outer_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise outer product of (B, i) and (B, j), flattened to (B, i*j)."""
     rows, i, j = a.shape[0], a.shape[1], b.shape[1]
     return T.reshape(T.reshape(a, (rows, i, 1)) * T.reshape(b, (rows, 1, j)), (rows, i * j))
+
+
+def _pinned(rows: int, n: int, atoms) -> np.ndarray:
+    """(rows, n) int8 facts with row r pinning ``atoms[r]`` (an index or a row of indices)."""
+    facts = np.zeros((rows, n), dtype=np.int8)
+    facts[np.arange(rows)[:, None], np.reshape(atoms, (rows, -1))] = 1
+    return facts
 
 
 def _classifier_accuracy(net: Mlp, instances: Sequence[tuple[np.ndarray, int]]) -> float:
@@ -359,31 +367,24 @@ class MnistAddTask(TaskSpec):
         self.input_dim = input_dim
         self.hidden = hidden
         self.name = "mnist-add" if digits == 1 else f"mnist-add{digits}"
-        base = 10**digits
         self.n_images = 2 * digits
-        self.npred = base * base
-        self.sum_base = self.npred + (20 if include_uec else 0)
+        # The 2 * 10**digits - 1 sum atoms come last.
+        self.sum_base = self.theory.n - 2 * 10**digits + 1
         self.weights = LossWeights(alpha=1.0, beta=0.1 if digits == 1 else 0.01)
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, *self.hidden, 10), head="softmax", seed=seed)
 
-    def _facts(self, inst: AddInstance) -> FactVector:
-        return FactVector.from_atoms([self.sum_base + inst.label_sum], self.theory.n)
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """The joint atoms are the row-wise outer product of the per-image digit probabilities.
 
-    def batch_loss(self, net: Mlp, batch: Sequence[AddInstance], config: TrainConfig) -> dict[str, Tensor]:
-        """The joint atoms are the row-wise outer product of the per-image digit probabilities."""
-        outs = _digit_outputs(net, batch)
-        x = functools.reduce(_outer_rows, [probs for probs, _ in outs])
-        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
+        With ``include_uec`` the 20 digit atoms follow them: the two images' probabilities.
+        """
+        joint = functools.reduce(_outer_rows, outputs)
+        return T.concat([joint, *outputs]) if self.include_uec else joint
 
-    def truth_pairs(self, inst: AddInstance) -> list[tuple[np.ndarray, FactVector]]:
-        joint = _one_hot(0, 1)
-        for d in inst.digits:
-            joint = np.outer(joint, _one_hot(d, 10)).reshape(-1)
-        x = np.zeros(self.theory.n)
-        x[: self.npred] = joint
-        return [(x, self._facts(inst))]
+    def fact_rows(self, batch: Sequence[AddInstance]) -> np.ndarray:
+        return _pinned(len(batch), self.theory.n, [self.sum_base + inst.label_sum for inst in batch])
 
     def make_data(self, seed: int = 0, n_train: int = 5000, n_test: int = 2000, noise: float = 0.2, idx=None) -> TaskDataset:
         """Pairs of digit features with sum labels; test items are single digits."""
@@ -424,19 +425,12 @@ class Add2x2Task(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, 10), head="softmax", seed=seed)
 
-    def _facts(self, inst: Add2x2Instance) -> FactVector:
-        return FactVector.from_atoms([400 + 19 * p + r for p, r in enumerate(inst.sums)], 476)
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """The four row/column outer products, one 100-atom block per pair."""
+        return T.concat([_outer_rows(outputs[a], outputs[b]) for a, b in ADD2X2_PAIRS])
 
-    def batch_loss(self, net: Mlp, batch: Sequence[Add2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
-        outs = _digit_outputs(net, batch)
-        x = T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS])
-        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
-
-    def truth_pairs(self, inst: Add2x2Instance) -> list[tuple[np.ndarray, FactVector]]:
-        x = np.zeros(476)
-        for p, (a, b) in enumerate(ADD2X2_PAIRS):
-            x[100 * p : 100 * (p + 1)] = np.outer(_one_hot(inst.digits[a], 10), _one_hot(inst.digits[b], 10)).reshape(-1)
-        return [(x, self._facts(inst))]
+    def fact_rows(self, batch: Sequence[Add2x2Instance]) -> np.ndarray:
+        return _pinned(len(batch), self.theory.n, 400 + 19 * np.arange(4) + np.array([inst.sums for inst in batch]))
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 1000, noise: float = 0.2) -> TaskDataset:
         feats, labels = D.synthetic_features(4 * n_train + n_test, 10, noise, [seed, 12], dim=self.input_dim)
@@ -469,19 +463,12 @@ class MemberTask(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, 10), head="softmax", seed=seed)
 
-    def _facts(self, inst: MemberInstance) -> FactVector:
-        return FactVector.from_atoms([10 * self.k + 10 * inst.label + inst.query], self.theory.n)
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """The per-image digit probabilities, side by side."""
+        return T.concat(outputs)
 
-    def batch_loss(self, net: Mlp, batch: Sequence[MemberInstance], config: TrainConfig) -> dict[str, Tensor]:
-        outs = _digit_outputs(net, batch)
-        x = T.concat([probs for probs, _ in outs])
-        return _batch_means(_digit_rows(self, outs, x, _fact_rows(self, batch), config))
-
-    def truth_pairs(self, inst: MemberInstance) -> list[tuple[np.ndarray, FactVector]]:
-        x = np.zeros(self.theory.n)
-        for i, d in enumerate(inst.digits):
-            x[10 * i + d] = 1.0
-        return [(x, self._facts(inst))]
+    def fact_rows(self, batch: Sequence[MemberInstance]) -> np.ndarray:
+        return _pinned(len(batch), self.theory.n, [10 * self.k + 10 * inst.label + inst.query for inst in batch])
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 1000, noise: float = 0.2) -> TaskDataset:
         rng = np.random.default_rng([seed, 13])
@@ -526,28 +513,24 @@ class Apply2x2Task(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 32, 3), head="softmax", seed=seed)
 
-    def batch_loss(self, net: Mlp, batch: Sequence[Apply2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
-        """Row 4i+p holds pair p of instance i: its 9 operator-pair atoms and its result fact.
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """Row 4i+p holds pair p of instance i: the outer product of its two operators' probabilities."""
+        pairs = T.concat([_outer_rows(outputs[a], outputs[b]) for a, b in ADD2X2_PAIRS])
+        return T.reshape(pairs, (4 * pairs.shape[0], 9))
 
-        An instance's constraint term is the sum of its four rows.
-        """
-        outs = _digit_outputs(net, batch)
-        rows = 4 * len(batch)
-        pairs = T.concat([_outer_rows(outs[a][0], outs[b][0]) for a, b in ADD2X2_PAIRS])
-        x = T.reshape(pairs, (rows, 9))
-        facts = np.zeros((rows, self.theory.n), dtype=np.int8)
-        facts[np.arange(rows), [self.lookup[(*inst.digits, r)] for inst in batch for r in inst.results]] = 1
-        per_row = _digit_rows(self, outs, x, facts, config)
+    def fact_rows(self, batch: Sequence[Apply2x2Instance]) -> np.ndarray:
+        """Row 4i+p pins the result atom of pair p of instance i."""
+        return _pinned(4 * len(batch), self.theory.n, [self.lookup[(*inst.digits, r)] for inst in batch for r in inst.results])
+
+    def batch_loss(self, net: Mlp, batch: Sequence[Apply2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
+        """An instance's constraint term is the sum of its four rows."""
+        per_row = _digit_rows(self, net, batch, config)
         per_row["cnf"] = T.sum_last(T.reshape(per_row["cnf"], (len(batch), 4)))
         return _batch_means(per_row)
 
-    def truth_pairs(self, inst: Apply2x2Instance) -> list[tuple[np.ndarray, FactVector]]:
-        out = []
-        for (a, b), result in zip(ADD2X2_PAIRS, inst.results):
-            x = np.zeros(self.theory.n)
-            x[3 * inst.ops[a] + inst.ops[b]] = 1.0
-            out.append((x, FactVector.from_atoms([self.lookup[(*inst.digits, result)]], self.theory.n)))
-        return out
+    def truth_rows(self, batch: Sequence[Apply2x2Instance]) -> tuple[Tensor, np.ndarray]:
+        """Each operator image's one-hot operator through ``assemble``."""
+        return self.assemble(_truth_outputs([inst.ops for inst in batch], 3)), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 500, n_test: int = 200, noise: float = 0.2) -> TaskDataset:
         rng = np.random.default_rng([seed, 15])
@@ -589,12 +572,9 @@ class SudokuTask(TaskSpec):
         return np.eye(self.side + 1)[q].reshape(q.shape[:-1] + (-1,))
 
     def fact_rows(self, q: np.ndarray) -> np.ndarray:
-        """The givens of one board (n,) or of a (B, cells) stack (B, n), as 0/1 facts."""
+        """The filled cells of one board (n,) or of a (B, cells) stack (B, n), as 0/1 atoms."""
         q = np.asarray(q, dtype=np.int64)
         return np.eye(self.side + 1, dtype=np.int8)[q][..., 1:].reshape(q.shape[:-1] + (-1,))
-
-    def board_facts(self, q: np.ndarray) -> FactVector:
-        return FactVector(self.fact_rows(q))
 
     def batch_loss(self, net: Mlp, batch: Sequence[D.GridInstance], config: TrainConfig) -> dict[str, Tensor]:
         """One net pass and one ``cnf_loss_rows`` call; each per-board term is averaged."""
@@ -627,17 +607,11 @@ class SudokuTask(TaskSpec):
         out[empty] = np.argmax(probs[empty], axis=-1) + 1
         return out
 
-    def board_assignment(self, board: np.ndarray) -> Assignment:
-        bits = np.zeros(self.theory.n, dtype=np.int8)
-        for cell, value in enumerate(np.asarray(board, dtype=np.int64)):
-            bits[self.side * cell + value - 1] = 1
-        return Assignment(bits)
-
     def verify_board(self, board: np.ndarray) -> bool:
         """Direct clause evaluation of a completed board."""
         if np.any(np.asarray(board) == 0):
             return False
-        return self.board_assignment(board).satisfies(self.theory)
+        return Assignment(self.fact_rows(board)).satisfies(self.theory)
 
     def evaluate(self, net: Mlp, instances, inference_trick: bool = True) -> float:
         """Share of boards completed to their solution (or to a model), all filled in one call."""
@@ -651,13 +625,10 @@ class SudokuTask(TaskSpec):
         )
         return good / len(instances)
 
-    def truth_pairs(self, inst: D.GridInstance) -> list[tuple[np.ndarray, FactVector]]:
-        board = inst.solution if inst.solution is not None else inst.q
-        x = np.zeros(self.theory.n)
-        for cell, value in enumerate(np.asarray(board, dtype=np.int64)):
-            if value:
-                x[self.side * cell + value - 1] = 1.0
-        return [(x, self.board_facts(inst.q))]
+    def truth_rows(self, batch: Sequence[D.GridInstance]) -> tuple[Tensor, np.ndarray]:
+        """The solutions (a board without one stands for itself) as 0/1 rows, with the givens as facts."""
+        solved = np.stack([inst.q if inst.solution is None else inst.solution for inst in batch])
+        return T.constant(self.fact_rows(solved)), self.fact_rows(np.stack([inst.q for inst in batch]))
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy", holes=(4, 11)) -> TaskDataset:
         boards = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17], holes=holes)
@@ -677,14 +648,22 @@ class ShortestPathTask(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((40, 128, 24), head="sigmoid", seed=seed)
 
-    def _facts(self, inst: D.PathInstance) -> FactVector:
-        return FactVector(np.concatenate([inst.features[24:].astype(np.int8), np.zeros(24, dtype=np.int8)]))
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """The 24 edge outputs follow the 16 terminal atoms, which only facts set."""
+        (edges,) = outputs
+        return T.concat([T.constant(np.zeros((edges.shape[0], 16))), edges])
+
+    def fact_rows(self, batch: Sequence[D.PathInstance]) -> np.ndarray:
+        """The two terminal nodes of each instance, from the last 16 features."""
+        facts = np.zeros((len(batch), self.theory.n), dtype=np.int8)
+        facts[:, :16] = np.stack([inst.features[24:] for inst in batch])
+        return facts
 
     def batch_loss(self, net: Mlp, batch: Sequence[D.PathInstance], config: TrainConfig) -> dict[str, Tensor]:
-        """One net pass over the (B, 40) features; the edge outputs follow the 16 terminal atoms."""
+        """One net pass over the (B, 40) features."""
         probs, raw = net.forward(Tensor(np.stack([inst.features for inst in batch])))
-        x = T.concat([T.constant(np.zeros((len(batch), 16))), probs])
-        facts = _fact_rows(self, batch)
+        x = self.assemble([probs])
+        facts = self.fact_rows(batch)
         label = T.constant(np.stack([inst.label for inst in batch]).astype(np.float64))
         # Clamp away from the sigmoid's saturated endpoints before taking logs.
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
@@ -703,9 +682,9 @@ class ShortestPathTask(TaskSpec):
         labels = np.stack([inst.label for inst in instances]).astype(bool)
         return float(np.mean(np.all(preds == labels, axis=1)))
 
-    def truth_pairs(self, inst: D.PathInstance) -> list[tuple[np.ndarray, FactVector]]:
-        x = np.concatenate([np.zeros(16), inst.label.astype(np.float64)])
-        return [(x, self._facts(inst))]
+    def truth_rows(self, batch: Sequence[D.PathInstance]) -> tuple[Tensor, np.ndarray]:
+        """The labelled path's edges through ``assemble``."""
+        return self.assemble([T.constant(np.stack([inst.label for inst in batch]))]), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 1288, n_test: int = 322, csv_path: str | None = None) -> TaskDataset:
         if csv_path:
@@ -763,7 +742,6 @@ class ExactlyOneTask(TaskSpec):
         self.name = "exactly-one"
         self.input_dim = input_dim
         self.weights = LossWeights(alpha=0.5, beta=0.0)
-        self._zero_facts = FactVector(np.zeros(classes, dtype=np.int8))
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, self.classes), head="none", seed=seed)
@@ -802,14 +780,13 @@ class ExactlyOneTask(TaskSpec):
         bits = net.predict(feats) >= 0.0
         return float(np.mean(bits.sum(axis=1) != 1))
 
-    def truth_pairs(self, inst) -> list[tuple[np.ndarray, FactVector]]:
-        # Logit-style ground truth: positive only at the true class, so the
-        # sign binarizer yields a one-hot assignment.
-        feat, label = inst
-        if label is None:
-            return []
-        x = np.where(_one_hot(int(label), self.classes) > 0, 1.0, -1.0)
-        return [(x, self._zero_facts)]
+    def truth_rows(self, batch) -> tuple[Tensor, np.ndarray]:
+        """Logit-style ground truth of the labelled rows, with no facts.
+
+        Positive only at the true class, so the sign binarizer yields a one-hot assignment.
+        """
+        labels = [label for _, label in batch if label is not None]
+        return T.constant(2.0 * np.eye(self.classes)[labels] - 1.0), np.zeros((len(labels), self.classes), dtype=np.int8)
 
     def make_data(
         self,
@@ -818,10 +795,9 @@ class ExactlyOneTask(TaskSpec):
         n_unlabeled: int = 5000,
         n_test: int = 2000,
         noise: float = 0.2,
-        balance: bool = True,
     ) -> TaskDataset:
-        """Labelled + unlabelled pool; with ``balance`` the labelled instances
-        are oversampled to ``label_share`` draws per unlabelled instance.
+        """Labelled + unlabelled pool; the labelled instances are oversampled
+        to ``label_share`` draws per unlabelled instance.
 
         The unlabelled rows learn from facts the net picks itself, so the
         labels must dominate the stream while those picks are still poor:
@@ -833,7 +809,7 @@ class ExactlyOneTask(TaskSpec):
         labeled = [(feats[i], int(labels[i])) for i in range(n_labeled)]
         unlabeled = [(feats[n_labeled + i], None) for i in range(n_unlabeled)]
         train = list(labeled)
-        if balance and labeled and unlabeled:
+        if labeled and unlabeled:
             reps = max(0, (self.label_share * len(unlabeled) - len(labeled)) // len(labeled))
             train += labeled * reps
         train += unlabeled
@@ -845,36 +821,26 @@ class ExactlyOneTask(TaskSpec):
 # registry
 # ---------------------------------------------------------------------------
 
+# CLI name -> task constructor, in the order the CLI lists them.
+_CONSTRUCTORS = {
+    "mnist-add": functools.partial(MnistAddTask, digits=1),
+    "mnist-add2": functools.partial(MnistAddTask, digits=2),
+    "mnist-add3": functools.partial(MnistAddTask, digits=3),
+    "add2x2": Add2x2Task,
+    "apply2x2": Apply2x2Task,
+    "member3": functools.partial(MemberTask, k=3),
+    "member5": functools.partial(MemberTask, k=5),
+    "sudoku4": functools.partial(SudokuTask, side=4),
+    "sudoku9": functools.partial(SudokuTask, side=9),
+    "shortest-path": ShortestPathTask,
+    "exactly-one": ExactlyOneTask,
+}
+
+TASK_NAMES = tuple(_CONSTRUCTORS)
+
+
 def make_task(name: str, **options) -> TaskSpec:
     """Build a task by CLI name; options are forwarded to its constructor."""
-    builders = {
-        "mnist-add": lambda: MnistAddTask(digits=1, **options),
-        "mnist-add2": lambda: MnistAddTask(digits=2, **options),
-        "mnist-add3": lambda: MnistAddTask(digits=3, **options),
-        "add2x2": lambda: Add2x2Task(**options),
-        "apply2x2": lambda: Apply2x2Task(**options),
-        "member3": lambda: MemberTask(k=3, **options),
-        "member5": lambda: MemberTask(k=5, **options),
-        "sudoku4": lambda: SudokuTask(side=4, **options),
-        "sudoku9": lambda: SudokuTask(side=9, **options),
-        "shortest-path": lambda: ShortestPathTask(**options),
-        "exactly-one": lambda: ExactlyOneTask(**options),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown task {name!r}; choose from {', '.join(sorted(builders))}")
-    return builders[name]()
-
-
-TASK_NAMES = (
-    "mnist-add",
-    "mnist-add2",
-    "mnist-add3",
-    "add2x2",
-    "apply2x2",
-    "member3",
-    "member5",
-    "sudoku4",
-    "sudoku9",
-    "shortest-path",
-    "exactly-one",
-)
+    if name not in _CONSTRUCTORS:
+        raise KeyError(f"unknown task {name!r}; choose from {', '.join(sorted(_CONSTRUCTORS))}")
+    return _CONSTRUCTORS[name](**options)

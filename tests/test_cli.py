@@ -171,11 +171,12 @@ class TestTrainEvalSolve:
         assert code != 0 and "unknown config key" in err
 
     # sudoku9 is left out: its data generation refuses boards above 4x4 (test_sudoku9_data_fails_fast).
-    @pytest.mark.parametrize("task", [name for name in TASK_NAMES if name != "sudoku9"])
+    @pytest.mark.parametrize("task", [*(name for name in TASK_NAMES if name != "sudoku9"), "mnist-add --uec"])
     def test_every_task_trains(self, tmp_path, capsys, task):
+        task, *flags = task.split()
         pool = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ()
         code, _, err = run_cli(
-            capsys, "train", task, "--n-train", "8", "--n-test", "4", "--epochs", "1", *pool, "--out", str(tmp_path),
+            capsys, "train", task, *flags, "--n-train", "8", "--n-test", "4", "--epochs", "1", *pool, "--out", str(tmp_path),
         )
         assert code == 0, err
         rows = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -196,6 +197,41 @@ class TestTrainEvalSolve:
         assert code == 1
         assert err.startswith("error:") and f"{field} must be at least 1, got {value}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("gen-cnf", "sudoku4", "--uec"), "--uec applies to mnist-add only, not sudoku4"),
+            (("train", "member3", "--include-box"), "--include-box applies to sudoku4 and sudoku9 only, not member3"),
+        ],
+    )
+    def test_task_flag_on_another_task_fails_fast(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_mnist_idx_files_build_one_task(self, tmp_path, capsys, monkeypatch):
+        import struct
+
+        from cnfgrad import datasets as D
+        from cnfgrad import tasks as TK
+
+        images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        images.write_bytes(struct.pack(">IIII", D.IDX_IMAGES_MAGIC, 10, 28, 28) + bytes(10 * 784))
+        labels.write_bytes(struct.pack(">II", D.IDX_LABELS_MAGIC, 10) + bytes(range(10)))
+        built = []
+        init = TK.MnistAddTask.__init__
+        monkeypatch.setattr(TK.MnistAddTask, "__init__", lambda task, *a, **k: built.append(k) or init(task, *a, **k))
+        code, _, err = run_cli(
+            capsys, "train", "mnist-add", "--mnist", str(images), str(labels),
+            "--n-train", "4", "--n-test", "2", "--epochs", "1", "--out", str(tmp_path / "run"),
+        )
+        assert code == 0, err
+        assert built == [{"digits": 1, "input_dim": 784, "hidden": [128]}]
+        echo = json.loads((tmp_path / "run" / "run.json").read_text())
+        assert echo["task_options"] == {"hidden": [128], "input_dim": 784}
 
     @pytest.mark.parametrize("task,weight", [("mnist-add", "delta"), ("member3", "gamma")])
     def test_weight_on_a_missing_term_fails_fast(self, tmp_path, capsys, task, weight):

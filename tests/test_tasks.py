@@ -98,24 +98,69 @@ class TestTheoryShapes:
         assert parse_dimacs(serialize_dimacs(theory)).clauses == theory.clauses
 
 
+# Test ids of the flag variants -> (registered task, constructor options).
+VARIANTS = {"mnist-add-uec": ("mnist-add", {"include_uec": True}), "sudoku4-box": ("sudoku4", {"include_box_uec": True})}
+
+
+def variant_task(case: str, request) -> TK.TaskSpec:
+    if case == "mnist-add3":
+        return request.getfixturevalue("mnist_add3_task")
+    name, options = VARIANTS.get(case, (case, {}))
+    return TK.make_task(name, **options)
+
+
 class TestGroundTruthAssembly:
-    @pytest.mark.parametrize("name", ["mnist-add", "add2x2", "member3", "member5", "sudoku4", "shortest-path", "apply2x2"])
-    def test_truth_satisfies_theory(self, name):
-        task = TK.make_task(name)
+    """``check_instance`` feeds the ground truth through the assembly that training uses."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mnist-add", "add2x2", "member3", "member5", "sudoku4", "shortest-path", "apply2x2", "mnist-add3", *VARIANTS],
+    )
+    def test_truth_satisfies_theory(self, name, request):
+        task = variant_task(name, request)
         ds = task.make_data(seed=5, n_train=30, n_test=5)
         assert all(task.check_instance(inst) for inst in ds.train)
+
+    def test_sudoku9_truth(self):
+        # sudoku9 data generation is refused, so the board is built by pattern
+        task = TK.make_task("sudoku9")
+        board = np.array([(3 * (r % 3) + r // 3 + c) % 9 + 1 for r in range(9) for c in range(9)])
+        q = np.where(np.arange(81) % 7 == 0, 0, board)
+        assert task.check_instance(D.GridInstance(q=q, solution=board))
+        assert task.check_instance(D.GridInstance(q=board))
+        wrong = board.copy()
+        wrong[[1, 2]] = wrong[[2, 1]]
+        assert not task.check_instance(D.GridInstance(q=q, solution=wrong))
 
     def test_exactly_one_truth(self):
         task = TK.make_task("exactly-one")
         ds = task.make_data(seed=5, n_labeled=30, n_unlabeled=5, n_test=5)
         assert all(task.check_instance(inst) for inst in ds.train)
 
-    @pytest.mark.parametrize("name,wrong", [("mnist-add", "label_sum"), ("member3", "label")])
-    def test_wrong_label_fails_the_check(self, name, wrong):
-        task = TK.make_task(name)
+    @pytest.mark.parametrize(
+        "name,wrong",
+        [
+            ("mnist-add", lambda inst: {"label_sum": (inst.label_sum + 1) % 19}),
+            ("member3", lambda inst: {"label": 1 - inst.label}),
+            ("mnist-add-uec", lambda inst: {"label_sum": (inst.label_sum + 1) % 19}),
+            ("add2x2", lambda inst: {"sums": ((inst.sums[0] + 1) % 19, *inst.sums[1:])}),
+            ("shortest-path", lambda inst: {"label": np.zeros_like(inst.label)}),
+        ],
+        ids=["mnist-add-label_sum", "member3-label", "mnist-add-uec-label_sum", "add2x2-sums", "shortest-path-label"],
+    )
+    def test_wrong_label_fails_the_check(self, name, wrong, request):
+        task = variant_task(name, request)
         for inst in task.make_data(seed=5, n_train=10, n_test=2).train:
-            flipped = (getattr(inst, wrong) + 1) % (19 if wrong == "label_sum" else 2)
-            assert not task.check_instance(dataclasses.replace(inst, **{wrong: flipped}))
+            assert not task.check_instance(dataclasses.replace(inst, **wrong(inst)))
+
+    def test_uec_digit_atoms_are_the_image_outputs(self):
+        task = TK.make_task("mnist-add", include_uec=True)
+        probs = np.random.default_rng(0).dirichlet(np.ones(10), size=(2, 3))
+        x = task.assemble([T.constant(p) for p in probs]).data
+        assert x.shape == (3, 120)
+        assert np.array_equal(x[:, :100], (probs[0][:, :, None] * probs[1][:, None, :]).reshape(3, 100))
+        assert np.array_equal(x[:, 100:], np.concatenate(probs, axis=1))
+        assert list(task.theory.atom_names[100:120]) == [f"digit({i},{d})" for i in (1, 2) for d in range(10)]
 
     def test_mnist_add2_truth(self):
         task = TK.make_task("mnist-add2")
@@ -140,15 +185,14 @@ class TestSudokuTask:
         task = TK.make_task("sudoku4")
         q = np.zeros(16, dtype=np.int64)
         q[0] = 3
-        facts = task.board_facts(q)
-        assert facts.atoms == frozenset({2})
+        assert np.flatnonzero(task.fact_rows(q)).tolist() == [2]
 
     def test_solution_zeroes_loss(self):
         task = TK.make_task("sudoku4")
         for inst in task.make_data(seed=2, n_train=10, n_test=2).train:
-            x, facts = task.truth_pairs(inst)[0]
-            v = facts.bits + (1 - facts.bits) * (x >= 0.5)
-            assert cnf_loss_forward(task.matrix, v.astype(np.int8), facts).l_cnf == 0.0
+            x, facts = task.truth_rows([inst])
+            v = facts[0] + (1 - facts[0]) * (x.data[0] >= 0.5)
+            assert cnf_loss_forward(task.matrix, v.astype(np.int8), facts[0]).l_cnf == 0.0
 
     def test_verify_board(self):
         task = TK.make_task("sudoku4")
@@ -188,7 +232,7 @@ class TestSudokuTask:
         task = TK.make_task("sudoku4")
         inst = task.make_data(seed=6, n_train=1, n_test=1).train[0]
         x = T.Tensor(np.full(64, 0.25), requires_grad=True)
-        facts = task.board_facts(inst.q)
+        facts = FactVector(task.fact_rows(inst.q))
         T.backward(cnf_loss(task.matrix, assemble_prediction(facts, x, "bp"), facts).l_cnf)
         assert np.all(x.grad[facts.bits == 1] == 0.0)
 
@@ -457,7 +501,7 @@ class TestSudokuBatchLoss:
         _, raw = net.forward(Tensor(task.encode_board(inst.q)))
         probs = T.softmax(T.reshape(raw, (task.cells, task.side)))
         x = T.reshape(probs, (task.theory.n,))
-        facts = task.board_facts(inst.q)
+        facts = FactVector(task.fact_rows(inst.q))
         terms = {
             "cnf": cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf,
             "bound": bound_loss(raw),
@@ -510,7 +554,7 @@ class TestSudokuBatchLoss:
             for cell, value in enumerate(q):
                 if value:
                     want[4 * cell + value - 1] = 1
-            assert np.array_equal(row, want) and np.array_equal(task.board_facts(q).bits, want)
+            assert np.array_equal(row, want)
 
 
 def outer_chain(probs):
@@ -523,7 +567,7 @@ def outer_chain(probs):
 
 def instance_graph_terms(task, net, inst, config):
     """The loss terms of one instance, with 1-D net passes and the dense graph ``cnf_loss``."""
-    facts = task._facts(inst)
+    facts = FactVector(task.fact_rows([inst])[0])
     if isinstance(task, TK.ShortestPathTask):
         probs, raw = net.forward(Tensor(inst.features))
         x = T.concat([T.constant(np.zeros(16)), probs])
@@ -610,10 +654,9 @@ class TestApply2x2BatchLoss:
         probs = [net.predict(np.stack(images)) for images in zip(*(inst.images for inst in batch))]
         per_instance = []
         for i, inst in enumerate(batch):
-            pairs = task.truth_pairs(inst)
-            for p, ((a, b), (_, facts)) in enumerate(zip(TK.ADD2X2_PAIRS, pairs)):
+            for p, ((a, b), result) in enumerate(zip(TK.ADD2X2_PAIRS, inst.results)):
                 row = 4 * i + p
-                assert np.array_equal(f[row], facts.bits)
+                assert np.flatnonzero(f[row]).tolist() == [task.lookup[(*inst.digits, result)]]
                 joint = np.outer(probs[a][i], probs[b][i]).reshape(-1)
                 assert np.array_equal(v[row], f[row] + np.concatenate([joint >= 0.5, np.zeros(task.theory.n - 9)]))
             per_instance.append(sum(cnf_loss_forward(task.matrix, v[4 * i + p], f[4 * i + p]).l_cnf for p in range(4)))
