@@ -4,9 +4,11 @@ A CNF theory becomes a differentiable loss over binarized network
 outputs; straight-through surrogates carry the gradient through the
 thresholds, so minimizing the loss pushes predictions toward satisfying
 assignments. Ships with a small reverse-mode tensor engine, brute-force
-logical oracles, the benchmark task encodings, and a CLI.
+logical oracles, the benchmark task encodings, and a CLI. Importing the
+package sets numpy's OpenBLAS to one thread (see ``cnfgrad.blas``).
 """
 
+from . import blas as _blas
 from .closs import (
     GradOracleReport,
     LossBreakdown,
@@ -37,3 +39,5 @@ from .nn import Mlp, Optimizer, TrainConfig, predict_with_inference_trick, run_t
 from .tensor import GraphError, ShapeError, SteMode, Tensor, TgfConfig, backward
 
 __version__ = "0.1.0"
+
+_blas.use_one_thread()

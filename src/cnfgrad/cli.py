@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import blas
 from . import datasets as D
 from . import nn as N
 from . import tasks as TK
@@ -256,6 +257,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "n_train": len(dataset.train),
         "n_test": len(dataset.test),
         "task_options": task_options,
+        "blas_threads": blas.threads(),
     }
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
         json.dump(echo, fh, indent=2, sort_keys=True)
@@ -352,12 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labeled", type=int, default=None)
         p.add_argument("--unlabeled", type=int, default=None)
         p.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"), help="IDX image/label files")
-        p.add_argument("--include-box", action="store_true")
-        p.add_argument("--uec", action="store_true")
 
     p = sub.add_parser("train", help="train a task's network and write metrics + checkpoint")
     p.add_argument("task", choices=TK.TASK_NAMES)
     add_train_eval_flags(p)
+    # The theory variant is fixed at training time; eval and solve read it from the checkpoint.
+    p.add_argument("--include-box", action="store_true", help="add the box exactly-one family (sudoku)")
+    p.add_argument("--uec", action="store_true", help="add existence/uniqueness clauses (mnist-add)")
     p.add_argument("--synthetic", action="store_true", help="use the synthetic dataset (the default)")
     p.add_argument("--unsupervised", action="store_true", help="constraint-only training (grid tasks always are)")
     p.add_argument("--config", help="key = value config file")

@@ -1,7 +1,10 @@
 """Small dense networks, first-order optimizers, and the training loop.
 
 Everything is seeded and single-threaded: two runs with the same config
-produce bit-identical parameter trajectories and metrics files.
+produce bit-identical parameter trajectories and metrics files. The
+training loop is plain Python over numpy, and importing ``cnfgrad`` sets
+numpy's OpenBLAS to one thread (``cnfgrad.blas``), so the matrix
+products do not run on a thread pool either.
 """
 
 from __future__ import annotations
@@ -100,9 +103,23 @@ class Mlp:
         return out, raw
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Forward pass outside the graph; returns head output values."""
-        out, _ = self.forward(Tensor(np.asarray(batch, dtype=np.float64)))
-        return out.data
+        """Head output values, off the graph: ``forward``'s ops in its order, on plain arrays.
+
+        No ``Tensor`` is built, and the values are bit-identical to ``forward``'s.
+        """
+        h = np.asarray(batch, dtype=np.float64)
+        if h.shape[-1] != self.layer_dims[0]:
+            raise T.ShapeError(f"mlp expects inputs of width {self.layer_dims[0]}, got shape {h.shape}")
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w.data + b.data
+            if i != last:
+                h = np.maximum(h, 0.0)
+        if self.head == "softmax":
+            return T.softmax_value(h)
+        if self.head == "sigmoid":
+            return T.sigmoid_value(h)
+        return h
 
 
 class Optimizer:

@@ -35,11 +35,6 @@ from .nn import Mlp, TrainConfig
 from .tensor import SteMode, Tensor
 
 
-def _softmax_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # clause families
 # ---------------------------------------------------------------------------
@@ -119,25 +114,25 @@ def apply2x2_theory() -> tuple[CnfTheory, dict[tuple[int, int, int, int], int]]:
     """Clauses tying an operator pair to the result on three digits.
 
     Atom order: the 9 operator-pair atoms first (index 3a+b), then one
-    atom per reachable (d1, d2, d3, result) combination over digits 0-10.
+    atom per reachable (d1, d2, d3, result) combination over digits 0-10,
+    digit triples in order and results ascending within each. Its clause
+    lists the operator pairs reaching that result, in pair order.
     Returns the theory plus the lookup from that combination to its atom.
     """
-    clauses = []
-    lookup: dict[tuple[int, int, int, int], int] = {}
-    for d1 in range(11):
-        for d2 in range(11):
-            for d3 in range(11):
-                results: dict[int, list[int]] = {}
-                for a, op1 in enumerate(APPLY_OPS):
-                    for b, op2 in enumerate(APPLY_OPS):
-                        r = _apply_op(_apply_op(d1, op1, d2), op2, d3)
-                        results.setdefault(r, []).append(3 * a + b)
-                for r in sorted(results):
-                    atom = 9 + len(lookup)
-                    lookup[(d1, d2, d3, r)] = atom
-                    clauses.append((-(atom + 1),) + tuple(pair + 1 for pair in results[r]))
+    d1, d2, d3 = np.indices((11, 11, 11)).reshape(3, -1)
+    # results[t, 3a+b]: digit triple t under operator a, then operator b.
+    results = np.stack([_apply_op(_apply_op(d1, op1, d2), op2, d3) for op1 in APPLY_OPS for op2 in APPLY_OPS], axis=1)
+    triple, pair = np.divmod(np.arange(results.size), 9)
+    order = np.lexsort((pair, results.ravel(), triple))
+    triple, result, pair = triple[order], results.ravel()[order], pair[order]
+    starts = np.flatnonzero(np.diff(triple, prepend=-1) | np.diff(result, prepend=-1))
+    atoms = 9 + np.arange(starts.size)
+    indptr = np.append(starts, order.size) + np.arange(starts.size + 1)
+    literals = np.insert(pair + 1, starts, -(atoms + 1))
+    t = triple[starts]
+    lookup = dict(zip(zip(d1[t].tolist(), d2[t].tolist(), d3[t].tolist(), result[starts].tolist()), atoms.tolist()))
     names = lambda: [f"op({s1},{s2})" for s1 in APPLY_OPS for s2 in APPLY_OPS] + [f"apply({d1},{d2},{d3},{r})" for d1, d2, d3, r in lookup]
-    return theory_from_clauses(clauses, 9 + len(lookup), names), lookup
+    return CnfTheory(9 + len(lookup), indptr, literals, names), lookup
 
 
 def member_theory(k: int = 3) -> CnfTheory:
@@ -247,7 +242,24 @@ def exactly_one_theory(classes: int = 10) -> CnfTheory:
 class TaskDataset:
     task: "TaskSpec"
     train: list
-    test: list
+    # A LabelledSplit on the classifier tasks and shortest path, a list of boards on Sudoku.
+    test: list | LabelledSplit
+
+
+@dataclass(frozen=True)
+class LabelledSplit:
+    """A classifier's held-out split: row i of ``features`` is labelled ``labels[i]``."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _held_out(feats: np.ndarray, labels: np.ndarray, start: int, count: int) -> LabelledSplit:
+    """The ``count`` rows from ``start`` on, as views of the drawn arrays."""
+    return LabelledSplit(feats[start : start + count], labels[start : start + count])
 
 
 class TaskSpec:
@@ -297,8 +309,8 @@ class TaskSpec:
         """The ground truth's x and fact rows; by default each image's one-hot digit goes through ``assemble``."""
         return self.assemble(_truth_outputs([inst.digits for inst in batch], 10)), self.fact_rows(batch)
 
-    def evaluate(self, net: Mlp, instances: Sequence) -> float:
-        """Test accuracy; by default the net classifies (input, label) pairs."""
+    def evaluate(self, net: Mlp, instances) -> float:
+        """Test accuracy; by default the net classifies the rows of a ``LabelledSplit``."""
         return _classifier_accuracy(net, instances)
 
     def check_instance(self, inst) -> bool:
@@ -342,12 +354,10 @@ def _pinned(rows: int, n: int, atoms) -> np.ndarray:
     return facts
 
 
-def _classifier_accuracy(net: Mlp, instances: Sequence[tuple[np.ndarray, int]]) -> float:
-    if not instances:
+def _classifier_accuracy(net: Mlp, split: LabelledSplit) -> float:
+    if not len(split):
         return 0.0
-    feats = np.stack([feat for feat, _ in instances])
-    labels = np.array([label for _, label in instances])
-    return float(np.mean(np.argmax(net.predict(feats), axis=1) == labels))
+    return float(np.mean(np.argmax(net.predict(split.features), axis=1) == split.labels))
 
 
 @dataclass(frozen=True)
@@ -403,8 +413,7 @@ class MnistAddTask(TaskSpec):
             first = int("".join(map(str, digits[: self.digits])))
             second = int("".join(map(str, digits[self.digits :])))
             train.append(AddInstance(images=tuple(feats[chunk]), label_sum=first + second, digits=digits))
-        test = [(feats[k * n_train + i], int(labels[k * n_train + i])) for i in range(n_test)]
-        return TaskDataset(self, train, test)
+        return TaskDataset(self, train, _held_out(feats, labels, k * n_train, n_test))
 
 
 @dataclass(frozen=True)
@@ -439,8 +448,7 @@ class Add2x2Task(TaskSpec):
             digits = tuple(int(d) for d in labels[4 * i : 4 * i + 4])
             sums = tuple(digits[a] + digits[b] for a, b in ADD2X2_PAIRS)
             train.append(Add2x2Instance(images=tuple(feats[4 * i : 4 * i + 4]), sums=sums, digits=digits))
-        test = [(feats[4 * n_train + i], int(labels[4 * n_train + i])) for i in range(n_test)]
-        return TaskDataset(self, train, test)
+        return TaskDataset(self, train, _held_out(feats, labels, 4 * n_train, n_test))
 
 
 @dataclass(frozen=True)
@@ -483,8 +491,7 @@ class MemberTask(TaskSpec):
                 query = int(rng.choice(absent)) if absent else int(rng.choice(digits))
             label = int(query in digits)
             train.append(MemberInstance(images=tuple(feats[self.k * i : self.k * (i + 1)]), query=query, label=label, digits=digits))
-        test = [(feats[self.k * n_train + i], int(labels[self.k * n_train + i])) for i in range(n_test)]
-        return TaskDataset(self, train, test)
+        return TaskDataset(self, train, _held_out(feats, labels, self.k * n_train, n_test))
 
 
 @dataclass(frozen=True)
@@ -543,8 +550,7 @@ class Apply2x2Task(TaskSpec):
                 _apply_op(_apply_op(digits[0], APPLY_OPS[ops[a]], digits[1]), APPLY_OPS[ops[b]], digits[2]) for a, b in ADD2X2_PAIRS
             )
             train.append(Apply2x2Instance(digits=digits, images=tuple(feats[4 * i : 4 * i + 4]), ops=ops, results=results))
-        test = [(feats[4 * n_train + i], int(labels[4 * n_train + i])) for i in range(n_test)]
-        return TaskDataset(self, train, test)
+        return TaskDataset(self, train, _held_out(feats, labels, 4 * n_train, n_test))
 
 
 class SudokuTask(TaskSpec):
@@ -597,7 +603,7 @@ class SudokuTask(TaskSpec):
     def cell_probs(self, net: Mlp, q: np.ndarray) -> np.ndarray:
         """(cells, side) digit probabilities of one board, (B, cells, side) of a stack."""
         raw = net.predict(self.encode_board(q))
-        return _softmax_np(raw.reshape(np.shape(q) + (self.side,)))
+        return T.softmax_value(raw.reshape(np.shape(q) + (self.side,)))
 
     def predict_board(self, net: Mlp, q: np.ndarray) -> np.ndarray:
         """One-shot completion of one board or a stack: argmax digit for every empty cell."""
@@ -673,14 +679,11 @@ class ShortestPathTask(TaskSpec):
             "bound": bound_loss(raw),
         })
 
-    def evaluate(self, net: Mlp, instances) -> float:
+    def evaluate(self, net: Mlp, split: LabelledSplit) -> float:
         """Exact-match accuracy of the thresholded edge predictions."""
-        if not instances:
+        if not len(split):
             return 0.0
-        feats = np.stack([inst.features for inst in instances])
-        preds = net.predict(feats) >= 0.5
-        labels = np.stack([inst.label for inst in instances]).astype(bool)
-        return float(np.mean(np.all(preds == labels, axis=1)))
+        return float(np.mean(np.all((net.predict(split.features) >= 0.5) == split.labels, axis=1)))
 
     def truth_rows(self, batch: Sequence[D.PathInstance]) -> tuple[Tensor, np.ndarray]:
         """The labelled path's edges through ``assemble``."""
@@ -694,7 +697,9 @@ class ShortestPathTask(TaskSpec):
         if len(instances) < n_train + n_test:
             n_train = int(len(instances) * 0.8)
             n_test = len(instances) - n_train
-        return TaskDataset(self, instances[:n_train], instances[n_train : n_train + n_test])
+        feats = np.stack([inst.features for inst in instances])
+        labels = np.stack([inst.label for inst in instances]).astype(bool)
+        return TaskDataset(self, instances[:n_train], _held_out(feats, labels, n_train, n_test))
 
 
 class ExactlyOneTask(TaskSpec):
@@ -774,10 +779,9 @@ class ExactlyOneTask(TaskSpec):
             means[name] = (1.0 / len(batch)) * total
         return means
 
-    def violation_fraction(self, net: Mlp, instances) -> float:
+    def violation_fraction(self, net: Mlp, split: LabelledSplit) -> float:
         """Share of inputs whose thresholded logits are not one-hot."""
-        feats = np.stack([feat for feat, _ in instances])
-        bits = net.predict(feats) >= 0.0
+        bits = net.predict(split.features) >= 0.0
         return float(np.mean(bits.sum(axis=1) != 1))
 
     def truth_rows(self, batch) -> tuple[Tensor, np.ndarray]:
@@ -813,8 +817,7 @@ class ExactlyOneTask(TaskSpec):
             reps = max(0, (self.label_share * len(unlabeled) - len(labeled)) // len(labeled))
             train += labeled * reps
         train += unlabeled
-        test = [(feats[n_labeled + n_unlabeled + i], int(labels[n_labeled + n_unlabeled + i])) for i in range(n_test)]
-        return TaskDataset(self, train, test)
+        return TaskDataset(self, train, _held_out(feats, labels, n_labeled + n_unlabeled, n_test))
 
 
 # ---------------------------------------------------------------------------

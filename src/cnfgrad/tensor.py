@@ -314,10 +314,14 @@ def clip(x, lo: float, hi: float) -> Tensor:
     return out
 
 
+def sigmoid_value(d: np.ndarray) -> np.ndarray:
+    """The logistic function on a plain array, in the form that never overflows ``exp``."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    d = x.data
-    val = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    val = sigmoid_value(x.data)
     out = Tensor(val, parents=(x,), op="sigmoid")
 
     def back(g: np.ndarray) -> None:
@@ -327,14 +331,18 @@ def sigmoid(x) -> Tensor:
     return out
 
 
+def softmax_value(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array, shifted by the slice maximum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis; each slice along it sums to 1."""
     x = as_tensor(x)
     if x.shape == ():
         raise ShapeError("softmax: scalar input")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    val = e / e.sum(axis=-1, keepdims=True)
+    val = softmax_value(x.data)
     out = Tensor(val, parents=(x,), op="softmax")
 
     def back(g: np.ndarray) -> None:

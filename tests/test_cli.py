@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cnfgrad import blas
 from cnfgrad.cli import main
 from cnfgrad.tasks import TASK_NAMES
 
@@ -145,6 +146,7 @@ class TestTrainEvalSolve:
         assert rows[0].startswith("epoch,loss_total") and len(rows) == 3
         echo = json.loads((tmp_path / "a" / "run.json").read_text())
         assert echo["seed"] == 1 and echo["task"] == "mnist-add"
+        assert echo["blas_threads"] == blas.threads()
 
         code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b"))
         assert code == 0
@@ -211,6 +213,14 @@ class TestTrainEvalSolve:
         assert code == 1 and stdout == ""
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
+    def test_eval_refuses_theory_variant_flags(self, capsys, flag):
+        # eval takes the theory variant from the checkpoint; only train picks one.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "run/checkpoint.npz", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_mnist_idx_files_build_one_task(self, tmp_path, capsys, monkeypatch):
         import struct

@@ -43,6 +43,27 @@ class TestMlp:
         with pytest.raises(ShapeError, match="width 4"):
             net.forward(Tensor(np.ones((2, 5))))
 
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid", "none"])
+    @pytest.mark.parametrize("shape", [(7, 6), (6,)])
+    def test_predict_is_forward_bytes(self, head, shape):
+        net = Mlp((6, 8, 5, 4), head=head, seed=1)
+        x = np.random.default_rng(2).normal(scale=3.0, size=shape)
+        got = net.predict(x)
+        assert got.dtype == np.float64 and got.tobytes() == net.forward(Tensor(x))[0].data.tobytes()
+
+    def test_predict_builds_no_tensor(self):
+        net = Mlp((6, 8, 4), seed=1)
+        x = np.ones((3, 6))
+        before = repr(T._ids)
+        net.predict(x)
+        assert repr(T._ids) == before
+        net.forward(Tensor(x))
+        assert repr(T._ids) != before
+
+    def test_predict_checks_input_width(self):
+        with pytest.raises(ShapeError, match="width 4"):
+            Mlp((4, 3), seed=0).predict(np.ones((2, 5)))
+
     def test_cross_entropy_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         net = Mlp((5, 6, 4), seed=2)
@@ -67,6 +88,18 @@ class TestMlp:
                 numeric = (up - down) / (2 * h)
                 rel = abs(got.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
                 assert rel <= 1e-5
+
+
+def _numpy_blas() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+class TestThreads:
+    @pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
+    def test_import_leaves_one_blas_thread(self):
+        import cnfgrad
+
+        assert cnfgrad.blas.threads() == 1
 
 
 class TestOptimizer:

@@ -332,6 +332,18 @@ class TestTheoryPins:
         assert hashlib.sha256(serialize_atom_names(task.theory).encode()).hexdigest() == names
         assert self.matrix_digest(build_matrix(task.theory)) == matrix
 
+    def test_apply2x2_lookup_is_pinned(self):
+        # The per-combination loop that the array builder replaced, in its insertion order.
+        lookup = {}
+        for d1 in range(11):
+            for d2 in range(11):
+                for d3 in range(11):
+                    reached = {TK._apply_op(TK._apply_op(d1, op1, d2), op2, d3) for op1 in TK.APPLY_OPS for op2 in TK.APPLY_OPS}
+                    for r in sorted(reached):
+                        lookup[(d1, d2, d3, r)] = 9 + len(lookup)
+        _, got = TK.apply2x2_theory()
+        assert list(got.items()) == list(lookup.items())
+
 
 class TestTheoryBuildCost:
     @pytest.mark.parametrize("name", ["mnist-add2", "mnist-add3"])
@@ -352,6 +364,56 @@ class TestTheoryBuildCost:
         with time_limit(2, "mnist_add_theory(3) plus build_matrix"):
             matrix = build_matrix(TK.mnist_add_theory(3))
         assert matrix.shape == (1999, 1001999) and matrix.indptr[-1] == 10**6 + 1999
+
+
+class TestHeldOutSplit:
+    """Evaluation on a task's array split equals the per-pair stacking it replaced, on the same rows."""
+
+    # Task -> (training rows drawn before the test rows, classes, seed tag of its synthetic_features draw).
+    DRAWS = {
+        "mnist-add": (2 * 8, 10, 11),
+        "mnist-add2": (4 * 8, 10, 11),
+        "mnist-add3": (6 * 8, 10, 11),
+        "add2x2": (4 * 8, 10, 12),
+        "apply2x2": (4 * 8, 3, 16),
+        "member3": (3 * 8, 10, 14),
+        "member5": (5 * 8, 10, 14),
+        "exactly-one": (4 + 4, 10, 19),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_classifier_split(self, name):
+        task = TK.make_task(name)
+        sizes = {"n_labeled": 4, "n_unlabeled": 4} if name == "exactly-one" else {"n_train": 8}
+        split = task.make_data(seed=0, n_test=64, **sizes).test
+        # The (feature, label) pairs the test split used to be, from the same draw.
+        start, classes, tag = self.DRAWS[name]
+        feats, labels = D.synthetic_features(start + 64, classes, 0.2, [0, tag], dim=task.input_dim)
+        pairs = [(feats[start + i], int(labels[start + i])) for i in range(64)]
+        assert len(split) == 64
+        assert np.array_equal(split.features, np.stack([feat for feat, _ in pairs]))
+        assert np.array_equal(split.labels, [label for _, label in pairs])
+        net = task.build_net(3)
+        out = net.forward(Tensor(np.stack([feat for feat, _ in pairs])))[0].data
+        want = float(np.mean(np.argmax(out, axis=1) == np.array([label for _, label in pairs])))
+        assert task.evaluate(net, split) == want
+        if name == "exactly-one":
+            assert task.violation_fraction(net, split) == float(np.mean((out >= 0.0).sum(axis=1) != 1))
+
+    def test_shortest_path_split(self):
+        task = TK.make_task("shortest-path")
+        split = task.make_data(seed=0, n_train=8, n_test=64).test
+        instances = D.gen_path_instances(72, seed=[0, 18])[8:]
+        feats = np.stack([inst.features for inst in instances])
+        labels = np.stack([inst.label for inst in instances]).astype(bool)
+        assert np.array_equal(split.features, feats) and np.array_equal(split.labels, labels)
+        net = task.build_net(3)
+        # Every row predicts the first instance's path (its edges at logit +4, the rest at -4),
+        # so that row at least is an exact match.
+        net.weights[-1].data[...] = 0.0
+        net.biases[-1].data[...] = np.where(labels[0], 4.0, -4.0)
+        want = float(np.mean(np.all((net.forward(Tensor(feats))[0].data >= 0.5) == labels, axis=1)))
+        assert want > 0.0 and task.evaluate(net, split) == want
 
 
 def _tensor_sum(terms):
