@@ -18,6 +18,7 @@ from .closs import (
     closed_form_grad,
     cnf_loss,
     cnf_loss_forward,
+    group_selections,
     hint_loss,
     sum_loss,
 )

@@ -49,6 +49,13 @@ TASK_FLAGS = {
 }
 
 
+# A task's binarizer -> why its columns cannot take the other one.
+FN_REASONS = {
+    "bp": "its columns are probabilities, never below 0, so 'b' would binarize every atom to 1",
+    "b": "its columns are scaled logits, which 'bp' refuses outside [0, 1]",
+}
+
+
 class CliError(Exception):
     pass
 
@@ -78,7 +85,8 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
 
     Only the keys that a flag or the file sets reach ``task.default_config``.
     The batch reduction of the constraint term has no flag: it is the
-    task's own (``TaskSpec.cnf_batch_sum``).
+    task's own (``TaskSpec.cnf_batch_sum``). A binarizer other than the
+    task's is refused (``FN_REASONS``).
     """
     file_conf = _read_config_file(args.config) if args.config else {}
     values = {key: TRAIN_KEYS[key](text) for key, text in file_conf.items() if getattr(args, key) is None}
@@ -88,6 +96,8 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
         values["batch_size"] = values.pop("batch")
     if "ste" in values:
         values["ste"] = SteMode.parse(values["ste"])
+    if values.get("fn", task.fn) != task.fn:
+        raise CliError(f"fn {values['fn']!r} does not suit {args.task}, whose binarizer is {task.fn!r}: {FN_REASONS[task.fn]}")
     return task.default_config(weights=replace(task.weights, **weights), **values)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .cnf import ENUM_CAP, Assignment, ClauseMatrix, CnfTheory, FactVector, brute_force
+from .cnf import ENUM_CAP, Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, brute_force
 from .tensor import SteMode, Tensor
 
 
@@ -147,39 +147,29 @@ def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
     return LossBreakdown(l_f, l_v, deduce, unsat, keep, l_deduce, l_unsat, l_sat, l_cnf)
 
 
-def _per_clause(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Per-clause counts of (rows, nonzeros) flags, as differences of a running count."""
-    run = np.zeros((flags.shape[0], flags.shape[1] + 1), dtype=np.int32)
-    np.cumsum(flags, axis=1, dtype=np.int32, out=run[:, 1:])
-    return run[:, indptr[1:]] - run[:, indptr[:-1]]
+def _per_clause(plan: KernelPlan, flags: np.ndarray) -> np.ndarray:
+    """Per-clause counts of (rows, nonzeros) flags; an empty clause counts 0.
+
+    ``reduceat`` runs over the non-empty clauses only: at a repeated start it
+    would return that one element, and a trailing empty clause would read past
+    the last literal.
+    """
+    counts = np.add.reduceat(flags, plan.starts, axis=1, dtype=np.int32)
+    if plan.nonempty.size == plan.lengths.size:
+        return counts
+    padded = np.zeros((flags.shape[0], plan.lengths.size), dtype=np.int32)
+    padded[:, plan.nonempty] = counts
+    return padded
 
 
 def _clause_counts(matrix: ClauseMatrix, v: np.ndarray, fact: np.ndarray):
     """Literal truth (rows, nnz), true-literal counts and deduce membership (rows, m)
     of boolean predictions ``v`` under boolean facts ``fact``, both (rows, n)."""
-    indptr = matrix.indptr
-    pos = matrix.values > 0
-    lit_true = v.take(matrix.indices, axis=1) == pos
-    neg_fact = fact.take(matrix.indices, axis=1) > pos
-    deduce = indptr[1:] - indptr[:-1] - _per_clause(indptr, neg_fact) == 1
-    return lit_true, _per_clause(indptr, lit_true), deduce
-
-
-def _literal_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Both terms of a literal's gradient in ``cnf_loss_rows``, per (sign, literal true, clause key).
-
-    The gradient is -sign * [deduce and alone] + (-sign if unsat or literal
-    true, else sign) / m. A true literal is alone when its clause has one true
-    literal, a false one when it has none, so a clause's key holds (deduce and
-    alone, unsat or true) for its true literals in bits 2-3, for its false ones in bits 0-1.
-    """
-    key = np.arange(16)
-    index = 4 * np.arange(2)[:, None, None] + np.where(np.array([False, True])[:, None], key >> 2, key & 3)
-    sign = np.where(index >= 4, 1.0, -1.0)
-    return (-sign * (index >> 1 & 1)).ravel(), np.where(index & 1, -sign, sign).ravel()
-
-
-_DEDUCE_TERM, _SIGNED_TERM = _literal_terms()
+    plan = matrix.plan
+    lit_true = v.take(matrix.indices, axis=1) == plan.positive
+    neg_fact = fact.take(matrix.indices, axis=1) > plan.positive
+    deduce = plan.lengths - _per_clause(plan, neg_fact) == 1
+    return lit_true, _per_clause(plan, lit_true), deduce
 
 
 def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> ForwardBreakdown:
@@ -246,12 +236,13 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
     def back(g: np.ndarray) -> None:
         if x.grad is None:
             return
-        # The clause key of ``_literal_terms``, then the literal's sign and truth above it.
+        # The clause key of ``cnf._literal_terms``, then the literal's sign and truth above it.
+        plan = matrix.plan
         key = (4 * (2 * (deduce & (true_counts == 1)) + 1) + 2 * (deduce & unsat) + unsat).astype(np.uint8)
-        index = key.take(np.repeat(np.arange(m), matrix.indptr[1:] - matrix.indptr[:-1]), axis=1)
+        index = key.take(plan.clause_of, axis=1)
         index |= lit_true.view(np.uint8) << 4
-        index |= (matrix.values > 0).view(np.uint8) << 5
-        per_literal = (_DEDUCE_TERM + _SIGNED_TERM / max(m, 1)).take(index).ravel()
+        index |= plan.positive_bit
+        per_literal = plan.terms.take(index).ravel()
         slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
         grad = np.bincount(slot, weights=per_literal, minlength=rows * n).reshape(rows, n)
         del index, per_literal, slot  # free the (rows, nnz) arrays before the products below
@@ -270,13 +261,34 @@ def bound_loss(x_raw: Tensor) -> Tensor:
     return T.avg_last(T.square(x_raw))
 
 
-def sum_loss(probs: Tensor, group_families) -> Tensor:
-    """Penalize index groups whose probabilities do not sum to 1.
+def group_selections(group_families, rows: int, cols: int) -> list[np.ndarray]:
+    """The 0/1 selection matrix of each family of index groups into a rows x cols matrix.
 
     ``group_families`` is a sequence of families; each family is a list of
-    equal-size groups, each group a list of (row, col) positions into
-    ``probs`` (or the same as a (groups, size, 2) integer array). The
-    squared deviation of each group sum from 1 is averaged within its
+    equal-size groups, each group a list of (row, col) positions (or the
+    same as a (groups, size, 2) integer array). A family's matrix is
+    (rows * cols, groups), read-only, with column g marking group g's
+    positions in the row-major flattening.
+    """
+    selections = []
+    for family in group_families:
+        r, c = np.asarray(family, dtype=np.int64).reshape(-1, 2).T
+        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if outside.size:
+            raise IndexError(f"group_selections: position ({r[outside[0]]}, {c[outside[0]]}) outside {rows}x{cols}")
+        sel = np.zeros((rows * cols, len(family)), dtype=np.float64)
+        sel[r * cols + c, np.repeat(np.arange(len(family)), r.size // max(len(family), 1))] = 1.0
+        sel.setflags(write=False)
+        selections.append(sel)
+    return selections
+
+
+def sum_loss(probs: Tensor, selections) -> Tensor:
+    """Penalize index groups whose probabilities do not sum to 1.
+
+    ``selections`` holds one matrix per family of groups, as
+    ``group_selections`` builds them for the shape of one ``probs`` matrix.
+    The squared deviation of each group sum from 1 is averaged within its
     family, and families are summed. ``probs`` is one 2-D matrix (a scalar
     loss) or a (B, rows, cols) stack of them (one loss per matrix).
     """
@@ -285,13 +297,7 @@ def sum_loss(probs: Tensor, group_families) -> Tensor:
     lead, (rows, cols) = probs.shape[:-2], probs.shape[-2:]
     flat = T.reshape(probs, lead + (rows * cols,))
     total: Tensor | None = None
-    for family in group_families:
-        r, c = np.asarray(family, dtype=np.int64).reshape(-1, 2).T
-        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
-        if outside.size:
-            raise IndexError(f"sum_loss: position ({r[outside[0]]}, {c[outside[0]]}) outside {rows}x{cols}")
-        sel = np.zeros((rows * cols, len(family)), dtype=np.float64)
-        sel[r * cols + c, np.repeat(np.arange(len(family)), r.size // max(len(family), 1))] = 1.0
+    for sel in selections:
         term = T.avg_last(T.square(T.matmul(flat, Tensor(sel)) - 1.0))
         total = term if total is None else total + term
     return total if total is not None else T.constant(np.zeros(lead))

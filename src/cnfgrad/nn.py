@@ -106,15 +106,17 @@ class Mlp:
         """Head output values, off the graph: ``forward``'s ops in its order, on plain arrays.
 
         No ``Tensor`` is built, and the values are bit-identical to ``forward``'s.
+        Each layer works in the array its product made, so ``batch`` is never written.
         """
         h = np.asarray(batch, dtype=np.float64)
         if h.shape[-1] != self.layer_dims[0]:
             raise T.ShapeError(f"mlp expects inputs of width {self.layer_dims[0]}, got shape {h.shape}")
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
+            h = h @ w.data
+            h += b.data
             if i != last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         if self.head == "softmax":
             return T.softmax_value(h)
         if self.head == "sigmoid":

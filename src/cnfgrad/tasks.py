@@ -27,6 +27,7 @@ from .closs import (
     LossWeights,
     bound_loss,
     cnf_loss_rows,
+    group_selections,
     hint_loss,
     sum_loss,
 )
@@ -567,7 +568,7 @@ class SudokuTask(TaskSpec):
         self.hidden = hidden
         self.cells = side * side
         self.input_dim = self.cells * (side + 1)
-        self.sum_groups = sudoku_sum_groups(side)
+        self.sum_selections = group_selections(sudoku_sum_groups(side), self.cells, side)
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, *self.hidden, self.cells * self.side), head="none", seed=seed)
@@ -595,7 +596,7 @@ class SudokuTask(TaskSpec):
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), self.sum_groups)
+            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), self.sum_selections)
         if config.weights.delta:
             per_board["hint"] = hint_loss(facts, x, config.ste)
         return _batch_means(per_board)

@@ -9,7 +9,10 @@ saturated) or the analytic sawtooth-gate gradient.
 
 Gradients accumulate in the reverse of node-creation order, which is a
 topological order by construction, so repeated runs are bit-identical.
-Indicator outputs are constants: no gradient ever flows through them.
+An interior node takes its first gradient contribution as its ``grad``
+and adds later ones into a new array; only leaves that require a
+gradient own a buffer, zero-filled once, that contributions are added
+into. Indicator outputs are constants: no gradient ever flows through them.
 """
 
 from __future__ import annotations
@@ -149,12 +152,24 @@ def constant(value) -> Tensor:
     return Tensor(np.array(value, dtype=np.float64))
 
 
+# ``grad`` of an interior node during ``backward`` until its first contribution arrives.
+_PENDING = object()
+
+
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    # Constants were never given a grad buffer; skip them. Ops whose
-    # operands are often constants test ``grad`` themselves before they
-    # compute the operand's gradient at all.
-    if t.grad is not None:
+    # Constants have no grad; skip them. Ops whose operands are often
+    # constants test ``grad`` themselves before they compute the operand's
+    # gradient at all. An interior node keeps its first contribution as it
+    # is and never adds in place: ``add`` hands one ``g`` to both operands,
+    # and ``reshape`` and ``concat`` hand out views of theirs.
+    if t.grad is None:
+        return
+    if t.grad is _PENDING:
+        t.grad = g
+    elif t.op == "leaf":
         t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 # -- elementwise arithmetic -------------------------------------------------
@@ -332,9 +347,11 @@ def sigmoid(x) -> Tensor:
 
 
 def softmax_value(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a plain array, shifted by the slice maximum."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of a plain array, shifted by the slice maximum; one new array."""
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(x) -> Tensor:
@@ -527,11 +544,13 @@ def backward(loss: Tensor) -> None:
     nodes = sorted(seen.values(), key=lambda t: t._id, reverse=True)
     for t in nodes:
         if t.op != "leaf":
-            t.grad = np.zeros_like(t.data)
+            t.grad = _PENDING
             t._spent = True
         elif t.requires_grad and t.grad is None:
             t.grad = np.zeros_like(t.data)
     loss.grad = np.ones_like(loss.data)
     for t in nodes:
+        if t.grad is _PENDING:  # no consumer passed it a gradient
+            t.grad = np.zeros_like(t.data)
         if t._backward is not None:
             t._backward(t.grad)

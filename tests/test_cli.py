@@ -214,6 +214,27 @@ class TestTrainEvalSolve:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "task,fn,reason",
+        [
+            ("mnist-add", "b", "its columns are probabilities, never below 0, so 'b' would binarize every atom to 1"),
+            ("exactly-one", "bp", "its columns are scaled logits, which 'bp' refuses outside [0, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_binarizer_the_columns_cannot_use_fails_fast(self, tmp_path, capsys, task, fn, reason, source):
+        own = "b" if fn == "bp" else "bp"
+        extra = ("--fn", fn)
+        if source == "config":
+            conf = tmp_path / "train.conf"
+            conf.write_text(f"fn = {fn}\n")
+            extra = ("--config", str(conf))
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", task, *extra, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: fn {fn!r} does not suit {task}, whose binarizer is {own!r}: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):
         # eval takes the theory variant from the checkpoint; only train picks one.

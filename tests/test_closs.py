@@ -11,6 +11,7 @@ from cnfgrad.closs import (
     cnf_loss,
     cnf_loss_forward,
     cnf_loss_rows,
+    group_selections,
     hint_loss,
     sum_loss,
 )
@@ -228,22 +229,22 @@ class TestSumLoss:
         rng = np.random.default_rng(2)
         probs = T.softmax(Tensor(rng.normal(size=(4, 3))))
         families = [[[(r, c) for c in range(3)] for r in range(4)]]
-        assert float(sum_loss(probs, families).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(sum_loss(probs, group_selections(families, 4, 3)).data) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_group_deviation(self):
         probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
         families = [[[(0, 0), (0, 1)]]]
-        assert float(sum_loss(probs, families).data) == pytest.approx(0.25)
+        assert float(sum_loss(probs, group_selections(families, 2, 2)).data) == pytest.approx(0.25)
 
     def test_family_averaging(self):
         probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
         families = [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
         # deviations (0.5)^2 and 0, averaged over the family of two groups
-        assert float(sum_loss(probs, families).data) == pytest.approx(0.125)
+        assert float(sum_loss(probs, group_selections(families, 2, 2)).data) == pytest.approx(0.125)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            sum_loss(Tensor(np.zeros((2, 2))), [[[(2, 0)]]])
+        with pytest.raises(IndexError, match=r"\(2, 0\) outside 2x2"):
+            group_selections([[[(2, 0)]]], 2, 2)
 
     def test_sudoku9_groups_shape(self):
         from cnfgrad.tasks import sudoku_sum_groups
@@ -257,15 +258,16 @@ class TestSumLoss:
         rng = np.random.default_rng(9)
         data = rng.random((3, 4))
         families = [[[(r, c) for c in range(4)] for r in range(3)], [[(r, c) for r in range(3)] for c in range(4)]]
+        selections = group_selections(families, 3, 4)
         x = Tensor(data, requires_grad=True)
-        T.backward(sum_loss(x, families))
+        T.backward(sum_loss(x, selections))
         h = 1e-6
         for r in range(3):
             for c in range(4):
                 up, down = data.copy(), data.copy()
                 up[r, c] += h
                 down[r, c] -= h
-                numeric = (float(sum_loss(Tensor(up), families).data) - float(sum_loss(Tensor(down), families).data)) / (2 * h)
+                numeric = (float(sum_loss(Tensor(up), selections).data) - float(sum_loss(Tensor(down), selections).data)) / (2 * h)
                 assert x.grad[r, c] == pytest.approx(numeric, abs=1e-6)
 
 
@@ -427,6 +429,52 @@ class TestFusedRows:
             assert got.grad.tobytes() == want.grad.tobytes()
             kinds.add((fn, ste, k < n, any(not cl for cl in theory.clauses)))
         assert len(kinds) == 16
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            [(), (1, -2), (2, 3)],
+            [(1, -2), (), (), (-3,), (), (2, 3)],
+            [(1, -2), (2, 3), ()],
+            [(), (-1,), ()],
+            [(), ()],
+            [],
+        ],
+        ids=["first", "middle", "last", "both-ends", "only-empty", "m0"],
+    )
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_empty_clauses_match_reference_chain(self, clauses, k):
+        # reduceat runs over the non-empty clauses only; every empty clause counts no literal
+        matrix = build_matrix(theory_from_clauses(clauses, 3))
+        rng = np.random.default_rng(len(clauses) * 4 + k)
+        for fn, ste in (("bp", SteMode.ISTE), ("bp", SteMode.SSTE), ("b", SteMode.ISTE), ("b", SteMode.SSTE)):
+            facts = (rng.random((5, 3)) < 0.3).astype(np.int8)
+            xs = rng.random((5, k)) if fn == "bp" else rng.uniform(-2.0, 2.0, (5, k))
+            weights = Tensor(rng.normal(size=5))
+            got, want = Tensor(xs.copy(), requires_grad=True), Tensor(xs.copy(), requires_grad=True)
+            fused = cnf_loss_rows(matrix, got, facts, fn, ste)
+            chain = reference_rows(matrix, want, facts, fn, ste)
+            assert fused.data.tobytes() == chain.data.tobytes()
+            T.backward(T.sum_last(fused * weights))
+            T.backward(T.sum_last(chain * weights))
+            assert got.grad.shape == (5, k) and got.grad.tobytes() == want.grad.tobytes()
+
+    def test_plan_is_built_once_per_matrix(self, monkeypatch):
+        import cnfgrad.cnf as C
+
+        built, real = [], C.KernelPlan
+        monkeypatch.setattr(C, "KernelPlan", lambda **arrays: built.append(real(**arrays)) or built[-1])
+        matrix = build_matrix(theory_from_clauses([(1, -2), (), (2, 3), ()], 3))
+        for _ in range(3):
+            x = Tensor(np.full((2, 3), 0.75), requires_grad=True)
+            T.backward(T.sum_last(cnf_loss_rows(matrix, x, np.zeros((2, 3), dtype=np.int8))))
+        assert len(built) == 1 and matrix.plan is built[0]
+        plan = built[0]
+        assert plan.lengths.tolist() == [2, 0, 2, 0] and plan.nonempty.tolist() == [0, 2] and plan.starts.tolist() == [0, 2]
+        assert plan.clause_of.tolist() == [0, 0, 2, 2] and plan.positive.tolist() == [True, False, True, True]
+        # a chain of 49 clauses over 50 atoms: no plan array grows with m x n (2,450), only with the 98 literals
+        chain = build_matrix(theory_from_clauses([(i + 1, -(i + 2)) for i in range(49)], 50))
+        assert chain.plan is not plan and all(a.size <= 98 for a in vars(chain.plan).values())
 
     @pytest.mark.parametrize("fn", ["b", "bp"])
     def test_matches_graph_and_oracle(self, fn):

@@ -51,6 +51,18 @@ class TestMlp:
         got = net.predict(x)
         assert got.dtype == np.float64 and got.tobytes() == net.forward(Tensor(x))[0].data.tobytes()
 
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid", "none"])
+    @pytest.mark.parametrize("dims", [(6, 4), (6, 8, 5, 4)])
+    def test_predict_leaves_its_input_and_weights_alone(self, head, dims):
+        # predict works in place on the arrays its products make; the caller's batch is never one of them
+        net = Mlp(dims, head=head, seed=1)
+        x = np.random.default_rng(2).normal(scale=3.0, size=(7, 6))
+        before = x.copy()
+        params = [p.data.copy() for p in net.params()]
+        got = net.predict(x)
+        assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
+        assert all(p.data.tobytes() == q.tobytes() for p, q in zip(net.params(), params))
+
     def test_predict_builds_no_tensor(self):
         net = Mlp((6, 8, 4), seed=1)
         x = np.ones((3, 6))

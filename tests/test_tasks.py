@@ -10,10 +10,11 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad import verify as V
-from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, hint_loss, sum_loss
+from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, group_selections, hint_loss, sum_loss
 from cnfgrad.closs import closed_form_grad
 from cnfgrad.cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, build_matrix, parse_dimacs, serialize_atom_names, serialize_dimacs
 from cnfgrad.tensor import Tensor
+import tape_reference
 from kernel_reference import reference_rows
 
 
@@ -468,6 +469,22 @@ class TestSparseTraining:
         _, grads = objective_and_grads(task, net, task.batch_loss(net, batch, config), config, len(batch))
         assert all(np.all(np.isfinite(g)) for g in grads)
 
+    # sudoku9 is left out: its data generation refuses boards above 4x4 (tests/test_datasets.py).
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"] + ["sudoku4 gamma delta"])
+    def test_batch_objective_gradients_match_zero_filled_tape(self, name, request):
+        name, *terms = name.split()
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        config = task.default_config(seed=4, weights=dataclasses.replace(task.weights, **{t: 0.5 for t in terms}))
+        batch = tiny_data(task, seed=4).train
+        grads = []
+        for backward in (T.backward, tape_reference.backward):
+            net = task.build_net(4)
+            means = task.batch_loss(net, batch, config)
+            assert {{"gamma": "sum", "delta": "hint"}[t] for t in terms} <= means.keys()
+            backward(N._batch_total(means, config.weights, len(batch), task.cnf_batch_sum))
+            grads.append([p.grad.tobytes() for p in net.params()])
+        assert grads[0] == grads[1]
+
     @pytest.mark.parametrize("name", ["mnist-add", "add2x2", "member3", "sudoku4", "shortest-path"])
     def test_batch_loss_matches_dense_route(self, name, monkeypatch):
         task = TK.make_task(name)
@@ -569,7 +586,7 @@ class TestSudokuBatchLoss:
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            terms["sum"] = sum_loss(probs, TK.sudoku_sum_groups(task.side))
+            terms["sum"] = sum_loss(probs, group_selections(TK.sudoku_sum_groups(task.side), task.cells, task.side))
         if config.weights.delta:
             terms["hint"] = hint_loss(facts, x, config.ste)
         return terms
@@ -592,16 +609,16 @@ class TestSudokuBatchLoss:
         assert_same_objective(batched, graph)
 
     def test_sum_loss_batch_axis_matches_per_board(self):
-        families = TK.sudoku_sum_groups(4)
+        selections = group_selections(TK.sudoku_sum_groups(4), 16, 4)
         data = np.random.default_rng(9).dirichlet(np.ones(4), size=(5, 16))
         stacked = Tensor(data.copy(), requires_grad=True)
-        per_row = sum_loss(stacked, families)
+        per_row = sum_loss(stacked, selections)
         assert per_row.shape == (5,)
         weights = np.arange(1.0, 6.0)
         T.backward(T.sum_last(per_row * weights))
         for b in range(5):
             single = Tensor(data[b].copy(), requires_grad=True)
-            value = sum_loss(single, families)
+            value = sum_loss(single, selections)
             assert value.shape == () and float(value.data) == pytest.approx(per_row.data[b], rel=1e-12)
             T.backward(weights[b] * value)
             np.testing.assert_allclose(stacked.grad[b], single.grad, rtol=1e-9, atol=1e-12)

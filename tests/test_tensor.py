@@ -7,6 +7,8 @@ import cnfgrad.tensor as T
 from cnfgrad.tensor import GraphError, ShapeError, SteMode, Tensor, TgfConfig
 from cnfgrad.verify import finite_difference_suite, tgf_suite
 
+import tape_reference
+
 
 def grad_of(build, *arrays):
     leaves = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
@@ -182,6 +184,66 @@ class TestBackward:
         first = run()
         for _ in range(3):
             assert np.array_equal(run(), first)
+
+
+class TestTapeAgainstZeroFill:
+    """``backward`` takes an interior node's first gradient as it comes; leaf gradients match the zero-filled pass byte for byte."""
+
+    @staticmethod
+    def leaf_grads(build, arrays, run):
+        leaves = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+        run(build(*leaves))
+        return [leaf.grad.tobytes() for leaf in leaves]
+
+    def assert_same(self, build, *arrays):
+        got = self.leaf_grads(build, arrays, T.backward)
+        want = self.leaf_grads(build, arrays, tape_reference.backward)
+        assert got == want
+
+    def test_square_by_product_and_sum_with_itself(self):
+        data = np.random.default_rng(4).normal(size=(3, 4))
+        self.assert_same(lambda x: T.sum_last(T.sum_last(x * x)), data)
+        self.assert_same(lambda a: T.sum_last(T.sum_last(T.relu(a + a) * a)), data)
+        y = Tensor(data, requires_grad=True)
+        T.backward(T.sum_last(T.sum_last(y + y)))
+        assert np.array_equal(y.grad, np.full((3, 4), 2.0))
+
+    def test_concat_of_views(self):
+        rng = np.random.default_rng(5)
+
+        def build(x, w):
+            h = T.relu(T.matmul(x, w))
+            flat = T.reshape(h, (3 * 4,))
+            joined = T.concat([h, T.square(h), h])
+            return T.sum_last(T.sum_last(T.softmax(joined))) + T.sum_last(flat * flat)
+
+        self.assert_same(build, rng.normal(size=(3, 5)), rng.normal(size=(5, 4)))
+
+    @pytest.mark.parametrize("consumer_first", [False, True])
+    def test_add_of_interior_nodes_that_are_consumed_again(self, consumer_first):
+        # ``add`` hands one array to both operands; an in-place sum into either would corrupt the other
+        rng = np.random.default_rng(6)
+
+        def build(x, w):
+            p, q = T.matmul(x, w), T.sigmoid(x)
+            if consumer_first:
+                other = p * q + T.square(q)
+                s = p + q
+            else:
+                s = p + q
+                other = p * q + T.square(q)
+            return T.sum_last(T.sum_last(s * x)) + T.sum_last(T.sum_last(other))
+
+        self.assert_same(build, rng.normal(size=(2, 3)), rng.normal(size=(3, 3)))
+
+    def test_interior_node_without_a_contribution_gets_zeros(self):
+        # avg_last over an empty axis passes nothing back; the node below it still runs on a zero gradient
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        e = Tensor(np.ones((2, 0)), requires_grad=True)
+        mid = e * 2.0
+        T.backward(T.sum_last(T.avg_last(mid)) + T.sum_last(T.sum_last(x * x)))
+        assert mid.grad.shape == (2, 0) and e.grad.shape == (2, 0)
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 
 class TestIndicator:
