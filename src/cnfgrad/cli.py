@@ -9,6 +9,7 @@ over defaults. ``CNFGRAD_DATA_DIR`` sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -46,6 +47,12 @@ TRAIN_KEYS = {
 TASK_FLAGS = {
     "include_box": ("include_box_uec", ("sudoku4", "sudoku9")),
     "uec": ("include_uec", ("mnist-add",)),
+}
+
+# Data flag -> the ``make_data`` keyword it sets.
+DATA_FLAGS = {
+    "n_train": "n_train", "n_test": "n_test", "noise": "noise", "tier": "tier", "csv": "csv_path",
+    "labeled": "n_labeled", "unlabeled": "n_unlabeled", "mnist": "idx",
 }
 
 
@@ -210,29 +217,16 @@ def cmd_grad_verify(args: argparse.Namespace) -> int:
 
 
 def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.TaskDataset:
+    """``task.make_data`` with each given data flag as its keyword; a keyword it does not take is refused."""
+    accepted = inspect.signature(task.make_data).parameters
     kwargs: dict = {"seed": seed}
-    if args.n_train is not None:
-        kwargs["n_train"] = args.n_train
-    if args.n_test is not None:
-        kwargs["n_test"] = args.n_test
-    if isinstance(task, TK.MnistAddTask):
-        if args.mnist:
-            kwargs["idx"] = D.load_idx(*args.mnist)
-        else:
-            kwargs["noise"] = args.noise
-    elif isinstance(task, (TK.Add2x2Task, TK.MemberTask, TK.Apply2x2Task)):
-        kwargs["noise"] = args.noise
-    elif isinstance(task, TK.SudokuTask):
-        kwargs["tier"] = args.tier
-    elif isinstance(task, TK.ShortestPathTask):
-        kwargs["csv_path"] = args.csv
-    elif isinstance(task, TK.ExactlyOneTask):
-        kwargs.pop("n_train", None)
-        if args.labeled is not None:
-            kwargs["n_labeled"] = args.labeled
-        if args.unlabeled is not None:
-            kwargs["n_unlabeled"] = args.unlabeled
-        kwargs["noise"] = args.noise
+    for flag, keyword in DATA_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if keyword not in accepted:
+            raise CliError(f"--{flag.replace('_', '-')} does not apply to {task.name}, whose data takes no {keyword}")
+        kwargs[keyword] = D.load_idx(*value) if flag == "mnist" else value
     return task.make_data(**kwargs)
 
 
@@ -358,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n-train", type=int, default=None)
         p.add_argument("--n-test", type=int, default=None)
-        p.add_argument("--noise", type=float, default=0.2)
-        p.add_argument("--tier", choices=("easy", "hard"), default="easy")
+        p.add_argument("--noise", type=float, default=None)
+        p.add_argument("--tier", choices=("easy", "hard"), default=None)
         p.add_argument("--csv", help="shortest-path instances file")
         p.add_argument("--labeled", type=int, default=None)
         p.add_argument("--unlabeled", type=int, default=None)

@@ -72,14 +72,10 @@ def synthetic_features(count: int, classes: int, noise: float, seed, dim: int = 
 
 @dataclass(frozen=True)
 class GridInstance:
-    """A puzzle board (0 marks empty) and, when known, its solution."""
+    """A puzzle board (0 marks empty) and its solution."""
 
     q: np.ndarray
-    solution: np.ndarray | None = None
-
-    @property
-    def side(self) -> int:
-        return int(round(np.sqrt(self.q.size)))
+    solution: np.ndarray
 
 
 #: Largest side ``solved_boards`` enumerates. Side 4 has 288 boards; side 9

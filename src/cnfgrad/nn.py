@@ -194,7 +194,7 @@ def _check_weighted_terms(task, means: dict[str, Tensor], weights: LossWeights) 
 
 
 def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, epoch: int) -> dict[str, float]:
-    """One pass over the shuffled training set; returns the metrics row.
+    """One pass over the shuffled training set, a batch per slice of the permutation; returns the metrics row.
 
     Batch loss: baseline mean plus alpha * summed constraint loss plus the
     weighted means of the bound/group-sum/hint terms. Reported columns are
@@ -208,7 +208,7 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
     total_sum = 0.0
     count = 0
     for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-        batch = [dataset.train[i] for i in order[start : start + config.batch_size]]
+        batch = dataset.train[order[start : start + config.batch_size]]
         means = task.batch_loss(net, batch, config)
         _check_weighted_terms(task, means, config.weights)
         total = _batch_total(means, config.weights, len(batch), task.cnf_batch_sum)

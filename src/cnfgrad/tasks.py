@@ -2,10 +2,12 @@
 
 Each task bundles a generated theory, a dataset maker, an accuracy
 definition and a training recipe that takes the batch as the unit of
-work: one net pass per input position, the (rows, k) atom-probability
-columns x from the task's ``assemble`` (four rows per instance for
-apply2x2), the (rows, n) fact rows from its ``fact_rows``, and one
-``cnf_loss_rows`` call. The ground-truth check feeds one-hot labels
+work. Every split is a ``Split``: a frozen dataclass of arrays whose row
+i is instance i, and a batch is ``split[index]``. A batch is one net pass
+per input position, the (rows, k) atom-probability columns x from the
+task's ``assemble`` (four rows per instance for apply2x2), the (rows, n)
+fact rows from its ``fact_rows``, and one ``cnf_loss_rows`` call, all
+built from whole fields. The ground-truth check feeds one-hot labels
 through the same assembly. Atom orders follow the assembly recipes, so
 the k network-driven atoms always come first; the atoms after them read
 as binarize(0), which under the default ``bp`` leaves them to the facts.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -111,6 +113,11 @@ def _apply_op(a: int, op: str, b: int) -> int:
     return a * b
 
 
+def _pair_results(d1, d2, d3) -> np.ndarray:
+    """(..., 9): the digits d1, d2, d3 under operator a, then operator b, at index 3a+b."""
+    return np.stack([_apply_op(_apply_op(d1, op1, d2), op2, d3) for op1 in APPLY_OPS for op2 in APPLY_OPS], axis=-1)
+
+
 def apply2x2_theory() -> tuple[CnfTheory, dict[tuple[int, int, int, int], int]]:
     """Clauses tying an operator pair to the result on three digits.
 
@@ -121,8 +128,7 @@ def apply2x2_theory() -> tuple[CnfTheory, dict[tuple[int, int, int, int], int]]:
     Returns the theory plus the lookup from that combination to its atom.
     """
     d1, d2, d3 = np.indices((11, 11, 11)).reshape(3, -1)
-    # results[t, 3a+b]: digit triple t under operator a, then operator b.
-    results = np.stack([_apply_op(_apply_op(d1, op1, d2), op2, d3) for op1 in APPLY_OPS for op2 in APPLY_OPS], axis=1)
+    results = _pair_results(d1, d2, d3)
     triple, pair = np.divmod(np.arange(results.size), 9)
     order = np.lexsort((pair, results.ravel(), triple))
     triple, result, pair = triple[order], results.ravel()[order], pair[order]
@@ -239,28 +245,33 @@ def exactly_one_theory(classes: int = 10) -> CnfTheory:
 # task objects
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TaskDataset:
-    task: "TaskSpec"
-    train: list
-    # A LabelledSplit on the classifier tasks and shortest path, a list of boards on Sudoku.
-    test: list | LabelledSplit
+@dataclass(frozen=True)
+class Split:
+    """Row i of every field is instance i; ``split[index]`` takes the same rows of every field.
+
+    An index array or a slice gives a split; an int gives one instance's fields, so iterating yields the instances.
+    """
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index) -> "Split":
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
 @dataclass(frozen=True)
-class LabelledSplit:
-    """A classifier's held-out split: row i of ``features`` is labelled ``labels[i]``."""
+class LabelledSplit(Split):
+    """Row i of ``features`` is labelled ``labels[i]``; exactly-one marks an unlabelled row with -1."""
 
     features: np.ndarray
     labels: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.labels)
 
-
-def _held_out(feats: np.ndarray, labels: np.ndarray, start: int, count: int) -> LabelledSplit:
-    """The ``count`` rows from ``start`` on, as views of the drawn arrays."""
-    return LabelledSplit(feats[start : start + count], labels[start : start + count])
+@dataclass
+class TaskDataset:
+    task: "TaskSpec"
+    train: Split
+    test: Split
 
 
 class TaskSpec:
@@ -289,35 +300,38 @@ class TaskSpec:
         raise NotImplementedError
 
     def make_data(self, seed: int = 0, **options) -> TaskDataset:
+        """The seeded train and test splits, each one ``Split`` of arrays."""
         raise NotImplementedError
 
     def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
         """The (rows, k) columns of the first k atoms, from the (B, classes) outputs of each input position."""
         raise NotImplementedError(f"task {self.name} has no output assembly")
 
-    def fact_rows(self, batch: Sequence) -> np.ndarray:
+    def fact_rows(self, batch: Split) -> np.ndarray:
         """The (rows, n) int8 facts that a batch's labels pin."""
         raise NotImplementedError(f"task {self.name} has no fact rows")
 
-    def batch_loss(self, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
+    def batch_loss(self, net: Mlp, batch: Split, config: TrainConfig) -> dict[str, Tensor]:
         """The batch mean of each loss term, built as one graph; ``nn.train_epoch`` weights them.
 
         By default one constraint row per instance, from the assembled digit outputs.
         """
         return _batch_means(_digit_rows(self, net, batch, config))
 
-    def truth_rows(self, batch: Sequence) -> tuple[Tensor, np.ndarray]:
+    def truth_rows(self, batch: Split) -> tuple[Tensor, np.ndarray]:
         """The ground truth's x and fact rows; by default each image's one-hot digit goes through ``assemble``."""
-        return self.assemble(_truth_outputs([inst.digits for inst in batch], 10)), self.fact_rows(batch)
+        return self.assemble(_truth_outputs(batch.digits, 10)), self.fact_rows(batch)
 
-    def evaluate(self, net: Mlp, instances) -> float:
+    def evaluate(self, net: Mlp, split: Split) -> float:
         """Test accuracy; by default the net classifies the rows of a ``LabelledSplit``."""
-        return _classifier_accuracy(net, instances)
+        if not len(split):
+            return 0.0
+        return float(np.mean(np.argmax(net.predict(split.features), axis=1) == split.labels))
 
-    def check_instance(self, inst) -> bool:
-        """The ground truth, laid out as training lays out the net's outputs, must satisfy the theory (zero loss)."""
-        x, facts = self.truth_rows([inst])
-        return not cnf_loss_rows(self.matrix, x, facts, self.fn).data.any()
+    def check_rows(self, split: Split) -> np.ndarray:
+        """Per constraint row, whether the ground truth, laid out as training lays out the net's outputs, has zero loss."""
+        x, facts = self.truth_rows(split)
+        return cnf_loss_rows(self.matrix, x, facts, self.fn).data == 0.0
 
 
 def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -325,14 +339,14 @@ def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: (1.0 / rows.shape[0]) * T.sum_last(rows) for name, rows in per_row.items()}
 
 
-def _truth_outputs(labels: Sequence[Sequence[int]], classes: int) -> list[Tensor]:
-    """Per input position, the (B, classes) one-hot rows of the instances' labels at that position."""
-    return [T.constant(np.eye(classes)[list(position)]) for position in zip(*labels)]
+def _truth_outputs(labels: np.ndarray, classes: int) -> list[Tensor]:
+    """Per input position, the (B, classes) one-hot rows of the (B, positions) labels at that position."""
+    return [T.constant(np.eye(classes)[labels[:, p]]) for p in range(labels.shape[1])]
 
 
-def _digit_rows(task: TaskSpec, net: Mlp, batch: Sequence, config: TrainConfig) -> dict[str, Tensor]:
-    """Per-row constraint and bound terms: one net pass per image position, over the (B, d) stack of its images."""
-    outs = [net.forward(Tensor(np.stack(images))) for images in zip(*(inst.images for inst in batch))]
+def _digit_rows(task: TaskSpec, net: Mlp, batch: Split, config: TrainConfig) -> dict[str, Tensor]:
+    """Per-row constraint and bound terms: one net pass per image position, over the (B, d) images at it."""
+    outs = [net.forward(Tensor(batch.images[:, p])) for p in range(batch.images.shape[1])]
     x = task.assemble([probs for probs, _ in outs])
     facts = task.fact_rows(batch)
     bounds = [bound_loss(raw) for _, raw in outs]
@@ -348,24 +362,25 @@ def _outer_rows(a: Tensor, b: Tensor) -> Tensor:
     return T.reshape(T.reshape(a, (rows, i, 1)) * T.reshape(b, (rows, 1, j)), (rows, i * j))
 
 
-def _pinned(rows: int, n: int, atoms) -> np.ndarray:
+def _pinned(n: int, atoms: np.ndarray) -> np.ndarray:
     """(rows, n) int8 facts with row r pinning ``atoms[r]`` (an index or a row of indices)."""
-    facts = np.zeros((rows, n), dtype=np.int8)
-    facts[np.arange(rows)[:, None], np.reshape(atoms, (rows, -1))] = 1
+    facts = np.zeros((len(atoms), n), dtype=np.int8)
+    np.put_along_axis(facts, np.reshape(atoms, (len(atoms), -1)), 1, axis=1)
     return facts
 
 
-def _classifier_accuracy(net: Mlp, split: LabelledSplit) -> float:
-    if not len(split):
-        return 0.0
-    return float(np.mean(np.argmax(net.predict(split.features), axis=1) == split.labels))
+def _image_rows(feats: np.ndarray, labels: np.ndarray, k: int, n_train: int, n_test: int) -> tuple[np.ndarray, np.ndarray, Split]:
+    """The first k * n_train draws as (n_train, k, ...) images and labels, then n_test draws as the test split."""
+    end = k * n_train
+    test = LabelledSplit(feats, labels)[end : end + n_test]
+    return feats[:end].reshape(n_train, k, feats.shape[1]), labels[:end].reshape(n_train, k), test
 
 
 @dataclass(frozen=True)
-class AddInstance:
-    images: tuple[np.ndarray, ...]
-    label_sum: int
-    digits: tuple[int, ...]
+class AddSplit(Split):
+    images: np.ndarray  # (n, 2 * digits, d): the first number's digits, then the second's
+    label_sum: np.ndarray  # (n,)
+    digits: np.ndarray  # (n, 2 * digits)
 
 
 class MnistAddTask(TaskSpec):
@@ -378,7 +393,6 @@ class MnistAddTask(TaskSpec):
         self.input_dim = input_dim
         self.hidden = hidden
         self.name = "mnist-add" if digits == 1 else f"mnist-add{digits}"
-        self.n_images = 2 * digits
         # The 2 * 10**digits - 1 sum atoms come last.
         self.sum_base = self.theory.n - 2 * 10**digits + 1
         self.weights = LossWeights(alpha=1.0, beta=0.1 if digits == 1 else 0.01)
@@ -394,34 +408,25 @@ class MnistAddTask(TaskSpec):
         joint = functools.reduce(_outer_rows, outputs)
         return T.concat([joint, *outputs]) if self.include_uec else joint
 
-    def fact_rows(self, batch: Sequence[AddInstance]) -> np.ndarray:
-        return _pinned(len(batch), self.theory.n, [self.sum_base + inst.label_sum for inst in batch])
+    def fact_rows(self, batch: AddSplit) -> np.ndarray:
+        return _pinned(self.theory.n, self.sum_base + batch.label_sum)
 
     def make_data(self, seed: int = 0, n_train: int = 5000, n_test: int = 2000, noise: float = 0.2, idx=None) -> TaskDataset:
         """Pairs of digit features with sum labels; test items are single digits."""
-        k = self.n_images
-        if idx is not None:
-            images, labels = idx
-            if len(images) < k * n_train + n_test:
-                raise ValueError(f"need {k * n_train + n_test} images, file has {len(images)}")
-            feats = images
-        else:
-            feats, labels = D.synthetic_features(k * n_train + n_test, 10, noise, [seed, 11], dim=self.input_dim)
-        train = []
-        for i in range(n_train):
-            chunk = slice(k * i, k * (i + 1))
-            digits = tuple(int(d) for d in labels[chunk])
-            first = int("".join(map(str, digits[: self.digits])))
-            second = int("".join(map(str, digits[self.digits :])))
-            train.append(AddInstance(images=tuple(feats[chunk]), label_sum=first + second, digits=digits))
-        return TaskDataset(self, train, _held_out(feats, labels, k * n_train, n_test))
+        k = 2 * self.digits
+        feats, labels = idx if idx is not None else D.synthetic_features(k * n_train + n_test, 10, noise, [seed, 11], dim=self.input_dim)
+        if len(feats) < k * n_train + n_test:
+            raise ValueError(f"need {k * n_train + n_test} images, file has {len(feats)}")
+        images, digits, test = _image_rows(feats, labels, k, n_train, n_test)
+        label_sum = (digits.reshape(-1, 2, self.digits) @ 10 ** np.arange(self.digits - 1, -1, -1)).sum(axis=1)
+        return TaskDataset(self, AddSplit(images, label_sum, digits), test)
 
 
 @dataclass(frozen=True)
-class Add2x2Instance:
-    images: tuple[np.ndarray, ...]
-    sums: tuple[int, int, int, int]
-    digits: tuple[int, int, int, int]
+class Add2x2Split(Split):
+    images: np.ndarray  # (n, 4, d)
+    sums: np.ndarray  # (n, 4): along ADD2X2_PAIRS
+    digits: np.ndarray  # (n, 4)
 
 
 class Add2x2Task(TaskSpec):
@@ -439,25 +444,23 @@ class Add2x2Task(TaskSpec):
         """The four row/column outer products, one 100-atom block per pair."""
         return T.concat([_outer_rows(outputs[a], outputs[b]) for a, b in ADD2X2_PAIRS])
 
-    def fact_rows(self, batch: Sequence[Add2x2Instance]) -> np.ndarray:
-        return _pinned(len(batch), self.theory.n, 400 + 19 * np.arange(4) + np.array([inst.sums for inst in batch]))
+    def fact_rows(self, batch: Add2x2Split) -> np.ndarray:
+        return _pinned(self.theory.n, 400 + 19 * np.arange(4) + batch.sums)
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 1000, noise: float = 0.2) -> TaskDataset:
         feats, labels = D.synthetic_features(4 * n_train + n_test, 10, noise, [seed, 12], dim=self.input_dim)
-        train = []
-        for i in range(n_train):
-            digits = tuple(int(d) for d in labels[4 * i : 4 * i + 4])
-            sums = tuple(digits[a] + digits[b] for a, b in ADD2X2_PAIRS)
-            train.append(Add2x2Instance(images=tuple(feats[4 * i : 4 * i + 4]), sums=sums, digits=digits))
-        return TaskDataset(self, train, _held_out(feats, labels, 4 * n_train, n_test))
+        images, digits, test = _image_rows(feats, labels, 4, n_train, n_test)
+        first, second = np.array(ADD2X2_PAIRS).T
+        sums = digits[:, first] + digits[:, second]
+        return TaskDataset(self, Add2x2Split(images, sums, digits), test)
 
 
 @dataclass(frozen=True)
-class MemberInstance:
-    images: tuple[np.ndarray, ...]
-    query: int
-    label: int
-    digits: tuple[int, ...]
+class MemberSplit(Split):
+    images: np.ndarray  # (n, k, d)
+    query: np.ndarray  # (n,)
+    label: np.ndarray  # (n,): 1 if the query digit is among the images
+    digits: np.ndarray  # (n, k)
 
 
 class MemberTask(TaskSpec):
@@ -476,31 +479,34 @@ class MemberTask(TaskSpec):
         """The per-image digit probabilities, side by side."""
         return T.concat(outputs)
 
-    def fact_rows(self, batch: Sequence[MemberInstance]) -> np.ndarray:
-        return _pinned(len(batch), self.theory.n, [10 * self.k + 10 * inst.label + inst.query for inst in batch])
+    def fact_rows(self, batch: MemberSplit) -> np.ndarray:
+        return _pinned(self.theory.n, 10 * self.k + 10 * batch.label + batch.query)
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 1000, noise: float = 0.2) -> TaskDataset:
+        """Queries a present or an absent digit at even odds; the draws depend on the digits, so they go per instance."""
         rng = np.random.default_rng([seed, 13])
         feats, labels = D.synthetic_features(self.k * n_train + n_test, 10, noise, [seed, 14], dim=self.input_dim)
-        train = []
-        for i in range(n_train):
-            digits = tuple(int(d) for d in labels[self.k * i : self.k * (i + 1)])
-            if rng.random() < 0.5:
-                query = int(rng.choice(digits))
-            else:
-                absent = [d for d in range(10) if d not in digits]
-                query = int(rng.choice(absent)) if absent else int(rng.choice(digits))
-            label = int(query in digits)
-            train.append(MemberInstance(images=tuple(feats[self.k * i : self.k * (i + 1)]), query=query, label=label, digits=digits))
-        return TaskDataset(self, train, _held_out(feats, labels, self.k * n_train, n_test))
+        images, digits, test = _image_rows(feats, labels, self.k, n_train, n_test)
+        query = np.empty(n_train, dtype=np.int64)
+        for i, present in enumerate(digits):
+            absent = np.setdiff1d(np.arange(10), present)
+            from_present = rng.random() < 0.5 or not absent.size
+            query[i] = rng.choice(present if from_present else absent)
+        label = (digits == query[:, None]).any(axis=1).astype(np.int64)
+        return TaskDataset(self, MemberSplit(images, query, label, digits), test)
 
 
 @dataclass(frozen=True)
-class Apply2x2Instance:
-    digits: tuple[int, int, int]
-    images: tuple[np.ndarray, ...]
-    ops: tuple[int, int, int, int]
-    results: tuple[int, int, int, int]
+class Apply2x2Split(Split):
+    digits: np.ndarray  # (n, 3): the numbers the operators apply to
+    images: np.ndarray  # (n, 4, d): the operator images
+    ops: np.ndarray  # (n, 4): their operators, indices into APPLY_OPS
+    results: np.ndarray  # (n, 4): along ADD2X2_PAIRS
+
+
+def _apply_key(digits: np.ndarray, results: np.ndarray) -> np.ndarray:
+    """One int per (d1, d2, d3, result), digits 0-10 and results -100..1000, ordered as the tuples are."""
+    return (digits @ np.array([121, 11, 1])) * 2048 + results + 1024
 
 
 class Apply2x2Task(TaskSpec):
@@ -516,7 +522,9 @@ class Apply2x2Task(TaskSpec):
         super().__init__(theory)
         self.name = "apply2x2"
         self.input_dim = input_dim
-        self.lookup = lookup
+        # The lookup is in atom order, so these keys ascend.
+        combos = np.array(list(lookup), dtype=np.int64)
+        self.atom_keys = _apply_key(combos[:, :3], combos[:, 3])
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 32, 3), head="softmax", seed=seed)
@@ -526,32 +534,35 @@ class Apply2x2Task(TaskSpec):
         pairs = T.concat([_outer_rows(outputs[a], outputs[b]) for a, b in ADD2X2_PAIRS])
         return T.reshape(pairs, (4 * pairs.shape[0], 9))
 
-    def fact_rows(self, batch: Sequence[Apply2x2Instance]) -> np.ndarray:
+    def fact_rows(self, batch: Apply2x2Split) -> np.ndarray:
         """Row 4i+p pins the result atom of pair p of instance i."""
-        return _pinned(4 * len(batch), self.theory.n, [self.lookup[(*inst.digits, r)] for inst in batch for r in inst.results])
+        atoms = 9 + np.searchsorted(self.atom_keys, _apply_key(batch.digits[:, None], batch.results))
+        return _pinned(self.theory.n, atoms.reshape(-1))
 
-    def batch_loss(self, net: Mlp, batch: Sequence[Apply2x2Instance], config: TrainConfig) -> dict[str, Tensor]:
+    def batch_loss(self, net: Mlp, batch: Apply2x2Split, config: TrainConfig) -> dict[str, Tensor]:
         """An instance's constraint term is the sum of its four rows."""
         per_row = _digit_rows(self, net, batch, config)
         per_row["cnf"] = T.sum_last(T.reshape(per_row["cnf"], (len(batch), 4)))
         return _batch_means(per_row)
 
-    def truth_rows(self, batch: Sequence[Apply2x2Instance]) -> tuple[Tensor, np.ndarray]:
+    def truth_rows(self, batch: Apply2x2Split) -> tuple[Tensor, np.ndarray]:
         """Each operator image's one-hot operator through ``assemble``."""
-        return self.assemble(_truth_outputs([inst.ops for inst in batch], 3)), self.fact_rows(batch)
+        return self.assemble(_truth_outputs(batch.ops, 3)), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 500, n_test: int = 200, noise: float = 0.2) -> TaskDataset:
         rng = np.random.default_rng([seed, 15])
         feats, labels = D.synthetic_features(4 * n_train + n_test, 3, noise, [seed, 16], dim=self.input_dim)
-        train = []
-        for i in range(n_train):
-            ops = tuple(int(o) for o in labels[4 * i : 4 * i + 4])
-            digits = tuple(int(d) for d in rng.integers(0, 10, size=3))
-            results = tuple(
-                _apply_op(_apply_op(digits[0], APPLY_OPS[ops[a]], digits[1]), APPLY_OPS[ops[b]], digits[2]) for a, b in ADD2X2_PAIRS
-            )
-            train.append(Apply2x2Instance(digits=digits, images=tuple(feats[4 * i : 4 * i + 4]), ops=ops, results=results))
-        return TaskDataset(self, train, _held_out(feats, labels, 4 * n_train, n_test))
+        images, ops, test = _image_rows(feats, labels, 4, n_train, n_test)
+        digits = rng.integers(0, 10, size=(n_train, 3))
+        first, second = np.array(ADD2X2_PAIRS).T
+        results = np.take_along_axis(_pair_results(*digits.T), 3 * ops[:, first] + ops[:, second], axis=1)
+        return TaskDataset(self, Apply2x2Split(digits, images, ops, results), test)
+
+
+@dataclass(frozen=True)
+class GridSplit(Split):
+    q: np.ndarray  # (n, cells): the puzzles, 0 marks empty
+    solution: np.ndarray  # (n, cells)
 
 
 class SudokuTask(TaskSpec):
@@ -583,14 +594,13 @@ class SudokuTask(TaskSpec):
         q = np.asarray(q, dtype=np.int64)
         return np.eye(self.side + 1, dtype=np.int8)[q][..., 1:].reshape(q.shape[:-1] + (-1,))
 
-    def batch_loss(self, net: Mlp, batch: Sequence[D.GridInstance], config: TrainConfig) -> dict[str, Tensor]:
+    def batch_loss(self, net: Mlp, batch: GridSplit, config: TrainConfig) -> dict[str, Tensor]:
         """One net pass and one ``cnf_loss_rows`` call; each per-board term is averaged."""
-        q = np.stack([inst.q for inst in batch])
         rows = len(batch)
-        _, raw = net.forward(Tensor(self.encode_board(q)))
+        _, raw = net.forward(Tensor(self.encode_board(batch.q)))
         probs = T.softmax(T.reshape(raw, (rows * self.cells, self.side)))
         x = T.reshape(probs, (rows, self.theory.n))
-        facts = self.fact_rows(q)
+        facts = self.fact_rows(batch.q)
         per_board = {
             "cnf": cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste),
             "bound": bound_loss(raw),
@@ -620,26 +630,22 @@ class SudokuTask(TaskSpec):
             return False
         return Assignment(self.fact_rows(board)).satisfies(self.theory)
 
-    def evaluate(self, net: Mlp, instances, inference_trick: bool = True) -> float:
-        """Share of boards completed to their solution (or to a model), all filled in one call."""
-        if not len(instances):
+    def evaluate(self, net: Mlp, split: GridSplit, inference_trick: bool = True) -> float:
+        """Share of boards completed to their solution, all filled in one call."""
+        if not len(split):
             return 0.0
-        q = np.stack([inst.q for inst in instances])
-        filled = N.predict_with_inference_trick(net, q, self) if inference_trick else self.predict_board(net, q)
-        good = sum(
-            np.array_equal(board, inst.solution) if inst.solution is not None else self.verify_board(board)
-            for inst, board in zip(instances, filled)
-        )
-        return good / len(instances)
+        filled = N.predict_with_inference_trick(net, split.q, self) if inference_trick else self.predict_board(net, split.q)
+        return np.count_nonzero(np.all(filled == split.solution, axis=1)) / len(split)
 
-    def truth_rows(self, batch: Sequence[D.GridInstance]) -> tuple[Tensor, np.ndarray]:
-        """The solutions (a board without one stands for itself) as 0/1 rows, with the givens as facts."""
-        solved = np.stack([inst.q if inst.solution is None else inst.solution for inst in batch])
-        return T.constant(self.fact_rows(solved)), self.fact_rows(np.stack([inst.q for inst in batch]))
+    def truth_rows(self, batch: GridSplit) -> tuple[Tensor, np.ndarray]:
+        """The solutions as 0/1 rows, with the givens as facts."""
+        return T.constant(self.fact_rows(batch.solution)), self.fact_rows(batch.q)
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy", holes=(4, 11)) -> TaskDataset:
         boards = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17], holes=holes)
-        return TaskDataset(self, boards[:n_train], boards[n_train:])
+        stack = lambda field: np.array([getattr(b, field) for b in boards], dtype=np.int64).reshape(-1, self.cells)
+        grids = GridSplit(stack("q"), stack("solution"))
+        return TaskDataset(self, grids[:n_train], grids[n_train:])
 
 
 class ShortestPathTask(TaskSpec):
@@ -660,18 +666,18 @@ class ShortestPathTask(TaskSpec):
         (edges,) = outputs
         return T.concat([T.constant(np.zeros((edges.shape[0], 16))), edges])
 
-    def fact_rows(self, batch: Sequence[D.PathInstance]) -> np.ndarray:
+    def fact_rows(self, batch: LabelledSplit) -> np.ndarray:
         """The two terminal nodes of each instance, from the last 16 features."""
         facts = np.zeros((len(batch), self.theory.n), dtype=np.int8)
-        facts[:, :16] = np.stack([inst.features[24:] for inst in batch])
+        facts[:, :16] = batch.features[:, 24:]
         return facts
 
-    def batch_loss(self, net: Mlp, batch: Sequence[D.PathInstance], config: TrainConfig) -> dict[str, Tensor]:
+    def batch_loss(self, net: Mlp, batch: LabelledSplit, config: TrainConfig) -> dict[str, Tensor]:
         """One net pass over the (B, 40) features."""
-        probs, raw = net.forward(Tensor(np.stack([inst.features for inst in batch])))
+        probs, raw = net.forward(Tensor(batch.features))
         x = self.assemble([probs])
         facts = self.fact_rows(batch)
-        label = T.constant(np.stack([inst.label for inst in batch]).astype(np.float64))
+        label = T.constant(batch.labels)
         # Clamp away from the sigmoid's saturated endpoints before taking logs.
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         return _batch_means({
@@ -686,21 +692,20 @@ class ShortestPathTask(TaskSpec):
             return 0.0
         return float(np.mean(np.all((net.predict(split.features) >= 0.5) == split.labels, axis=1)))
 
-    def truth_rows(self, batch: Sequence[D.PathInstance]) -> tuple[Tensor, np.ndarray]:
+    def truth_rows(self, batch: LabelledSplit) -> tuple[Tensor, np.ndarray]:
         """The labelled path's edges through ``assemble``."""
-        return self.assemble([T.constant(np.stack([inst.label for inst in batch]))]), self.fact_rows(batch)
+        return self.assemble([T.constant(batch.labels)]), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 1288, n_test: int = 322, csv_path: str | None = None) -> TaskDataset:
-        if csv_path:
-            instances = D.load_path_csv(csv_path)
-        else:
-            instances = D.gen_path_instances(n_train + n_test, seed=[seed, 18])
+        instances = D.load_path_csv(csv_path) if csv_path else D.gen_path_instances(n_train + n_test, seed=[seed, 18])
         if len(instances) < n_train + n_test:
             n_train = int(len(instances) * 0.8)
             n_test = len(instances) - n_train
-        feats = np.stack([inst.features for inst in instances])
-        labels = np.stack([inst.label for inst in instances]).astype(bool)
-        return TaskDataset(self, instances[:n_train], _held_out(feats, labels, n_train, n_test))
+        paths = LabelledSplit(
+            np.array([inst.features for inst in instances]).reshape(-1, 40),
+            np.array([inst.label for inst in instances], dtype=bool).reshape(-1, 24),
+        )
+        return TaskDataset(self, paths[:n_train], paths[n_train : n_train + n_test])
 
 
 class ExactlyOneTask(TaskSpec):
@@ -752,7 +757,7 @@ class ExactlyOneTask(TaskSpec):
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, self.classes), head="none", seed=seed)
 
-    def batch_loss(self, net: Mlp, batch, config: TrainConfig) -> dict[str, Tensor]:
+    def batch_loss(self, net: Mlp, batch: LabelledSplit, config: TrainConfig) -> dict[str, Tensor]:
         """Labelled and unlabelled rows each go through the net as one matrix.
 
         Cross-entropy averages over the labelled rows; the constraint (with
@@ -760,15 +765,16 @@ class ExactlyOneTask(TaskSpec):
         """
         sums: dict[str, Tensor] = {}
         means: dict[str, Tensor] = {}
-        for rows in ([inst for inst in batch if inst[1] is not None], [inst for inst in batch if inst[1] is None]):
-            if not rows:
+        labelled = batch.labels >= 0
+        for rows in (labelled, ~labelled):
+            if not rows.any():
                 continue
-            logits, raw = net.forward(Tensor(np.stack([feat for feat, _ in rows])))
-            if rows[0][1] is None:
-                classes = np.argmax(logits.data, axis=1)
-            else:
-                classes = np.array([label for _, label in rows])
+            logits, raw = net.forward(Tensor(batch.features[rows]))
+            if rows is labelled:
+                classes = batch.labels[rows]
                 means["base"] = T.cross_entropy(logits, np.eye(self.classes)[classes])
+            else:
+                classes = np.argmax(logits.data, axis=1)
             facts = np.eye(self.classes, dtype=np.int8)[classes]
             x = logits * (1.0 / self.logit_scale)
             cnf = cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste)
@@ -776,8 +782,7 @@ class ExactlyOneTask(TaskSpec):
             for name, per_row in (("cnf", cnf), ("bound", bound_loss(raw))):
                 total = T.sum_last(per_row)
                 sums[name] = total if name not in sums else sums[name] + total
-        for name, total in sums.items():
-            means[name] = (1.0 / len(batch)) * total
+        means.update((name, (1.0 / len(batch)) * total) for name, total in sums.items())
         return means
 
     def violation_fraction(self, net: Mlp, split: LabelledSplit) -> float:
@@ -785,40 +790,29 @@ class ExactlyOneTask(TaskSpec):
         bits = net.predict(split.features) >= 0.0
         return float(np.mean(bits.sum(axis=1) != 1))
 
-    def truth_rows(self, batch) -> tuple[Tensor, np.ndarray]:
+    def truth_rows(self, batch: LabelledSplit) -> tuple[Tensor, np.ndarray]:
         """Logit-style ground truth of the labelled rows, with no facts.
 
         Positive only at the true class, so the sign binarizer yields a one-hot assignment.
         """
-        labels = [label for _, label in batch if label is not None]
+        labels = batch.labels[batch.labels >= 0]
         return T.constant(2.0 * np.eye(self.classes)[labels] - 1.0), np.zeros((len(labels), self.classes), dtype=np.int8)
 
-    def make_data(
-        self,
-        seed: int = 0,
-        n_labeled: int = 100,
-        n_unlabeled: int = 5000,
-        n_test: int = 2000,
-        noise: float = 0.2,
-    ) -> TaskDataset:
-        """Labelled + unlabelled pool; the labelled instances are oversampled
-        to ``label_share`` draws per unlabelled instance.
+    def make_data(self, seed: int = 0, n_labeled: int = 100, n_unlabeled: int = 5000, n_test: int = 2000, noise: float = 0.2) -> TaskDataset:
+        """Labelled + unlabelled pool, unlabelled rows marked -1; the labelled
+        instances are oversampled to ``label_share`` draws per unlabelled instance.
 
         The unlabelled rows learn from facts the net picks itself, so the
         labels must dominate the stream while those picks are still poor:
         at one labelled draw per unlabelled one, the recipe above leaves
         5-7% of the outputs violating the constraint; at two, 4-6%.
         """
-        total = n_labeled + n_unlabeled + n_test
-        feats, labels = D.synthetic_features(total, self.classes, noise, [seed, 19], dim=self.input_dim)
-        labeled = [(feats[i], int(labels[i])) for i in range(n_labeled)]
-        unlabeled = [(feats[n_labeled + i], None) for i in range(n_unlabeled)]
-        train = list(labeled)
-        if labeled and unlabeled:
-            reps = max(0, (self.label_share * len(unlabeled) - len(labeled)) // len(labeled))
-            train += labeled * reps
-        train += unlabeled
-        return TaskDataset(self, train, _held_out(feats, labels, n_labeled + n_unlabeled, n_test))
+        pool = n_labeled + n_unlabeled
+        feats, labels = D.synthetic_features(pool + n_test, self.classes, noise, [seed, 19], dim=self.input_dim)
+        reps = max(0, (self.label_share * n_unlabeled - n_labeled) // n_labeled) if n_labeled and n_unlabeled else 0
+        order = np.concatenate([np.tile(np.arange(n_labeled), 1 + reps), np.arange(n_labeled, pool)])
+        marked = np.where(np.arange(len(labels)) < n_labeled, labels, -1)
+        return TaskDataset(self, LabelledSplit(feats, marked)[order], LabelledSplit(feats, labels)[pool : pool + n_test])
 
 
 # ---------------------------------------------------------------------------

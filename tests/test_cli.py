@@ -176,9 +176,9 @@ class TestTrainEvalSolve:
     @pytest.mark.parametrize("task", [*(name for name in TASK_NAMES if name != "sudoku9"), "mnist-add --uec"])
     def test_every_task_trains(self, tmp_path, capsys, task):
         task, *flags = task.split()
-        pool = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ()
+        sizes = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ("--n-train", "8")
         code, _, err = run_cli(
-            capsys, "train", task, *flags, "--n-train", "8", "--n-test", "4", "--epochs", "1", *pool, "--out", str(tmp_path),
+            capsys, "train", task, *flags, *sizes, "--n-test", "4", "--epochs", "1", "--out", str(tmp_path),
         )
         assert code == 0, err
         rows = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -198,6 +198,30 @@ class TestTrainEvalSolve:
         code, _, err = run_cli(capsys, "train", "member3", "--n-train", "8", "--n-test", "4", *extra, "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and f"{field} must be at least 1, got {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("exactly-one", "--n-train", "7", "--labeled", "10", "--unlabeled", "10", "--n-test", "5"),
+                "--n-train does not apply to exactly-one, whose data takes no n_train",
+            ),
+            (
+                ("member3", "--labeled", "5", "--csv", "nonexist.csv", "--n-train", "8", "--n-test", "4"),
+                "--csv does not apply to member3, whose data takes no csv_path",
+            ),
+            (("sudoku4", "--noise", "0.1"), "--noise does not apply to sudoku4, whose data takes no noise"),
+            (("add2x2", "--tier", "hard"), "--tier does not apply to add2x2, whose data takes no tier"),
+            (("shortest-path", "--mnist", "images", "labels"), "--mnist does not apply to shortest-path, whose data takes no idx"),
+        ],
+        ids=["exactly-one-n-train", "member3-csv", "sudoku4-noise", "add2x2-tier", "shortest-path-mnist"],
+    )
+    def test_data_flag_the_task_does_not_take_fails_fast(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "train", *argv, "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

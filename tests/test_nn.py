@@ -291,16 +291,17 @@ class TestInferenceTrick:
         task = TK.make_task("sudoku4")
         ds = task.make_data(seed=2, n_train=1000, n_test=60)
         net, rows = run_training(ds, task.default_config(seed=2, epochs=2))
-        stack = np.stack([inst.q for inst in ds.test])
+        stack = ds.test.q
+        before = stack.copy()
         filled = predict_with_inference_trick(net, stack, task)
         singles = [predict_with_inference_trick(net, q, task) for q in stack]
         assert filled.shape == stack.shape
         for board, single in zip(filled, singles):
             assert np.array_equal(board, single)
         # the stack is not modified in place
-        assert np.array_equal(stack, np.stack([inst.q for inst in ds.test]))
+        assert np.array_equal(stack, before)
         # evaluate scores the same boards the per-board calls produce
-        per_board = np.mean([np.array_equal(s, inst.solution) for s, inst in zip(singles, ds.test)])
+        per_board = np.mean([np.array_equal(s, solution) for s, solution in zip(singles, ds.test.solution)])
         assert rows[-1]["acc_test"] == per_board
         assert 0.0 < per_board < 1.0
 

@@ -111,7 +111,7 @@ def variant_task(case: str, request) -> TK.TaskSpec:
 
 
 class TestGroundTruthAssembly:
-    """``check_instance`` feeds the ground truth through the assembly that training uses."""
+    """``check_rows`` feeds the ground truth through the assembly that training uses."""
 
     @pytest.mark.parametrize(
         "name",
@@ -120,39 +120,38 @@ class TestGroundTruthAssembly:
     def test_truth_satisfies_theory(self, name, request):
         task = variant_task(name, request)
         ds = task.make_data(seed=5, n_train=30, n_test=5)
-        assert all(task.check_instance(inst) for inst in ds.train)
+        assert task.check_rows(ds.train).all()
 
     def test_sudoku9_truth(self):
         # sudoku9 data generation is refused, so the board is built by pattern
         task = TK.make_task("sudoku9")
         board = np.array([(3 * (r % 3) + r // 3 + c) % 9 + 1 for r in range(9) for c in range(9)])
         q = np.where(np.arange(81) % 7 == 0, 0, board)
-        assert task.check_instance(D.GridInstance(q=q, solution=board))
-        assert task.check_instance(D.GridInstance(q=board))
         wrong = board.copy()
         wrong[[1, 2]] = wrong[[2, 1]]
-        assert not task.check_instance(D.GridInstance(q=q, solution=wrong))
+        boards = TK.GridSplit(q=np.stack([q, board, q]), solution=np.stack([board, board, wrong]))
+        assert task.check_rows(boards).tolist() == [True, True, False]
 
     def test_exactly_one_truth(self):
         task = TK.make_task("exactly-one")
         ds = task.make_data(seed=5, n_labeled=30, n_unlabeled=5, n_test=5)
-        assert all(task.check_instance(inst) for inst in ds.train)
+        assert task.check_rows(ds.train).all()
 
     @pytest.mark.parametrize(
         "name,wrong",
         [
-            ("mnist-add", lambda inst: {"label_sum": (inst.label_sum + 1) % 19}),
-            ("member3", lambda inst: {"label": 1 - inst.label}),
-            ("mnist-add-uec", lambda inst: {"label_sum": (inst.label_sum + 1) % 19}),
-            ("add2x2", lambda inst: {"sums": ((inst.sums[0] + 1) % 19, *inst.sums[1:])}),
-            ("shortest-path", lambda inst: {"label": np.zeros_like(inst.label)}),
+            ("mnist-add", lambda rows: {"label_sum": (rows.label_sum + 1) % 19}),
+            ("member3", lambda rows: {"label": 1 - rows.label}),
+            ("mnist-add-uec", lambda rows: {"label_sum": (rows.label_sum + 1) % 19}),
+            ("add2x2", lambda rows: {"sums": (rows.sums + [1, 0, 0, 0]) % 19}),
+            ("shortest-path", lambda rows: {"labels": np.zeros_like(rows.labels)}),
         ],
         ids=["mnist-add-label_sum", "member3-label", "mnist-add-uec-label_sum", "add2x2-sums", "shortest-path-label"],
     )
     def test_wrong_label_fails_the_check(self, name, wrong, request):
         task = variant_task(name, request)
-        for inst in task.make_data(seed=5, n_train=10, n_test=2).train:
-            assert not task.check_instance(dataclasses.replace(inst, **wrong(inst)))
+        train = task.make_data(seed=5, n_train=10, n_test=2).train
+        assert not task.check_rows(dataclasses.replace(train, **wrong(train))).any()
 
     def test_uec_digit_atoms_are_the_image_outputs(self):
         task = TK.make_task("mnist-add", include_uec=True)
@@ -166,7 +165,7 @@ class TestGroundTruthAssembly:
     def test_mnist_add2_truth(self):
         task = TK.make_task("mnist-add2")
         ds = task.make_data(seed=5, n_train=10, n_test=2)
-        assert all(task.check_instance(inst) for inst in ds.train)
+        assert task.check_rows(ds.train).all()
 
     def test_mnist_add_pred_mass_sums_to_one(self):
         # products of two probability vectors fill the joint slots with total mass 1
@@ -190,10 +189,10 @@ class TestSudokuTask:
 
     def test_solution_zeroes_loss(self):
         task = TK.make_task("sudoku4")
-        for inst in task.make_data(seed=2, n_train=10, n_test=2).train:
-            x, facts = task.truth_rows([inst])
-            v = facts[0] + (1 - facts[0]) * (x.data[0] >= 0.5)
-            assert cnf_loss_forward(task.matrix, v.astype(np.int8), facts[0]).l_cnf == 0.0
+        x, facts = task.truth_rows(task.make_data(seed=2, n_train=10, n_test=2).train)
+        for xs, f in zip(x.data, facts):
+            v = f + (1 - f) * (xs >= 0.5)
+            assert cnf_loss_forward(task.matrix, v.astype(np.int8), f).l_cnf == 0.0
 
     def test_verify_board(self):
         task = TK.make_task("sudoku4")
@@ -417,6 +416,105 @@ class TestHeldOutSplit:
         assert want > 0.0 and task.evaluate(net, split) == want
 
 
+class TestTrainSplit:
+    """Row i of every field of a training split is the i-th instance drawn, as the per-instance records had it."""
+
+    # Task -> (images per instance, classes, seed tag of its synthetic_features draw).
+    DRAWS = {
+        "mnist-add": (2, 10, 11),
+        "mnist-add2": (4, 10, 11),
+        "mnist-add3": (6, 10, 11),
+        "add2x2": (4, 10, 12),
+        "apply2x2": (4, 3, 16),
+        "member3": (3, 10, 14),
+        "member5": (5, 10, 14),
+    }
+
+    @staticmethod
+    def records(name: str, feats, labels, n: int) -> list[dict]:
+        """The fields of each instance, drawn one instance at a time."""
+        k, _, _ = TestTrainSplit.DRAWS[name]
+        rng = np.random.default_rng([0, 15 if name == "apply2x2" else 13])
+        out = []
+        for i in range(n):
+            digits = [int(d) for d in labels[k * i : k * (i + 1)]]
+            fields = {"images": feats[k * i : k * (i + 1)], "digits": digits}
+            if name.startswith("mnist-add"):
+                half = k // 2
+                fields["label_sum"] = int("".join(map(str, digits[:half]))) + int("".join(map(str, digits[half:])))
+            elif name == "add2x2":
+                fields["sums"] = [digits[a] + digits[b] for a, b in TK.ADD2X2_PAIRS]
+            elif name == "apply2x2":
+                nums = [int(d) for d in rng.integers(0, 10, size=3)]
+                fields.update(ops=digits, digits=nums, results=[
+                    TK._apply_op(TK._apply_op(nums[0], TK.APPLY_OPS[digits[a]], nums[1]), TK.APPLY_OPS[digits[b]], nums[2])
+                    for a, b in TK.ADD2X2_PAIRS
+                ])
+            else:
+                if rng.random() < 0.5:
+                    query = int(rng.choice(digits))
+                else:
+                    query = int(rng.choice([d for d in range(10) if d not in digits]))
+                fields.update(query=query, label=int(query in digits))
+            out.append(fields)
+        return out
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_digit_rows_are_the_draws(self, name, request):
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        train = task.make_data(seed=0, n_train=40, n_test=3).train
+        k, classes, tag = self.DRAWS[name]
+        feats, labels = D.synthetic_features(k * 40 + 3, classes, 0.2, [0, tag], dim=task.input_dim)
+        assert len(train) == 40
+        for i, want in enumerate(self.records(name, feats, labels, 40)):
+            for field, value in want.items():
+                assert np.array_equal(getattr(train, field)[i], value), (i, field)
+
+    def test_exactly_one_rows_are_the_draws(self):
+        task = TK.make_task("exactly-one")
+        train = task.make_data(seed=0, n_labeled=4, n_unlabeled=6, n_test=3).train
+        feats, labels = D.synthetic_features(13, 10, 0.2, [0, 19], dim=task.input_dim)
+        # Three passes over the labelled draws (label_share 2: 2 * 6 - 4 = 8 more rows), then the unlabelled ones.
+        order = [0, 1, 2, 3] * 3 + list(range(4, 10))
+        assert np.array_equal(train.features, feats[order])
+        assert train.labels.tolist() == [int(labels[i]) for i in order[:12]] + [-1] * 6
+
+    def test_sudoku_rows_are_the_draws(self):
+        train = TK.make_task("sudoku4").make_data(seed=0, n_train=12, n_test=3).train
+        boards = D.gen_grid_puzzles(4, 15, seed=[0, 17])[:12]
+        assert np.array_equal(train.q, [b.q for b in boards]) and np.array_equal(train.solution, [b.solution for b in boards])
+
+    def test_shortest_path_rows_are_the_draws(self):
+        train = TK.make_task("shortest-path").make_data(seed=0, n_train=12, n_test=3).train
+        instances = D.gen_path_instances(15, seed=[0, 18])[:12]
+        assert np.array_equal(train.features, [inst.features for inst in instances])
+        assert np.array_equal(train.labels, [inst.label for inst in instances])
+
+    @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
+    def test_indexing_takes_the_same_rows_of_every_field(self, name, request):
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        sizes = {"n_labeled": 5, "n_unlabeled": 5} if name == "exactly-one" else {"n_train": 12}
+        ds = task.make_data(seed=0, n_test=6, **sizes)
+        for split in (ds.train, ds.test):
+            names = [f.name for f in dataclasses.fields(split)]
+            for index in (np.array([3, 0, 3, 5]), slice(1, 4), 2):
+                part = split[index]
+                assert type(part) is type(split)
+                for field in names:
+                    assert np.array_equal(getattr(part, field), getattr(split, field)[index])
+                if not isinstance(index, int):
+                    assert len(part) == len(getattr(split, names[0])[index])
+
+    def test_sudoku_test_split_iterates_boards(self):
+        test = TK.make_task("sudoku4").make_data(seed=0, n_train=4, n_test=5).test
+        boards = list(test)
+        assert len(boards) == len(test) == 5
+        for board, q, solution in zip(boards, test.q, test.solution):
+            assert board.q.shape == board.solution.shape == (16,)
+            assert board.q.dtype == board.solution.dtype == np.int64
+            assert np.array_equal(board.q, q) and np.array_equal(board.solution, solution)
+
+
 def _tensor_sum(terms):
     acc = terms[0]
     for t in terms[1:]:
@@ -529,6 +627,32 @@ class TestSparseTraining:
         assert calls and runs[0] == runs[1]
 
 
+class TestTrainingBytesPinned:
+    """Two seeded epochs of every trainable task write the metrics bytes recorded before the splits became arrays."""
+
+    # Task -> (make_data sizes, sha256 of format_metrics over the two epochs).
+    DIGESTS = {
+        "mnist-add": ({"n_train": 32}, "0ff75c3827e88799d1f119f62cf5f89f34578a0a043715bdf76110e8a7aca30f"),
+        "mnist-add2": ({"n_train": 32}, "45b166eb7baa82f7ef30058351c8800873d8b9232e4d8d50c06da49c9205ee31"),
+        # Eight pairs, not 32: each mnist-add3 batch of 16 takes about a second.
+        "mnist-add3": ({"n_train": 8}, "a6b7fa615e8e58ff3db42975b4abb58e931fa04825a4954bac0988c69bb8750f"),
+        "add2x2": ({"n_train": 32}, "cce5bf49c9ee0d2a3bc16ee949f89aac71072490dd959bc261e16fc2ef98d57d"),
+        "apply2x2": ({"n_train": 32}, "2ad952a059bfef82c248ca78313225ffd1bc3c54bd0eff7ca0c305a1eb73260d"),
+        "member3": ({"n_train": 32}, "5de6d75411ca7a25130470e40d42130f638150028dce769745ae0aae08e5acba"),
+        "member5": ({"n_train": 32}, "12fbcb91fa30d5030ce8639537276901d37df878d0c57a4aec28f2888e09c80e"),
+        "sudoku4": ({"n_train": 32}, "5382f09fb359de39f174d9c63332e5204d3475b0504883dd077f9463d27c36bb"),
+        "shortest-path": ({"n_train": 32}, "a8b8cbeddce5aad42a0dbc59f6c84326542c5a9d6c660661ba25c12f81ecea03"),
+        "exactly-one": ({"n_labeled": 40, "n_unlabeled": 60}, "84a7d92605dfbef71675b08b8ef6207b825cf01a84a4f11d3728db180de41ba1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_metrics_digest(self, name, request):
+        task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
+        sizes, digest = self.DIGESTS[name]
+        _, rows = N.run_training(task.make_data(seed=1, n_test=16, **sizes), task.default_config(seed=1, epochs=2))
+        assert hashlib.sha256(N.format_metrics(rows).encode()).hexdigest() == digest
+
+
 class TestNoGradientForConstants:
     """Backward closures skip an operand without a grad buffer before computing its gradient."""
 
@@ -625,7 +749,7 @@ class TestSudokuBatchLoss:
 
     def test_fact_rows_match_board_facts(self):
         task = TK.make_task("sudoku4")
-        boards = np.stack([inst.q for inst in task.make_data(seed=1, n_train=6, n_test=0).train])
+        boards = task.make_data(seed=1, n_train=6, n_test=0).train.q
         rows = task.fact_rows(boards)
         assert rows.shape == (6, 64) and rows.dtype == np.int8
         for q, row in zip(boards, rows):
@@ -644,17 +768,17 @@ def outer_chain(probs):
     return acc
 
 
-def instance_graph_terms(task, net, inst, config):
-    """The loss terms of one instance, with 1-D net passes and the dense graph ``cnf_loss``."""
-    facts = FactVector(task.fact_rows([inst])[0])
+def instance_graph_terms(task, net, row, config):
+    """The loss terms of the one instance in split ``row``, with 1-D net passes and the dense graph ``cnf_loss``."""
+    facts = FactVector(task.fact_rows(row)[0])
     if isinstance(task, TK.ShortestPathTask):
-        probs, raw = net.forward(Tensor(inst.features))
+        probs, raw = net.forward(Tensor(row.features[0]))
         x = T.concat([T.constant(np.zeros(16)), probs])
-        label = T.constant(inst.label.astype(np.float64))
+        label = T.constant(row.labels[0].astype(np.float64))
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         terms = {"base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)), "bound": bound_loss(raw)}
     else:
-        outs = [net.forward(Tensor(img)) for img in inst.images]
+        outs = [net.forward(Tensor(img)) for img in row.images[0]]
         probs = [p for p, _ in outs]
         if isinstance(task, TK.MnistAddTask):
             parts = [outer_chain(probs)]
@@ -677,8 +801,8 @@ def per_instance_objective(task, net, batch, config):
     dense graph (about 0.5 GB on mnist-add2) is alive at a time.
     """
     values: dict = {}
-    for inst in batch:
-        means = {name: (1.0 / len(batch)) * t for name, t in instance_graph_terms(task, net, inst, config).items()}
+    for i in range(len(batch)):
+        means = {name: (1.0 / len(batch)) * t for name, t in instance_graph_terms(task, net, batch[i : i + 1], config).items()}
         T.backward(N._batch_total(means, config.weights, len(batch), task.cnf_batch_sum))
         for name, t in means.items():
             values[name] = values.get(name, 0.0) + float(t.data)
@@ -730,12 +854,13 @@ class TestApply2x2BatchLoss:
         config = task.default_config(seed=11)
         means, v, f = self.rows_of_batch(task, net, batch, config, monkeypatch)
         assert v.shape == f.shape == (12, task.theory.n)
-        probs = [net.predict(np.stack(images)) for images in zip(*(inst.images for inst in batch))]
+        _, lookup = TK.apply2x2_theory()
+        probs = [net.predict(batch.images[:, p]) for p in range(4)]
         per_instance = []
         for i, inst in enumerate(batch):
             for p, ((a, b), result) in enumerate(zip(TK.ADD2X2_PAIRS, inst.results)):
                 row = 4 * i + p
-                assert np.flatnonzero(f[row]).tolist() == [task.lookup[(*inst.digits, result)]]
+                assert np.flatnonzero(f[row]).tolist() == [lookup[(*inst.digits, result)]]
                 joint = np.outer(probs[a][i], probs[b][i]).reshape(-1)
                 assert np.array_equal(v[row], f[row] + np.concatenate([joint >= 0.5, np.zeros(task.theory.n - 9)]))
             per_instance.append(sum(cnf_loss_forward(task.matrix, v[4 * i + p], f[4 * i + p]).l_cnf for p in range(4)))
@@ -759,7 +884,7 @@ class TestApply2x2BatchLoss:
 
 
 def task_bits(inst):
-    side = inst.side
+    side = int(round(np.sqrt(inst.q.size)))
     bits = np.zeros(side**3, dtype=np.int8)
     for cell, value in enumerate(inst.solution):
         bits[side * cell + value - 1] = 1
@@ -769,23 +894,23 @@ def task_bits(inst):
 class TestExactlyOneRecipe:
     def graph_terms(self, task, net, inst, config):
         """The recipe for one instance, built on the dense graph route."""
-        feat, label = inst
-        logits, raw = net.forward(Tensor(feat))
-        fact = int(np.argmax(logits.data)) if label is None else label
+        label = int(inst.labels)
+        logits, raw = net.forward(Tensor(inst.features))
+        fact = int(np.argmax(logits.data)) if label < 0 else label
         facts = FactVector(np.eye(task.classes, dtype=np.int8)[fact])
         x = logits * (1.0 / task.logit_scale)
         v = assemble_prediction(facts, x, config.fn, config.ste)
         cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, config.ste, config.fn)
         terms = {"cnf": cnf, "bound": bound_loss(raw)}
-        if label is not None:
+        if label >= 0:
             terms["base"] = T.cross_entropy(logits, np.eye(task.classes)[label])
         return terms
 
     def test_batch_loss_matches_per_instance_graph(self):
         task = TK.make_task("exactly-one")
         ds = task.make_data(seed=4, n_labeled=6, n_unlabeled=10, n_test=5)
-        batch = [ds.train[i] for i in np.random.default_rng(4).permutation(len(ds.train))[:16]]
-        assert any(label is None for _, label in batch) and any(label is not None for _, label in batch)
+        batch = ds.train[np.random.default_rng(4).permutation(len(ds.train))[:16]]
+        assert (batch.labels < 0).any() and (batch.labels >= 0).any()
         net = task.build_net(4)
         net.biases[-1].data += 0.3
         config = task.default_config(seed=4, weights=LossWeights(alpha=0.5, beta=0.3))
@@ -806,7 +931,8 @@ class TestExactlyOneRecipe:
             w.data[...] = 0.0
         net.biases[-1].data[...] = logits
         if recipe == "fact":
-            term = task.batch_loss(net, [(np.zeros(task.input_dim), None)], task.default_config())["cnf"]
+            unlabelled = TK.LabelledSplit(np.zeros((1, task.input_dim)), np.array([-1]))
+            term = task.batch_loss(net, unlabelled, task.default_config())["cnf"]
         else:  # no facts, identity surrogate: the recipe the fact replaces
             out, _ = net.forward(Tensor(np.zeros(task.input_dim)))
             term = cnf_loss(task.matrix, assemble_prediction(np.zeros(task.classes), out, "b"), np.zeros(task.classes)).l_cnf
@@ -840,8 +966,8 @@ class TestExactlyOneRecipe:
     def test_label_share(self):
         task = TK.make_task("exactly-one")
         ds = task.make_data(seed=1, n_labeled=100, n_unlabeled=5000, n_test=10)
-        labels = [label for _, label in ds.train]
-        assert len(labels) - labels.count(None) == 2 * labels.count(None) == 10000
+        labels = ds.train.labels
+        assert np.count_nonzero(labels >= 0) == 2 * np.count_nonzero(labels == -1) == 10000
         assert len(task.make_data(seed=1, n_labeled=100, n_unlabeled=0, n_test=10).train) == 100
 
 
