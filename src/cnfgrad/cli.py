@@ -46,7 +46,6 @@ TRAIN_KEYS = {
 # Task flag -> (constructor option, the tasks that take it).
 TASK_FLAGS = {
     "include_box": ("include_box_uec", ("sudoku4", "sudoku9")),
-    "uec": ("include_uec", ("mnist-add",)),
 }
 
 # Data flag -> the ``make_data`` keyword it sets.
@@ -237,6 +236,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     task = TK.make_task(args.task, **task_options)
     config = _resolve_train_config(args, task)
     dataset = _make_dataset(task, args, config.seed)
+    if not len(dataset.train):
+        raise CliError(f"the {task.name} training split is empty; train needs at least 1 instance")
 
     out_dir = args.out or os.path.join(_data_dir(), "runs", task.name)
     os.makedirs(out_dir, exist_ok=True)
@@ -304,10 +305,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         values = [int(tok) for tok in args.board.replace(",", " ").split()]
         if len(values) != task.cells or not all(0 <= v <= task.side for v in values):
             raise CliError(f"board must list {task.cells} values in 0..{task.side}")
-        boards = [np.asarray(values, dtype=np.int64)]
+        q = np.array([values], dtype=np.int64)
     else:
-        boards = [inst.q for inst in D.gen_grid_puzzles(task.side, args.count, tier=args.tier, seed=args.seed)]
-    q = np.array(boards, dtype=np.int64).reshape(-1, task.cells)
+        q = D.gen_grid_puzzles(task.side, args.count, tier=args.tier, seed=args.seed).q
     filled_boards = N.predict_with_inference_trick(net, q, task) if args.inference_trick else task.predict_board(net, q)
     bad = 0
     for filled in filled_boards:
@@ -315,7 +315,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         bad += int(not valid)
         print(" ".join(str(int(v)) for v in filled) + ("" if valid else "  # violates the theory"))
     if bad:
-        print(f"{bad}/{len(boards)} boards violate the theory", file=sys.stderr)
+        print(f"{bad}/{len(q)} boards violate the theory", file=sys.stderr)
     return 0
 
 
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("task", choices=TK.TASK_NAMES)
     p.add_argument("--out", help="output directory (default: data dir)")
     p.add_argument("--include-box", action="store_true", help="add the box exactly-one family (sudoku)")
-    p.add_argument("--uec", action="store_true", help="add existence/uniqueness clauses (mnist-add)")
     p.set_defaults(func=cmd_gen_cnf)
 
     p = sub.add_parser("check", help="brute-force satisfiability, entailment, and the deduce set")
@@ -364,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_eval_flags(p)
     # The theory variant is fixed at training time; eval and solve read it from the checkpoint.
     p.add_argument("--include-box", action="store_true", help="add the box exactly-one family (sudoku)")
-    p.add_argument("--uec", action="store_true", help="add existence/uniqueness clauses (mnist-add)")
-    p.add_argument("--synthetic", action="store_true", help="use the synthetic dataset (the default)")
-    p.add_argument("--unsupervised", action="store_true", help="constraint-only training (grid tasks always are)")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", help="output directory")
     p.add_argument("--batch", type=int, default=None)

@@ -2,14 +2,15 @@
 
 Everything here is deterministic per seed and self-contained; external
 files (IDX images, shortest-path CSV) are optional inputs with strict
-format checks.
+format checks. The grid and path generators and the CSV loader return
+``Split``s, the arrays the tasks train on.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +21,36 @@ IDX_LABELS_MAGIC = 0x00000801
 
 class DataFormatError(ValueError):
     """An external data file does not match its declared format."""
+
+
+# -- splits ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Split:
+    """Row i of every field is instance i; ``split[index]`` takes the same rows of every field.
+
+    An index array or a slice gives a split; an int gives one instance's fields, so iterating yields the instances.
+    """
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index) -> "Split":
+        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+
+@dataclass(frozen=True)
+class LabelledSplit(Split):
+    """Row i of ``features`` is labelled ``labels[i]``; exactly-one marks an unlabelled row with -1."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+
+@dataclass(frozen=True)
+class GridSplit(Split):
+    q: np.ndarray  # (n, cells): the puzzles, 0 marks empty
+    solution: np.ndarray  # (n, cells)
 
 
 # -- IDX (MNIST-style) ----------------------------------------------------------
@@ -69,14 +100,6 @@ def synthetic_features(count: int, classes: int, noise: float, seed, dim: int = 
 
 
 # -- square grids (Sudoku-style) ---------------------------------------------------
-
-@dataclass(frozen=True)
-class GridInstance:
-    """A puzzle board (0 marks empty) and its solution."""
-
-    q: np.ndarray
-    solution: np.ndarray
-
 
 #: Largest side ``solved_boards`` enumerates. Side 4 has 288 boards; side 9
 #: has about 6.7e21, which neither backtracking nor arrays can list.
@@ -181,8 +204,8 @@ def gen_grid_puzzles(
     tier: str = "easy",
     seed=0,
     holes: tuple[int, int] = (4, 11),
-) -> list[GridInstance]:
-    """Sample puzzles by blanking cells of random solved boards.
+) -> GridSplit:
+    """Sample ``count`` puzzles, as int64 (count, cells) stacks, by blanking cells of random solved boards.
 
     'easy' keeps only puzzles fully recoverable by repeated single-candidate
     deduction; 'hard' keeps only those that are not. Returned boards are
@@ -202,11 +225,12 @@ def gen_grid_puzzles(
     cells = side * side
     rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
-    out: list[GridInstance] = []
+    out = GridSplit(np.empty((count, cells), dtype=np.int64), np.empty((count, cells), dtype=np.int64))
+    found = 0
     lo, hi = holes
     misses = 0
-    while len(out) < count:
-        picks = np.empty(max(SCREEN_CHUNK, count - len(out)), dtype=np.int64)
+    while found < count:
+        picks = np.empty(max(SCREEN_CHUNK, count - found), dtype=np.int64)
         qs = np.empty((len(picks), cells), dtype=np.int64)
         for i in range(len(picks)):
             picks[i] = rng.integers(len(solutions))
@@ -217,7 +241,7 @@ def gen_grid_puzzles(
         for q, pick, board in zip(qs, picks, completed):
             if misses == PUZZLE_MISS_BUDGET:
                 raise ValueError(
-                    f"gen_grid_puzzles: found {len(out)} of {count} distinct {tier} {side}x{side} puzzles "
+                    f"gen_grid_puzzles: found {found} of {count} distinct {tier} {side}x{side} puzzles "
                     f"with {lo}-{hi} holes; the last {PUZZLE_MISS_BUDGET} draws found no new one"
                 )
             misses += 1
@@ -225,9 +249,10 @@ def gen_grid_puzzles(
             if key in seen or (tier == "easy") != (board is not None):
                 continue
             seen.add(key)
-            out.append(GridInstance(q=q.copy(), solution=solutions[pick].copy()))
+            out.q[found], out.solution[found] = q, solutions[pick]
+            found += 1
             misses = 0
-            if len(out) == count:
+            if found == count:
                 break
     return out
 
@@ -247,14 +272,6 @@ def grid_edges(side: int = GRID_SIDE) -> list[tuple[int, int]]:
         for j in range(side):
             edges.append((i * side + j, (i + 1) * side + j))
     return edges
-
-
-@dataclass(frozen=True)
-class PathInstance:
-    """features: 24 edge-present bits then 16 terminal bits; label: path edges."""
-
-    features: np.ndarray
-    label: np.ndarray
 
 
 def _unique_shortest_path(present: np.ndarray, s: int, t: int, side: int = GRID_SIDE) -> np.ndarray | None:
@@ -282,45 +299,52 @@ def _unique_shortest_path(present: np.ndarray, s: int, t: int, side: int = GRID_
         frontier = nxt
     if dist[t] == -1 or ways[t] != 1:
         return None
-    label = np.zeros(len(edges), dtype=np.int8)
+    label = np.zeros(len(edges), dtype=bool)
     node = t
     while node != s:
         for u, e in adj[node]:
             if dist[u] == dist[node] - 1 and ways[u] > 0:
-                label[e] = 1
+                label[e] = True
                 node = u
                 break
     return label
 
 
-def gen_path_instances(count: int, seed=0) -> list[PathInstance]:
-    """Random 4x4 grids with 8 edges removed and a unique shortest path."""
+def gen_path_instances(count: int, seed=0) -> LabelledSplit:
+    """Random 4x4 grids with 8 edges removed and a unique shortest path.
+
+    Row i of the float64 (count, 40) features holds the 24 edge-present bits
+    then the 16 terminal bits; row i of the bool (count, 24) labels marks the path's edges.
+    """
     edges = grid_edges()
+    nodes = GRID_SIDE * GRID_SIDE
     rng = np.random.default_rng(seed)
-    out: list[PathInstance] = []
-    while len(out) < count:
+    out = LabelledSplit(np.zeros((count, len(edges) + nodes)), np.empty((count, len(edges)), dtype=bool))
+    found = 0
+    while found < count:
         present = np.ones(len(edges), dtype=np.int8)
         present[rng.choice(len(edges), size=8, replace=False)] = 0
-        s, t = rng.choice(GRID_SIDE * GRID_SIDE, size=2, replace=False)
+        s, t = rng.choice(nodes, size=2, replace=False)
         label = _unique_shortest_path(present, int(s), int(t))
         if label is None:
             continue
-        terminals = np.zeros(GRID_SIDE * GRID_SIDE, dtype=np.int8)
-        terminals[[s, t]] = 1
-        out.append(PathInstance(features=np.concatenate([present, terminals]).astype(np.float64), label=label))
+        out.features[found, : len(edges)] = present
+        out.features[found, len(edges) + np.array([s, t])] = 1.0
+        out.labels[found] = label
+        found += 1
     return out
 
 
-def save_path_csv(instances: list[PathInstance], path: str) -> None:
+def save_path_csv(split: LabelledSplit, path: str) -> None:
+    """One line per instance: its 40 feature bits then its 24 label bits, comma-separated."""
+    rows = np.concatenate([split.features, split.labels], axis=1).astype(np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            row = np.concatenate([inst.features.astype(np.int64), inst.label.astype(np.int64)])
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows.tolist())
 
 
-def load_path_csv(path: str) -> list[PathInstance]:
-    """Each line holds 40 feature bits then 24 label bits, comma-separated."""
-    out: list[PathInstance] = []
+def load_path_csv(path: str) -> LabelledSplit:
+    """Each line holds 40 feature bits then 24 label bits, comma-separated; blank lines are skipped."""
+    rows: list[list[int]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -329,10 +353,6 @@ def load_path_csv(path: str) -> list[PathInstance]:
             vals = [int(tok) for tok in line.split(",")]
             if len(vals) != 64 or any(v not in (0, 1) for v in vals):
                 raise DataFormatError(f"{path}:{lineno}: expected 64 comma-separated 0/1 values")
-            out.append(
-                PathInstance(
-                    features=np.asarray(vals[:40], dtype=np.float64),
-                    label=np.asarray(vals[40:], dtype=np.int8),
-                )
-            )
-    return out
+            rows.append(vals)
+    bits = np.array(rows, dtype=np.int64).reshape(-1, 64)
+    return LabelledSplit(bits[:, :40].astype(np.float64), bits[:, 40:].astype(bool))

@@ -16,8 +16,9 @@ as binarize(0), which under the default ``bp`` leaves them to the facts.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .closs import (
     sum_loss,
 )
 from .cnf import Assignment, CnfTheory, build_matrix, theory_from_clauses
+from .datasets import GridSplit, LabelledSplit, Split
 from .nn import Mlp, TrainConfig
 from .tensor import SteMode, Tensor
 
@@ -42,22 +44,16 @@ from .tensor import SteMode, Tensor
 # clause families
 # ---------------------------------------------------------------------------
 
-def mnist_add_theory(digits: int = 1, include_uec: bool = False) -> CnfTheory:
+def mnist_add_theory(digits: int = 1) -> CnfTheory:
     """Sum-label clauses for adding two ``digits``-digit numbers.
 
     Atoms: one per joint digit tuple (the products of the per-image
     outputs land here, tuple encoded base 10), then one per possible sum.
-    Each sum clause lists the tuples reaching that sum. With
-    ``include_uec`` (single digits only) the signature instead carries
-    joint atoms, per-image digit atoms, and sums, plus existence and
-    uniqueness clauses over the digit atoms for use with the sign
-    binarizer; the probability binarizer does not need them because the
-    softmax head already enforces one digit per image.
+    Each sum clause lists the tuples reaching that sum. The softmax head
+    already gives each image one digit, so no clause says so.
     """
     if digits not in (1, 2, 3):
         raise ValueError(f"digits must be 1, 2, or 3, got {digits}")
-    if include_uec and digits != 1:
-        raise ValueError("the existence/uniqueness variant is defined for single digits only")
     base = 10**digits
     npred = base * base
     nsum = 2 * base - 1
@@ -65,23 +61,15 @@ def mnist_add_theory(digits: int = 1, include_uec: bool = False) -> CnfTheory:
     sums = tuples // base + tuples % base
     order = np.argsort(sums, kind="stable")
     bounds = np.searchsorted(sums[order], np.arange(nsum + 1))
-    sum_base = npred + (20 if include_uec else 0)
     # Sum clause l is -sum(l) followed by the joint atoms that reach l, in atom order.
     indptr = bounds + np.arange(nsum + 1)
-    literals = np.insert(order + 1, bounds[:-1], -(sum_base + 1 + np.arange(nsum)))
+    literals = np.insert(order + 1, bounds[:-1], -(npred + 1 + np.arange(nsum)))
 
     def names() -> list[str]:
         numbers = [",".join(f"{k:0{digits}d}") for k in range(base)]
-        preds = [f"pred({first},{second})" for first in numbers for second in numbers]
-        if include_uec:
-            preds = ["conj(" + name[5:] for name in preds] + [f"digit({i},{n})" for i in (1, 2) for n in range(10)]
-        return preds + [f"sum({l})" for l in range(nsum)]
+        return [f"pred({first},{second})" for first in numbers for second in numbers] + [f"sum({l})" for l in range(nsum)]
 
-    if not include_uec:
-        return CnfTheory(npred + nsum, indptr, literals, names)
-    digit_atoms = [range(npred + 10 * i + 1, npred + 10 * i + 11) for i in range(2)]
-    exclusions = [(-a, -b) for atoms in digit_atoms for a, b in itertools.combinations(atoms, 2)]
-    return theory_from_clauses(np.split(literals, indptr[1:-1]) + digit_atoms + exclusions, npred + 20 + nsum, names)
+    return CnfTheory(npred + nsum, indptr, literals, names)
 
 
 #: The (row 1, row 2, column 1, column 2) position pairs of a 2x2 grid: add2x2
@@ -245,28 +233,6 @@ def exactly_one_theory(classes: int = 10) -> CnfTheory:
 # task objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Split:
-    """Row i of every field is instance i; ``split[index]`` takes the same rows of every field.
-
-    An index array or a slice gives a split; an int gives one instance's fields, so iterating yields the instances.
-    """
-
-    def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
-
-    def __getitem__(self, index) -> "Split":
-        return replace(self, **{f.name: getattr(self, f.name)[index] for f in fields(self)})
-
-
-@dataclass(frozen=True)
-class LabelledSplit(Split):
-    """Row i of ``features`` is labelled ``labels[i]``; exactly-one marks an unlabelled row with -1."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-
 @dataclass
 class TaskDataset:
     task: "TaskSpec"
@@ -386,27 +352,22 @@ class AddSplit(Split):
 class MnistAddTask(TaskSpec):
     """Learn digit classification from pair sums alone."""
 
-    def __init__(self, digits: int = 1, include_uec: bool = False, input_dim: int = 16, hidden: tuple[int, ...] = (64,)):
-        super().__init__(mnist_add_theory(digits, include_uec))
+    def __init__(self, digits: int = 1, input_dim: int = 16, hidden: tuple[int, ...] = (64,)):
+        super().__init__(mnist_add_theory(digits))
         self.digits = digits
-        self.include_uec = include_uec
         self.input_dim = input_dim
         self.hidden = hidden
         self.name = "mnist-add" if digits == 1 else f"mnist-add{digits}"
-        # The 2 * 10**digits - 1 sum atoms come last.
-        self.sum_base = self.theory.n - 2 * 10**digits + 1
+        # The sum atoms follow the 100**digits joint atoms.
+        self.sum_base = 100**digits
         self.weights = LossWeights(alpha=1.0, beta=0.1 if digits == 1 else 0.01)
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, *self.hidden, 10), head="softmax", seed=seed)
 
     def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
-        """The joint atoms are the row-wise outer product of the per-image digit probabilities.
-
-        With ``include_uec`` the 20 digit atoms follow them: the two images' probabilities.
-        """
-        joint = functools.reduce(_outer_rows, outputs)
-        return T.concat([joint, *outputs]) if self.include_uec else joint
+        """The joint atoms are the row-wise outer product of the per-image digit probabilities."""
+        return functools.reduce(_outer_rows, outputs)
 
     def fact_rows(self, batch: AddSplit) -> np.ndarray:
         return _pinned(self.theory.n, self.sum_base + batch.label_sum)
@@ -559,12 +520,6 @@ class Apply2x2Task(TaskSpec):
         return TaskDataset(self, Apply2x2Split(digits, images, ops, results), test)
 
 
-@dataclass(frozen=True)
-class GridSplit(Split):
-    q: np.ndarray  # (n, cells): the puzzles, 0 marks empty
-    solution: np.ndarray  # (n, cells)
-
-
 class SudokuTask(TaskSpec):
     """Unsupervised grid completion from the exactly-one constraints.
 
@@ -642,9 +597,7 @@ class SudokuTask(TaskSpec):
         return T.constant(self.fact_rows(batch.solution)), self.fact_rows(batch.q)
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy", holes=(4, 11)) -> TaskDataset:
-        boards = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17], holes=holes)
-        stack = lambda field: np.array([getattr(b, field) for b in boards], dtype=np.int64).reshape(-1, self.cells)
-        grids = GridSplit(stack("q"), stack("solution"))
+        grids = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17], holes=holes)
         return TaskDataset(self, grids[:n_train], grids[n_train:])
 
 
@@ -697,14 +650,10 @@ class ShortestPathTask(TaskSpec):
         return self.assemble([T.constant(batch.labels)]), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 1288, n_test: int = 322, csv_path: str | None = None) -> TaskDataset:
-        instances = D.load_path_csv(csv_path) if csv_path else D.gen_path_instances(n_train + n_test, seed=[seed, 18])
-        if len(instances) < n_train + n_test:
-            n_train = int(len(instances) * 0.8)
-            n_test = len(instances) - n_train
-        paths = LabelledSplit(
-            np.array([inst.features for inst in instances]).reshape(-1, 40),
-            np.array([inst.label for inst in instances], dtype=bool).reshape(-1, 24),
-        )
+        paths = D.load_path_csv(csv_path) if csv_path else D.gen_path_instances(n_train + n_test, seed=[seed, 18])
+        if len(paths) < n_train + n_test:
+            n_train = int(len(paths) * 0.8)
+            n_test = len(paths) - n_train
         return TaskDataset(self, paths[:n_train], paths[n_train : n_train + n_test])
 
 
@@ -838,7 +787,12 @@ TASK_NAMES = tuple(_CONSTRUCTORS)
 
 
 def make_task(name: str, **options) -> TaskSpec:
-    """Build a task by CLI name; options are forwarded to its constructor."""
+    """Build a task by CLI name; options are forwarded to its constructor, and one it does not take is refused."""
     if name not in _CONSTRUCTORS:
         raise KeyError(f"unknown task {name!r}; choose from {', '.join(sorted(_CONSTRUCTORS))}")
+    signature = inspect.signature(_CONSTRUCTORS[name])
+    try:
+        signature.bind(**options)
+    except TypeError as exc:
+        raise ValueError(f"task {name} takes options {', '.join(signature.parameters)} only: {exc}") from None
     return _CONSTRUCTORS[name](**options)

@@ -136,7 +136,7 @@ def sudoku4_checkpoint(tmp_path_factory):
 class TestTrainEvalSolve:
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path, capsys):
         args = [
-            "train", "mnist-add", "--synthetic", "--seed", "1",
+            "train", "mnist-add", "--seed", "1",
             "--n-train", "60", "--n-test", "40", "--epochs", "2",
         ]
         code, out, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))
@@ -173,12 +173,11 @@ class TestTrainEvalSolve:
         assert code != 0 and "unknown config key" in err
 
     # sudoku9 is left out: its data generation refuses boards above 4x4 (test_sudoku9_data_fails_fast).
-    @pytest.mark.parametrize("task", [*(name for name in TASK_NAMES if name != "sudoku9"), "mnist-add --uec"])
+    @pytest.mark.parametrize("task", [name for name in TASK_NAMES if name != "sudoku9"])
     def test_every_task_trains(self, tmp_path, capsys, task):
-        task, *flags = task.split()
         sizes = ("--labeled", "4", "--unlabeled", "4") if task == "exactly-one" else ("--n-train", "8")
         code, _, err = run_cli(
-            capsys, "train", task, *flags, *sizes, "--n-test", "4", "--epochs", "1", "--out", str(tmp_path),
+            capsys, "train", task, *sizes, "--n-test", "4", "--epochs", "1", "--out", str(tmp_path),
         )
         assert code == 0, err
         rows = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -227,7 +226,7 @@ class TestTrainEvalSolve:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("gen-cnf", "sudoku4", "--uec"), "--uec applies to mnist-add only, not sudoku4"),
+            (("gen-cnf", "member3", "--include-box"), "--include-box applies to sudoku4 and sudoku9 only, not member3"),
             (("train", "member3", "--include-box"), "--include-box applies to sudoku4 and sudoku9 only, not member3"),
         ],
     )
@@ -258,6 +257,68 @@ class TestTrainEvalSolve:
         assert code == 1 and stdout == ""
         assert err == f"error: fn {fn!r} does not suit {task}, whose binarizer is {own!r}: {reason}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "mnist-add", "--uec"),
+            ("train", "mnist-add", "--synthetic"),
+            ("train", "sudoku4", "--unsupervised"),
+            ("gen-cnf", "mnist-add", "--uec"),
+        ],
+        ids=["train-uec", "train-synthetic", "train-unsupervised", "gen-cnf-uec"],
+    )
+    def test_retired_flag_is_unrecognized(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mnist-add", "--n-train", "0", "--n-test", "8"),
+            ("exactly-one", "--labeled", "0", "--unlabeled", "0", "--n-test", "8"),
+            ("shortest-path", "--csv", "{empty}"),
+        ],
+        ids=["mnist-add", "exactly-one", "shortest-path-empty-csv"],
+    )
+    def test_empty_training_split_fails_fast(self, tmp_path, capsys, argv):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        argv = [arg.format(empty=empty) for arg in argv]
+        code, stdout, err = run_cli(capsys, "train", *argv, "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: the {argv[0]} training split is empty; train needs at least 1 instance\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,meta,message",
+        [
+            (
+                "eval",
+                {"task": "mnist-add", "options": {"include_uec": True}},
+                "task mnist-add takes options digits, input_dim, hidden only: got an unexpected keyword argument 'include_uec'",
+            ),
+            (
+                "solve",
+                {"task": "sudoku4", "options": {"include_bogus": True}},
+                "task sudoku4 takes options side, include_box_uec, hidden only: got an unexpected keyword argument 'include_bogus'",
+            ),
+        ],
+        ids=["eval-include_uec", "solve-include_bogus"],
+    )
+    def test_checkpoint_option_the_task_does_not_take_fails(self, tmp_path, capsys, command, meta, message):
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "ckpt"), TK.make_task(meta["task"]).build_net(0), meta=meta)
+        code, stdout, err = run_cli(capsys, command, ckpt, "--seed", "1")
+        assert code == 1 and stdout == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):
@@ -300,7 +361,7 @@ class TestTrainEvalSolve:
 
     def test_eval_and_solve_sudoku(self, tmp_path, capsys):
         code, _, _ = run_cli(
-            capsys, "train", "sudoku4", "--unsupervised", "--seed", "0",
+            capsys, "train", "sudoku4", "--seed", "0",
             "--n-train", "40", "--n-test", "10", "--epochs", "1", "--out", str(tmp_path),
         )
         assert code == 0

@@ -150,6 +150,10 @@ class TestGenGridPuzzles:
         assert h.hexdigest() == digest
 
     def test_instances_own_writable_arrays(self):
-        a, b = D.gen_grid_puzzles(4, 2, seed=5)
-        for arr in (a.q, a.solution, b.q, b.solution):
-            assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.int64
+        puzzles = D.gen_grid_puzzles(4, 3, seed=5)
+        boards = D.solved_boards(4).copy()
+        for arr in (puzzles.q, puzzles.solution):
+            assert arr.flags.writeable and arr.flags.owndata and arr.dtype == np.int64 and arr.shape == (3, 16)
+            arr[...] = 0
+        # so the stacks are no views of the read-only board cache
+        assert np.array_equal(D.solved_boards(4), boards)

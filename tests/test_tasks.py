@@ -58,10 +58,6 @@ class TestTheoryShapes:
         with pytest.raises(ValueError, match="1 x 1999 x 1001999 float64 is 15,282 MiB"):
             cnf_loss(matrix, Tensor(np.zeros(n)), np.zeros(n))
 
-    def test_mnist_add_uec_variant(self):
-        theory = TK.mnist_add_theory(1, include_uec=True)
-        assert (theory.m, theory.n) == (111, 139)
-
     def test_sudoku4(self):
         assert (TK.sudoku_theory(4).m, TK.sudoku_theory(4).n) == (336, 64)
 
@@ -100,7 +96,7 @@ class TestTheoryShapes:
 
 
 # Test ids of the flag variants -> (registered task, constructor options).
-VARIANTS = {"mnist-add-uec": ("mnist-add", {"include_uec": True}), "sudoku4-box": ("sudoku4", {"include_box_uec": True})}
+VARIANTS = {"sudoku4-box": ("sudoku4", {"include_box_uec": True})}
 
 
 def variant_task(case: str, request) -> TK.TaskSpec:
@@ -142,25 +138,15 @@ class TestGroundTruthAssembly:
         [
             ("mnist-add", lambda rows: {"label_sum": (rows.label_sum + 1) % 19}),
             ("member3", lambda rows: {"label": 1 - rows.label}),
-            ("mnist-add-uec", lambda rows: {"label_sum": (rows.label_sum + 1) % 19}),
             ("add2x2", lambda rows: {"sums": (rows.sums + [1, 0, 0, 0]) % 19}),
             ("shortest-path", lambda rows: {"labels": np.zeros_like(rows.labels)}),
         ],
-        ids=["mnist-add-label_sum", "member3-label", "mnist-add-uec-label_sum", "add2x2-sums", "shortest-path-label"],
+        ids=["mnist-add-label_sum", "member3-label", "add2x2-sums", "shortest-path-label"],
     )
     def test_wrong_label_fails_the_check(self, name, wrong, request):
         task = variant_task(name, request)
         train = task.make_data(seed=5, n_train=10, n_test=2).train
         assert not task.check_rows(dataclasses.replace(train, **wrong(train))).any()
-
-    def test_uec_digit_atoms_are_the_image_outputs(self):
-        task = TK.make_task("mnist-add", include_uec=True)
-        probs = np.random.default_rng(0).dirichlet(np.ones(10), size=(2, 3))
-        x = task.assemble([T.constant(p) for p in probs]).data
-        assert x.shape == (3, 120)
-        assert np.array_equal(x[:, :100], (probs[0][:, :, None] * probs[1][:, None, :]).reshape(3, 100))
-        assert np.array_equal(x[:, 100:], np.concatenate(probs, axis=1))
-        assert list(task.theory.atom_names[100:120]) == [f"digit({i},{d})" for i in (1, 2) for d in range(10)]
 
     def test_mnist_add2_truth(self):
         task = TK.make_task("mnist-add2")
@@ -240,7 +226,7 @@ class TestSudokuTask:
 class TestTheoryPins:
     # sha256 of serialize_dimacs, of serialize_atom_names and of the
     # build_matrix arrays (dtype string, then bytes, for indptr, indices,
-    # values) of every registered theory and its --uec / box variant, taken
+    # values) of every registered theory and its box variant, taken
     # from the per-literal builders these array builders replaced.
     DIGESTS = {
         ("mnist-add", ""): (
@@ -297,11 +283,6 @@ class TestTheoryPins:
             "ed6bc75d6e7f583a0eb75551a699a51a72d3a3dba097a824dec6baa28bb9bc14",
             "d2e7eff1f924cb6329c7284990035f850901d9795b4ebba3e3f1366697afa103",
             "ddd0e7b5cf76f0b570df13fcff5de90fb522b7f2679eea334a8aabc4c48448eb",
-        ),
-        ("mnist-add", "include_uec"): (
-            "e9c677bc9eee1c1282174bc8768f1d2236f9abd4a43df957a49b9d8b97414641",
-            "9d34ccc1cf84bafa5823b297da8de17eb8ceb27e5f33d4c760ca0a0ae5dc8944",
-            "f9641a5b12f02fdb4890ad9741e0a0e9c8a7d7e664282002eb5e2489acaea71a",
         ),
         ("sudoku4", "include_box_uec"): (
             "c677bc9cae4942370afd0a56d2da1bb217f29373d534bd732ec39e7d8b454959",
@@ -403,9 +384,8 @@ class TestHeldOutSplit:
     def test_shortest_path_split(self):
         task = TK.make_task("shortest-path")
         split = task.make_data(seed=0, n_train=8, n_test=64).test
-        instances = D.gen_path_instances(72, seed=[0, 18])[8:]
-        feats = np.stack([inst.features for inst in instances])
-        labels = np.stack([inst.label for inst in instances]).astype(bool)
+        drawn = D.gen_path_instances(72, seed=[0, 18])[8:]
+        feats, labels = drawn.features, drawn.labels
         assert np.array_equal(split.features, feats) and np.array_equal(split.labels, labels)
         net = task.build_net(3)
         # Every row predicts the first instance's path (its edges at logit +4, the rest at -4),
@@ -486,9 +466,8 @@ class TestTrainSplit:
 
     def test_shortest_path_rows_are_the_draws(self):
         train = TK.make_task("shortest-path").make_data(seed=0, n_train=12, n_test=3).train
-        instances = D.gen_path_instances(15, seed=[0, 18])[:12]
-        assert np.array_equal(train.features, [inst.features for inst in instances])
-        assert np.array_equal(train.labels, [inst.label for inst in instances])
+        drawn = D.gen_path_instances(15, seed=[0, 18])[:12]
+        assert np.array_equal(train.features, drawn.features) and np.array_equal(train.labels, drawn.labels)
 
     @pytest.mark.parametrize("name", [n for n in TK.TASK_NAMES if n != "sudoku9"])
     def test_indexing_takes_the_same_rows_of_every_field(self, name, request):
@@ -973,27 +952,42 @@ class TestExactlyOneRecipe:
 
 class TestShortestPathData:
     def test_generated_instances_are_unique_paths(self):
-        instances = D.gen_path_instances(25, seed=1)
-        for inst in instances:
-            assert inst.features.shape == (40,) and inst.label.shape == (24,)
-            assert inst.features[24:].sum() == 2
-            # path edges all present in the grid
-            assert np.all(inst.features[:24][inst.label == 1] == 1)
+        split = D.gen_path_instances(25, seed=1)
+        assert split.features.dtype == np.float64 and split.features.shape == (25, 40)
+        assert split.labels.dtype == bool and split.labels.shape == (25, 24)
+        assert np.all(split.features[:, 24:].sum(axis=1) == 2)
+        # path edges all present in the grid
+        assert np.all(split.features[:, :24][split.labels] == 1)
 
     def test_csv_round_trip(self, tmp_path):
-        instances = D.gen_path_instances(10, seed=2)
-        path = str(tmp_path / "paths.csv")
-        D.save_path_csv(instances, path)
-        loaded = D.load_path_csv(path)
-        assert len(loaded) == len(instances)
-        for a, b in zip(instances, loaded):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.label, b.label)
+        split = D.gen_path_instances(10, seed=2)
+        path = tmp_path / "paths.csv"
+        D.save_path_csv(split, str(path))
+        # sha256 of the file the per-instance writer wrote for the same draws
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == "4f36ad91f872835a52361cb2794ffb40cbc37b7698c2ed86df0aa3fd3995363b"
+        loaded = D.load_path_csv(str(path))
+        assert loaded.features.dtype == np.float64 and loaded.labels.dtype == bool
+        assert np.array_equal(loaded.features, split.features) and np.array_equal(loaded.labels, split.labels)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        split = D.gen_path_instances(2, seed=2)
+        path = tmp_path / "paths.csv"
+        D.save_path_csv(split, str(path))
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n  \n\n{second}\n\n")
+        loaded = D.load_path_csv(str(path))
+        assert np.array_equal(loaded.features, split.features) and np.array_equal(loaded.labels, split.labels)
 
     def test_csv_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n")
         with pytest.raises(D.DataFormatError, match="64"):
+            D.load_path_csv(str(bad))
+
+    def test_csv_value_other_than_0_or_1_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n" + ",".join(["0"] * 64) + "\n" + ",".join(["1"] * 63 + ["2"]) + "\n")
+        with pytest.raises(D.DataFormatError, match=r"bad\.csv:3: expected 64 comma-separated 0/1 values"):
             D.load_path_csv(str(bad))
 
 
