@@ -40,7 +40,7 @@ from .tensor import SteMode
 # Training flag / config key -> the cast of a config-file value.
 TRAIN_KEYS = {
     "seed": int, "batch": int, "epochs": int, "lr": float, "optimizer": str,
-    "alpha": float, "beta": float, "gamma": float, "delta": float, "fn": str, "ste": str,
+    "alpha": float, "beta": float, "gamma": float, "delta": float, "ste": str,
 }
 
 # Task flag -> (constructor option, the tasks that take it).
@@ -55,15 +55,19 @@ DATA_FLAGS = {
 }
 
 
-# A task's binarizer -> why its columns cannot take the other one.
-FN_REASONS = {
-    "bp": "its columns are probabilities, never below 0, so 'b' would binarize every atom to 1",
-    "b": "its columns are scaled logits, which 'bp' refuses outside [0, 1]",
-}
-
-
 class CliError(Exception):
     pass
+
+
+def _at_least(low: int, cast=int):
+    """An argparse ``type`` that casts a flag's value and refuses one below ``low`` (or NaN)."""
+    def parse(text: str):
+        value = cast(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the cast in "invalid int value"
+    return parse
 
 
 def _data_dir() -> str:
@@ -90,9 +94,8 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
     """Merge flags > config file > task defaults into one TrainConfig.
 
     Only the keys that a flag or the file sets reach ``task.default_config``.
-    The batch reduction of the constraint term has no flag: it is the
-    task's own (``TaskSpec.cnf_batch_sum``). A binarizer other than the
-    task's is refused (``FN_REASONS``).
+    The binarizer and the batch reduction of the constraint term have no
+    flag: they are the task's own (``TaskSpec.fn``, ``TaskSpec.cnf_batch_sum``).
     """
     file_conf = _read_config_file(args.config) if args.config else {}
     values = {key: TRAIN_KEYS[key](text) for key, text in file_conf.items() if getattr(args, key) is None}
@@ -102,8 +105,6 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
         values["batch_size"] = values.pop("batch")
     if "ste" in values:
         values["ste"] = SteMode.parse(values["ste"])
-    if values.get("fn", task.fn) != task.fn:
-        raise CliError(f"fn {values['fn']!r} does not suit {args.task}, whose binarizer is {task.fn!r}: {FN_REASONS[task.fn]}")
     return task.default_config(weights=replace(task.weights, **weights), **values)
 
 
@@ -257,7 +258,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "beta": config.weights.beta,
         "gamma": config.weights.gamma,
         "delta": config.weights.delta,
-        "fn": config.fn,
+        "fn": task.fn,
         "ste": config.ste.value,
         "n_train": len(dataset.train),
         "n_test": len(dataset.test),
@@ -336,26 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("facts")
     p.add_argument("--names", help="atom-name sidecar file")
     p.add_argument("--cap", type=int, default=ENUM_CAP, help=f"most atoms to enumerate, 0..{ENUM_CAP} (default {ENUM_CAP})")
-    p.add_argument("--sample", type=int, help="for large theories: brute-force N random sub-problems")
+    p.add_argument("--sample", type=_at_least(1), help="for large theories: brute-force N random sub-problems")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grad-verify", help="run the value/gradient/gate verification suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--m-max", type=int, default=30)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
+    p.add_argument("--n-max", type=_at_least(1), default=12)
+    p.add_argument("--m-max", type=_at_least(0), default=30)
     p.set_defaults(func=cmd_grad_verify)
 
     def add_train_eval_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-train", type=int, default=None)
-        p.add_argument("--n-test", type=int, default=None)
-        p.add_argument("--noise", type=float, default=None)
+        p.add_argument("--n-train", type=_at_least(0), default=None)
+        p.add_argument("--n-test", type=_at_least(0), default=None)
+        p.add_argument("--noise", type=_at_least(0, float), default=None)
         p.add_argument("--tier", choices=("easy", "hard"), default=None)
         p.add_argument("--csv", help="shortest-path instances file")
-        p.add_argument("--labeled", type=int, default=None)
-        p.add_argument("--unlabeled", type=int, default=None)
+        p.add_argument("--labeled", type=_at_least(0), default=None)
+        p.add_argument("--unlabeled", type=_at_least(0), default=None)
         p.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"), help="IDX image/label files")
 
     p = sub.add_parser("train", help="train a task's network and write metrics + checkpoint")
@@ -373,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--fn", choices=("b", "bp"), default=None)
     p.add_argument("--ste", choices=("i", "s"), default=None)
     p.set_defaults(func=cmd_train)
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("--task", choices=TK.TASK_NAMES)
     p.add_argument("--board", help="space/comma separated cell values, 0 for empty")
-    p.add_argument("--count", type=int, default=10, help="number of generated puzzles when no board is given")
+    p.add_argument("--count", type=_at_least(0), default=10, help="number of generated puzzles when no board is given")
     p.add_argument("--tier", choices=("easy", "hard"), default="easy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inference-trick", action="store_true", default=True)

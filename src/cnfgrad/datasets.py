@@ -350,7 +350,10 @@ def load_path_csv(path: str) -> LabelledSplit:
             line = line.strip()
             if not line:
                 continue
-            vals = [int(tok) for tok in line.split(",")]
+            try:
+                vals = [int(tok) for tok in line.split(",")]
+            except ValueError:
+                vals = []
             if len(vals) != 64 or any(v not in (0, 1) for v in vals):
                 raise DataFormatError(f"{path}:{lineno}: expected 64 comma-separated 0/1 values")
             rows.append(vals)

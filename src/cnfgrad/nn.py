@@ -45,7 +45,6 @@ class TrainConfig:
     lr: float = 1e-3
     optimizer: str = "adam"
     weights: LossWeights = field(default_factory=LossWeights)
-    fn: str = "bp"
     ste: SteMode = SteMode.ISTE
     metrics_path: str | None = None
 

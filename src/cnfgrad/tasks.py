@@ -244,6 +244,7 @@ class TaskSpec:
     """Common surface: theory, loss recipe, dataset maker, accuracy."""
 
     name: str = ""
+    # The binarizer of the net's columns: 'bp' for probabilities; a head of logits sets 'b'.
     fn: str = "bp"
     ste: SteMode = SteMode.ISTE
     weights: LossWeights = LossWeights()
@@ -260,7 +261,7 @@ class TaskSpec:
 
     def default_config(self, **overrides) -> TrainConfig:
         """The task's recipe as a ``TrainConfig``; ``overrides`` are constructor keywords and win."""
-        return TrainConfig(**{"weights": replace(self.weights), "fn": self.fn, "ste": self.ste, **overrides})
+        return TrainConfig(**{"weights": replace(self.weights), "ste": self.ste, **overrides})
 
     def build_net(self, seed: int) -> Mlp:
         raise NotImplementedError
@@ -317,7 +318,7 @@ def _digit_rows(task: TaskSpec, net: Mlp, batch: Split, config: TrainConfig) -> 
     facts = task.fact_rows(batch)
     bounds = [bound_loss(raw) for _, raw in outs]
     return {
-        "cnf": cnf_loss_rows(task.matrix, x, facts, config.fn, config.ste),
+        "cnf": cnf_loss_rows(task.matrix, x, facts, task.fn, config.ste),
         "bound": sum(bounds[1:], bounds[0]),
     }
 
@@ -557,7 +558,7 @@ class SudokuTask(TaskSpec):
         x = T.reshape(probs, (rows, self.theory.n))
         facts = self.fact_rows(batch.q)
         per_board = {
-            "cnf": cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste),
+            "cnf": cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste),
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
@@ -635,7 +636,7 @@ class ShortestPathTask(TaskSpec):
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         return _batch_means({
             "base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)),
-            "cnf": cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste),
+            "cnf": cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste),
             "bound": bound_loss(raw),
         })
 
@@ -726,8 +727,8 @@ class ExactlyOneTask(TaskSpec):
                 classes = np.argmax(logits.data, axis=1)
             facts = np.eye(self.classes, dtype=np.int8)[classes]
             x = logits * (1.0 / self.logit_scale)
-            cnf = cnf_loss_rows(self.matrix, x, facts, config.fn, config.ste)
-            cnf = cnf + self.hint_weight * hint_loss(facts, x, config.ste, config.fn)
+            cnf = cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste)
+            cnf = cnf + self.hint_weight * hint_loss(facts, x, config.ste, self.fn)
             for name, per_row in (("cnf", cnf), ("bound", bound_loss(raw))):
                 total = T.sum_last(per_row)
                 sums[name] = total if name not in sums else sums[name] + total

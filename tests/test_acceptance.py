@@ -151,7 +151,7 @@ class TestCriterion8SemiSupervisedExactlyOne:
 
             full = task.make_data(seed=seed, n_labeled=100, n_unlabeled=5000, n_test=2000, noise=0.25)
             cfg = task.default_config(seed=seed, batch_size=16, lr=1e-3, epochs=6)
-            assert cfg.fn == "b"
+            assert task.fn == "b"
             net = task.build_net(seed)
             net.biases[-1].data += 1.0
             net, rows = run_training(full, cfg, net=net)

@@ -121,6 +121,22 @@ class TestGradVerify:
         assert "gradients: OK" in out
 
 
+# (command, flag, lower bound, a value below it) for every size flag.
+SIZE_FLAG_CASES = [
+    *((("train", "mnist-add"), flag, 0, value) for flag, value in (
+        ("--n-train", "-4"), ("--n-test", "-3"), ("--labeled", "-5"), ("--unlabeled", "-1"), ("--noise", "-1"),
+    )),
+    *((("eval", "ckpt.npz"), flag, 0, value) for flag, value in (
+        ("--n-train", "-1"), ("--n-test", "-10"), ("--labeled", "-1"), ("--unlabeled", "-2"), ("--noise", "nan"),
+    )),
+    (("solve", "ckpt.npz"), "--count", 0, "-1"),
+    (("check", "t.cnf", "t.facts"), "--sample", 1, "0"),
+    (("grad-verify",), "--n-max", 1, "0"),
+    (("grad-verify",), "--m-max", 0, "-1"),
+    (("grad-verify",), "--trials", 1, "0"),
+]
+
+
 @pytest.fixture(scope="module")
 def sudoku4_checkpoint(tmp_path_factory):
     """A briefly trained sudoku4 net, saved once: it completes some boards and misses others."""
@@ -238,43 +254,64 @@ class TestTrainEvalSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "task,fn,reason",
-        [
-            ("mnist-add", "b", "its columns are probabilities, never below 0, so 'b' would binarize every atom to 1"),
-            ("exactly-one", "bp", "its columns are scaled logits, which 'bp' refuses outside [0, 1]"),
-        ],
-    )
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_binarizer_the_columns_cannot_use_fails_fast(self, tmp_path, capsys, task, fn, reason, source):
-        own = "b" if fn == "bp" else "bp"
-        extra = ("--fn", fn)
-        if source == "config":
-            conf = tmp_path / "train.conf"
-            conf.write_text(f"fn = {fn}\n")
-            extra = ("--config", str(conf))
-        out = tmp_path / "run"
-        code, stdout, err = run_cli(capsys, "train", task, *extra, "--out", str(out))
-        assert code == 1 and stdout == ""
-        assert err == f"error: fn {fn!r} does not suit {task}, whose binarizer is {own!r}: {reason}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
         "argv",
         [
             ("train", "mnist-add", "--uec"),
             ("train", "mnist-add", "--synthetic"),
             ("train", "sudoku4", "--unsupervised"),
             ("gen-cnf", "mnist-add", "--uec"),
+            ("train", "mnist-add", "--fn", "b"),
         ],
-        ids=["train-uec", "train-synthetic", "train-unsupervised", "gen-cnf-uec"],
+        ids=["train-uec", "train-synthetic", "train-unsupervised", "gen-cnf-uec", "train-fn"],
     )
     def test_retired_flag_is_unrecognized(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[2:])}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fn_config_key_is_unknown(self, tmp_path, capsys):
+        # The binarizer is the task's own (TaskSpec.fn), so a config file cannot set it.
+        conf = tmp_path / "train.conf"
+        conf.write_text("fn = b\n")
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "mnist-add", "--config", str(conf), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {conf}:1: unknown config key 'fn'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag,low,value", SIZE_FLAG_CASES, ids=[f"{argv[0]}{flag}" for argv, flag, _, _ in SIZE_FLAG_CASES]
+    )
+    def test_size_flag_below_its_bound_is_refused(self, tmp_path, capsys, argv, flag, low, value):
+        out = tmp_path / "out"
+        extra = ("--out", str(out)) if argv[0] == "train" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value, *extra])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be at least {low}, got {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ste_matters_only_under_the_sign_binarizer(self, tmp_path, capsys):
+        # 'bp' columns are probabilities in [0, 1], inside the saturated surrogate's box, so both
+        # surrogates pass the same gradient; exactly-one's scaled logits ('b') leave the box, within
+        # one epoch at these sizes once the learning rate is raised to 0.1.
+        runs = {
+            "mnist-add": ("--n-train", "16", "--n-test", "8"),
+            "sudoku4": ("--delta", "0.3", "--n-train", "16", "--n-test", "4"),
+            "shortest-path": ("--n-train", "16", "--n-test", "4"),
+            "exactly-one": ("--labeled", "16", "--unlabeled", "16", "--n-test", "10", "--lr", "0.1"),
+        }
+        for task, sizes in runs.items():
+            metrics = []
+            for ste in ("i", "s"):
+                out = tmp_path / f"{task}-{ste}"
+                code, _, err = run_cli(capsys, "train", task, *sizes, "--epochs", "1", "--seed", "1", "--ste", ste, "--out", str(out))
+                assert code == 0, err
+                metrics.append((out / "metrics.csv").read_bytes())
+            assert (metrics[0] == metrics[1]) == (task != "exactly-one"), task
 
     @pytest.mark.parametrize(
         "argv",

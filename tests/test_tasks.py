@@ -685,7 +685,7 @@ class TestSudokuBatchLoss:
         x = T.reshape(probs, (task.theory.n,))
         facts = FactVector(task.fact_rows(inst.q))
         terms = {
-            "cnf": cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf,
+            "cnf": cnf_loss(task.matrix, assemble_prediction(facts, x, task.fn, config.ste), facts).l_cnf,
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
@@ -768,7 +768,7 @@ def instance_graph_terms(task, net, row, config):
         width = sum(p.size for p in parts)
         x = T.concat(parts + [T.constant(np.zeros(task.theory.n - width))])
         terms = {"bound": _tensor_sum([bound_loss(raw) for _, raw in outs])}
-    terms["cnf"] = cnf_loss(task.matrix, assemble_prediction(facts, x, config.fn, config.ste), facts).l_cnf
+    terms["cnf"] = cnf_loss(task.matrix, assemble_prediction(facts, x, task.fn, config.ste), facts).l_cnf
     return terms
 
 
@@ -816,7 +816,7 @@ class TestApply2x2BatchLoss:
 
         def spy(matrix, x, f, fn, ste):
             captured["x"], captured["f"] = x.data.copy(), f.copy()
-            assert fn == config.fn == "bp"
+            assert fn == task.fn == "bp"
             return real(matrix, x, f, fn, ste)
 
         monkeypatch.setattr(TK, "cnf_loss_rows", spy)
@@ -878,8 +878,8 @@ class TestExactlyOneRecipe:
         fact = int(np.argmax(logits.data)) if label < 0 else label
         facts = FactVector(np.eye(task.classes, dtype=np.int8)[fact])
         x = logits * (1.0 / task.logit_scale)
-        v = assemble_prediction(facts, x, config.fn, config.ste)
-        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, config.ste, config.fn)
+        v = assemble_prediction(facts, x, task.fn, config.ste)
+        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, config.ste, task.fn)
         terms = {"cnf": cnf, "bound": bound_loss(raw)}
         if label >= 0:
             terms["base"] = T.cross_entropy(logits, np.eye(task.classes)[label])
@@ -986,9 +986,10 @@ class TestShortestPathData:
 
     def test_csv_value_other_than_0_or_1_names_its_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n" + ",".join(["0"] * 64) + "\n" + ",".join(["1"] * 63 + ["2"]) + "\n")
-        with pytest.raises(D.DataFormatError, match=r"bad\.csv:3: expected 64 comma-separated 0/1 values"):
-            D.load_path_csv(str(bad))
+        for line in (",".join(["1"] * 63 + ["2"]), "1,x"):
+            bad.write_text("\n" + ",".join(["0"] * 64) + "\n" + line + "\n")
+            with pytest.raises(D.DataFormatError, match=r"bad\.csv:3: expected 64 comma-separated 0/1 values"):
+                D.load_path_csv(str(bad))
 
 
 class TestSyntheticDigits:
@@ -1050,12 +1051,15 @@ class TestIdxLoader:
 class TestDefaultConfig:
     def test_overrides_win_over_the_recipe(self):
         task = TK.make_task("exactly-one")
-        config = task.default_config(fn="bp", weights=LossWeights(alpha=2.0), batch_size=8)
-        assert (config.fn, config.ste, config.weights.alpha, config.batch_size) == ("bp", task.ste, 2.0, 8)
+        config = task.default_config(ste=T.SteMode.ISTE, weights=LossWeights(alpha=2.0), batch_size=8)
+        assert task.ste is T.SteMode.SSTE
+        assert (config.ste, config.weights.alpha, config.batch_size) == (T.SteMode.ISTE, 2.0, 8)
 
     def test_misspelt_key_raises(self):
-        with pytest.raises(TypeError, match="batchsize"):
-            TK.make_task("member3").default_config(batchsize=8)
+        # ``fn`` is no option either: the binarizer is the task's own (``TaskSpec.fn``).
+        for key, value in (("batchsize", 8), ("fn", "bp")):
+            with pytest.raises(TypeError, match=key):
+                TK.make_task("member3").default_config(**{key: value})
 
 
 class TestRegistry:
