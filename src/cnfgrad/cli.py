@@ -39,7 +39,7 @@ from .tensor import SteMode
 
 # Training flag / config key -> the cast of a config-file value.
 TRAIN_KEYS = {
-    "seed": int, "batch": int, "epochs": int, "lr": float, "optimizer": str,
+    "seed": int, "batch": int, "epochs": int, "lr": float,
     "alpha": float, "beta": float, "gamma": float, "delta": float, "ste": str,
 }
 
@@ -253,7 +253,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "batch": config.batch_size,
         "epochs": config.epochs,
         "lr": config.lr,
-        "optimizer": config.optimizer,
         "alpha": config.weights.alpha,
         "beta": config.weights.beta,
         "gamma": config.weights.gamma,
@@ -338,18 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", help="atom-name sidecar file")
     p.add_argument("--cap", type=int, default=ENUM_CAP, help=f"most atoms to enumerate, 0..{ENUM_CAP} (default {ENUM_CAP})")
     p.add_argument("--sample", type=_at_least(1), help="for large theories: brute-force N random sub-problems")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grad-verify", help="run the value/gradient/gate verification suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--n-max", type=_at_least(1), default=12)
     p.add_argument("--m-max", type=_at_least(0), default=30)
     p.set_defaults(func=cmd_grad_verify)
 
     def add_train_eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_at_least(0), default=None)
         p.add_argument("--n-train", type=_at_least(0), default=None)
         p.add_argument("--n-test", type=_at_least(0), default=None)
         p.add_argument("--noise", type=_at_least(0, float), default=None)
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", help="space/comma separated cell values, 0 for empty")
     p.add_argument("--count", type=_at_least(0), default=10, help="number of generated puzzles when no board is given")
     p.add_argument("--tier", choices=("easy", "hard"), default="easy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--inference-trick", action="store_true", default=True)
     p.add_argument("--no-inference-trick", dest="inference_trick", action="store_false")
     p.set_defaults(func=cmd_solve)

@@ -47,8 +47,8 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"loss weight {name} must be finite and nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -338,13 +338,7 @@ class GradOracleReport:
     satisfiable: bool | None = field(default=None)
 
 
-def closed_form_grad(
-    theory: CnfTheory,
-    f: FactVector,
-    v: Assignment,
-    cap: int = ENUM_CAP,
-    assume_satisfiable: bool = False,
-) -> GradOracleReport:
+def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_satisfiable: bool = False) -> GradOracleReport:
     """Predict the loss gradients without touching the graph route.
 
     Satisfaction and deduce-set membership are recomputed here literal by
@@ -391,8 +385,8 @@ def closed_form_grad(
     satisfiable: bool | None = None
     if assume_satisfiable:
         satisfiable = True
-    elif n <= cap:
-        satisfiable = brute_force(theory, f, cap=cap).satisfiable
+    elif n <= ENUM_CAP:
+        satisfiable = brute_force(theory, f).satisfiable
         if not satisfiable:
             warnings.warn(
                 "theory plus facts is unsatisfiable; the counting gradients "

@@ -1,4 +1,4 @@
-"""Small dense networks, first-order optimizers, and the training loop.
+"""Small dense networks, the Adam optimizer, and the training loop.
 
 Everything is seeded and single-threaded: two runs with the same config
 produce bit-identical parameter trajectories and metrics files. The
@@ -43,15 +43,16 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 5
     lr: float = 1e-3
-    optimizer: str = "adam"
     weights: LossWeights = field(default_factory=LossWeights)
     ste: SteMode = SteMode.ISTE
     metrics_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("seed", 0), ("batch_size", 1), ("epochs", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 class Mlp:
@@ -124,50 +125,33 @@ class Mlp:
 
 
 class Optimizer:
-    """SGD or Adam over a fixed parameter list.
+    """Adam over a fixed parameter list; it moves only via its bias-corrected moments."""
 
-    With zero gradients an SGD step is the identity; Adam moves only via
-    its bias-corrected moments.
-    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        kind: str = "adam",
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {kind!r}")
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
-        self.kind = kind
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # Two scratch planes per parameter: an Adam step allocates nothing.
-        self._scratch = [np.empty((2,) + p.shape) for p in self.params] if kind == "adam" else []
+        # Two scratch planes per parameter: a step allocates nothing.
+        self._scratch = [np.empty((2,) + p.shape) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.kind == "sgd":
-                p.data -= self.lr * g
-            else:
-                # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-                # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
-                m, v, (num, den) = self.m[i], self.v[i], self._scratch[i]
-                m *= self.beta1
-                m += np.multiply(g, 1.0 - self.beta1, out=num)
-                v *= self.beta2
-                v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=num), g, out=num)
-                np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
-                p.data -= np.divide(np.multiply(np.divide(m, c1, out=num), self.lr, out=num), den, out=num)
+            # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
+            m, v, (num, den) = self.m[i], self.v[i], self._scratch[i]
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=num)
+            v *= self.beta2
+            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=num), g, out=num)
+            np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
+            p.data -= np.divide(np.multiply(np.divide(m, c1, out=num), self.lr, out=num), den, out=num)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -245,7 +229,7 @@ def run_training(dataset, config: TrainConfig, net: Mlp | None = None) -> tuple[
     task = dataset.task
     if net is None:
         net = task.build_net(config.seed)
-    optimizer = Optimizer(net.params(), kind=config.optimizer, lr=config.lr)
+    optimizer = Optimizer(net.params(), lr=config.lr)
     rows: list[dict[str, float]] = []
     for epoch in range(1, config.epochs + 1):
         rows.append(train_epoch(net, optimizer, dataset, config, epoch))

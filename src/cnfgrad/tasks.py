@@ -394,10 +394,11 @@ class Add2x2Split(Split):
 class Add2x2Task(TaskSpec):
     """Digit classification from the four row/column sums of a 2x2 grid."""
 
-    def __init__(self, input_dim: int = 16):
+    input_dim = 16
+
+    def __init__(self):
         super().__init__(add2x2_theory())
         self.name = "add2x2"
-        self.input_dim = input_dim
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, 10), head="softmax", seed=seed)
@@ -428,11 +429,12 @@ class MemberSplit(Split):
 class MemberTask(TaskSpec):
     """Digit classification from set-membership answers."""
 
-    def __init__(self, k: int = 3, input_dim: int = 16):
+    input_dim = 16
+
+    def __init__(self, k: int = 3):
         super().__init__(member_theory(k))
         self.k = k
         self.name = f"member{k}"
-        self.input_dim = input_dim
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, 64, 10), head="softmax", seed=seed)
@@ -479,11 +481,12 @@ class Apply2x2Task(TaskSpec):
     gives one result, so an instance is four prediction rows.
     """
 
-    def __init__(self, input_dim: int = 16):
+    input_dim = 16
+
+    def __init__(self):
         theory, lookup = apply2x2_theory()
         super().__init__(theory)
         self.name = "apply2x2"
-        self.input_dim = input_dim
         # The lookup is in atom order, so these keys ascend.
         combos = np.array(list(lookup), dtype=np.int64)
         self.atom_keys = _apply_key(combos[:, :3], combos[:, 3])
@@ -528,11 +531,12 @@ class SudokuTask(TaskSpec):
     one net pass and one ``cnf_loss_rows`` call, with the givens as facts.
     """
 
-    def __init__(self, side: int = 4, include_box_uec: bool = False, hidden: tuple[int, ...] = (256, 256)):
+    hidden = (256, 256)
+
+    def __init__(self, side: int = 4, include_box_uec: bool = False):
         super().__init__(sudoku_theory(side, include_box_uec))
         self.side = side
         self.name = f"sudoku{side}"
-        self.hidden = hidden
         self.cells = side * side
         self.input_dim = self.cells * (side + 1)
         self.sum_selections = group_selections(sudoku_sum_groups(side), self.cells, side)
@@ -597,8 +601,8 @@ class SudokuTask(TaskSpec):
         """The solutions as 0/1 rows, with the givens as facts."""
         return T.constant(self.fact_rows(batch.solution)), self.fact_rows(batch.q)
 
-    def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy", holes=(4, 11)) -> TaskDataset:
-        grids = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17], holes=holes)
+    def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy") -> TaskDataset:
+        grids = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17])
         return TaskDataset(self, grids[:n_train], grids[n_train:])
 
 
@@ -696,12 +700,12 @@ class ExactlyOneTask(TaskSpec):
     hint_weight = 16.0
     # Labelled draws per unlabelled instance in the training pool.
     label_share = 2
+    classes = 10
+    input_dim = 16
 
-    def __init__(self, classes: int = 10, input_dim: int = 16):
-        super().__init__(exactly_one_theory(classes))
-        self.classes = classes
+    def __init__(self):
+        super().__init__(exactly_one_theory(self.classes))
         self.name = "exactly-one"
-        self.input_dim = input_dim
         self.weights = LossWeights(alpha=0.5, beta=0.0)
 
     def build_net(self, seed: int) -> Mlp:

@@ -134,6 +134,9 @@ SIZE_FLAG_CASES = [
     (("grad-verify",), "--n-max", 1, "0"),
     (("grad-verify",), "--m-max", 0, "-1"),
     (("grad-verify",), "--trials", 1, "0"),
+    *((argv, "--seed", 0, "-1") for argv in (
+        ("train", "member3"), ("eval", "ckpt.npz"), ("solve", "ckpt.npz"), ("check", "t.cnf", "t.facts"), ("grad-verify",),
+    )),
 ]
 
 
@@ -200,9 +203,19 @@ class TestTrainEvalSolve:
         assert rows[0] == "epoch,loss_total,loss_base,loss_cnf,loss_bound,loss_sum,loss_hint,acc_test"
         assert len(rows) == 2 and rows[1].startswith("1,")
 
-    @pytest.mark.parametrize("flag,value,field", [("epochs", "0", "epochs"), ("batch", "-2", "batch_size")])
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("epochs", "0", "epochs"), ("batch", "-2", "batch_size"),
+            ("lr", "nan", "lr"), ("lr", "inf", "lr"), ("lr", "0.0", "lr"), ("lr", "-0.5", "lr"),
+            ("alpha", "nan", "alpha"), ("beta", "inf", "beta"), ("gamma", "-1.0", "gamma"),
+        ],
+    )
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_epochs_or_batch_fails_fast(self, tmp_path, capsys, flag, value, field, source):
+        reason = {"epochs": "must be at least 1", "batch_size": "must be at least 1", "lr": "must be finite and positive"}.get(
+            field, "must be finite and nonnegative"  # a loss weight
+        )
         if source == "flag":
             extra = (f"--{flag}", value)
         else:
@@ -212,7 +225,16 @@ class TestTrainEvalSolve:
         out = tmp_path / "run"
         code, _, err = run_cli(capsys, "train", "member3", "--n-train", "8", "--n-test", "4", *extra, "--out", str(out))
         assert code == 1
-        assert err.startswith("error:") and f"{field} must be at least 1, got {value}" in err
+        assert err.startswith("error:") and f"{field} {reason}, got {value}" in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_fails_fast(self, tmp_path, capsys):
+        conf = tmp_path / "train.conf"
+        conf.write_text("seed = -1\n")
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "member3", "--n-train", "8", "--n-test", "4", "--config", str(conf), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == "error: seed must be at least 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -261,8 +283,9 @@ class TestTrainEvalSolve:
             ("train", "sudoku4", "--unsupervised"),
             ("gen-cnf", "mnist-add", "--uec"),
             ("train", "mnist-add", "--fn", "b"),
+            ("train", "mnist-add", "--optimizer", "sgd"),
         ],
-        ids=["train-uec", "train-synthetic", "train-unsupervised", "gen-cnf-uec", "train-fn"],
+        ids=["train-uec", "train-synthetic", "train-unsupervised", "gen-cnf-uec", "train-fn", "train-optimizer"],
     )
     def test_retired_flag_is_unrecognized(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -273,14 +296,16 @@ class TestTrainEvalSolve:
         assert not out.exists()
 
     def test_fn_config_key_is_unknown(self, tmp_path, capsys):
-        # The binarizer is the task's own (TaskSpec.fn), so a config file cannot set it.
-        conf = tmp_path / "train.conf"
-        conf.write_text("fn = b\n")
-        out = tmp_path / "run"
-        code, stdout, err = run_cli(capsys, "train", "mnist-add", "--config", str(conf), "--out", str(out))
-        assert code == 1 and stdout == ""
-        assert err == f"error: {conf}:1: unknown config key 'fn'\n"
-        assert not out.exists()
+        # The binarizer is the task's own (TaskSpec.fn), and Adam is the only optimizer,
+        # so a config file can set neither.
+        for key, value in (("fn", "b"), ("optimizer", "adam")):
+            conf = tmp_path / "train.conf"
+            conf.write_text(f"{key} = {value}\n")
+            out = tmp_path / "run"
+            code, stdout, err = run_cli(capsys, "train", "mnist-add", "--config", str(conf), "--out", str(out))
+            assert code == 1 and stdout == ""
+            assert err == f"error: {conf}:1: unknown config key '{key}'\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,flag,low,value", SIZE_FLAG_CASES, ids=[f"{argv[0]}{flag}" for argv, flag, _, _ in SIZE_FLAG_CASES]
@@ -343,7 +368,7 @@ class TestTrainEvalSolve:
             (
                 "solve",
                 {"task": "sudoku4", "options": {"include_bogus": True}},
-                "task sudoku4 takes options side, include_box_uec, hidden only: got an unexpected keyword argument 'include_bogus'",
+                "task sudoku4 takes options side, include_box_uec only: got an unexpected keyword argument 'include_bogus'",
             ),
         ],
         ids=["eval-include_uec", "solve-include_bogus"],

@@ -566,5 +566,6 @@ class TestLossWeights:
         assert (weights.alpha, weights.beta, weights.gamma, weights.delta) == (1.0, 0.1, 0.0, 0.0)
 
     def test_nonnegative(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha=-1.0)
+        for value in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {value}"):
+                LossWeights(alpha=value)

@@ -115,17 +115,10 @@ class TestThreads:
 
 
 class TestOptimizer:
-    def test_sgd_zero_gradient_is_identity(self):
-        p = Tensor(np.ones(3), requires_grad=True)
-        opt = Optimizer([p], kind="sgd", lr=0.5)
-        before = p.data.copy()
-        opt.step()
-        assert np.array_equal(p.data, before)
-
     def test_adam_bias_correction_first_step(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         p.grad = np.array([1.0, -2.0])
-        opt = Optimizer([p], kind="adam", lr=0.1)
+        opt = Optimizer([p], lr=0.1)
         opt.step()
         # first Adam step has magnitude lr regardless of gradient scale
         np.testing.assert_allclose(np.abs(p.data), 0.1, atol=1e-6)
@@ -137,23 +130,19 @@ class TestOptimizer:
         results = []
         for _ in range(2):
             p = Tensor(np.zeros((3, 2)), requires_grad=True)
-            opt = Optimizer([p], kind="adam", lr=0.01)
+            opt = Optimizer([p], lr=0.01)
             for g in grads:
                 p.grad = g.copy()
                 opt.step()
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Optimizer([], kind="rmsprop")
-
     def test_adam_matches_textbook_formula(self):
         rng = np.random.default_rng(11)
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
         w = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
-        opt = Optimizer([w, b], kind="adam", lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Optimizer([w, b], lr=lr)
         want = [w.data.copy(), b.data.copy()]
         m = [np.zeros_like(p) for p in want]
         v = [np.zeros_like(p) for p in want]
@@ -232,7 +221,7 @@ class TestTraining:
 
     def test_nan_aborts_with_term_and_batch(self):
         task, ds = self.make_dataset(n_train=40, n_test=10)
-        cfg = task.default_config(seed=0, epochs=2, lr=1e200, optimizer="sgd")
+        cfg = task.default_config(seed=0, epochs=2, lr=1e200)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=r"(base|cnf|bound|total).*batch \d+"):
             run_training(ds, cfg)
 

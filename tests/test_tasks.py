@@ -1056,8 +1056,9 @@ class TestDefaultConfig:
         assert (config.ste, config.weights.alpha, config.batch_size) == (T.SteMode.ISTE, 2.0, 8)
 
     def test_misspelt_key_raises(self):
-        # ``fn`` is no option either: the binarizer is the task's own (``TaskSpec.fn``).
-        for key, value in (("batchsize", 8), ("fn", "bp")):
+        # ``fn`` and ``optimizer`` are no options either: the binarizer is the task's own
+        # (``TaskSpec.fn``), and Adam is the only optimizer.
+        for key, value in (("batchsize", 8), ("fn", "bp"), ("optimizer", "sgd")):
             with pytest.raises(TypeError, match=key):
                 TK.make_task("member3").default_config(**{key: value})
 
