@@ -5,10 +5,14 @@ outputs; straight-through surrogates carry the gradient through the
 thresholds, so minimizing the loss pushes predictions toward satisfying
 assignments. Ships with a small reverse-mode tensor engine, brute-force
 logical oracles, the benchmark task encodings, and a CLI. Importing the
-package sets numpy's OpenBLAS to one thread (see ``cnfgrad.blas``).
+package sets numpy's OpenBLAS to one thread (see ``cnfgrad.blas``) and
+fixes glibc's malloc thresholds so that the arrays a training batch frees
+stay in the process (see ``cnfgrad.heap``). Neither has a flag, and
+neither changes a result.
 """
 
 from . import blas as _blas
+from . import heap as _heap
 from .closs import (
     GradOracleReport,
     LossBreakdown,
@@ -43,3 +47,4 @@ from .tensor import GraphError, ShapeError, SteMode, Tensor, TgfConfig, backward
 __version__ = "0.1.0"
 
 _blas.use_one_thread()
+_heap.keep_freed_pages()

@@ -37,10 +37,12 @@ from .cnf import (
 from .nn import TrainConfig
 from .tensor import SteMode
 
-# Training flag / config key -> the cast of a config-file value.
+# Training flag / config key -> the cast of a config-file value. A config-file STE
+# mode is checked and spelt as the flag's "i" or "s".
 TRAIN_KEYS = {
     "seed": int, "batch": int, "epochs": int, "lr": float,
-    "alpha": float, "beta": float, "gamma": float, "delta": float, "ste": str,
+    "alpha": float, "beta": float, "gamma": float, "delta": float,
+    "ste": lambda text: SteMode.parse(text).value,
 }
 
 # Task flag -> (constructor option, the tasks that take it).
@@ -74,8 +76,9 @@ def _data_dir() -> str:
     return os.environ.get("CNFGRAD_DATA_DIR", ".")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict:
+    """The file's keys and their cast values; a bad line or value raises naming ``path:line``."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -86,7 +89,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in TRAIN_KEYS:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+            try:
+                values[key] = TRAIN_KEYS[key](value)
+            except ValueError as exc:
+                raise CliError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -98,7 +104,7 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
     flag: they are the task's own (``TaskSpec.fn``, ``TaskSpec.cnf_batch_sum``).
     """
     file_conf = _read_config_file(args.config) if args.config else {}
-    values = {key: TRAIN_KEYS[key](text) for key, text in file_conf.items() if getattr(args, key) is None}
+    values = {key: value for key, value in file_conf.items() if getattr(args, key) is None}
     values.update((key, getattr(args, key)) for key in TRAIN_KEYS if getattr(args, key) is not None)
     weights = {key: values.pop(key) for key in ("alpha", "beta", "gamma", "delta") if key in values}
     if "batch" in values:

@@ -191,6 +191,23 @@ class TestTrainEvalSolve:
         )
         assert code != 0 and "unknown config key" in err
 
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("batch = 1.5\n", "1: batch: invalid literal for int() with base 10: '1.5'"),
+            ("ste = x\n", "1: ste: unknown STE mode 'x' (use 'i' or 's')"),
+            ("epochs = 1\nlr = fast\n", "2: lr: could not convert string to float: 'fast'"),
+        ],
+    )
+    def test_config_value_its_cast_refuses_names_file_line_and_key(self, tmp_path, capsys, text, error):
+        conf = tmp_path / "train.conf"
+        conf.write_text(text)
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "member3", "--n-train", "8", "--n-test", "4", "--config", str(conf), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {conf}:{error}\n"
+        assert not out.exists()
+
     # sudoku9 is left out: its data generation refuses boards above 4x4 (test_sudoku9_data_fails_fast).
     @pytest.mark.parametrize("task", [name for name in TASK_NAMES if name != "sudoku9"])
     def test_every_task_trains(self, tmp_path, capsys, task):
