@@ -23,7 +23,6 @@ from .closs import (
     cnf_loss,
     cnf_loss_forward,
     cnf_loss_rows,
-    group_selections,
     hint_loss,
     sum_loss,
 )

@@ -281,7 +281,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_net_for(args: argparse.Namespace) -> tuple[TK.TaskSpec, N.Mlp]:
     net, meta = N.load_checkpoint(args.checkpoint)
-    task_name = args.task or meta.get("task")
+    task_name = meta.get("task") or args.task  # --task names the task only of a checkpoint that records none
+    if args.task and args.task != task_name:
+        raise CliError(f"{args.checkpoint} holds a {task_name} net, not {args.task}; drop --task")
     if not task_name:
         raise CliError("checkpoint carries no task name; pass --task")
     task = TK.make_task(task_name, **meta.get("options", {}))
@@ -383,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task's held-out split")
     p.add_argument("checkpoint")
-    p.add_argument("--task", choices=TK.TASK_NAMES)
+    p.add_argument("--task", choices=TK.TASK_NAMES, help="the task of a checkpoint that records none")
     add_train_eval_flags(p)
     p.set_defaults(func=cmd_eval)
     p.set_defaults(seed=0)
 
     p = sub.add_parser("solve", help="complete grid puzzles with a trained checkpoint")
     p.add_argument("checkpoint")
-    p.add_argument("--task", choices=TK.TASK_NAMES)
+    p.add_argument("--task", choices=TK.TASK_NAMES, help="the task of a checkpoint that records none")
     p.add_argument("--board", help="space/comma separated cell values, 0 for empty")
     p.add_argument("--count", type=_at_least(0), default=10, help="number of generated puzzles when no board is given")
     p.add_argument("--tier", choices=("easy", "hard"), default="easy")

@@ -1,9 +1,12 @@
 """The constraint-loss stack and its reference routes.
 
 Training uses ``cnf_loss_rows``: it takes a batch of the net's output
-columns and fact rows, binarizes the columns and overlays the facts
-itself, and since the loss of binarized 0/1 predictions and its gradient
-are clause counts, one node computes both from the sparse clause matrix.
+columns and fact rows, binarizes the columns (``tensor.binarize_bits``)
+and overlays the facts itself, and since the loss of binarized 0/1
+predictions and its gradient are clause counts, one node computes both
+from the sparse clause matrix. Its backward reads each literal's
+gradient from one table, ``_literal_terms``, kept here beside it; the
+matrix's ``KernelPlan`` supplies only clause structure.
 ``cnf_loss`` is the reference: on predictions that ``assemble_prediction``
 builds as graph nodes, it builds the dense chain (for one instance, or
 for each row of a stack of them)
@@ -192,6 +195,23 @@ def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> Forwar
     return ForwardBreakdown(l_deduce, l_unsat, 0.0, l_cnf, deduce, unsat)
 
 
+def _literal_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Both terms of a literal's gradient in ``cnf_loss_rows``, per index 32 * positive + 16 * (literal true) + clause key.
+
+    The gradient is -sign * [deduce and alone] + (-sign if unsat or literal
+    true, else sign) / m. A true literal is alone when its clause has one true
+    literal, a false one when it has none, so a clause's key holds (deduce and
+    alone, unsat or true) for its true literals in bits 2-3, for its false ones in bits 0-1.
+    """
+    key = np.arange(16)
+    index = 4 * np.arange(2)[:, None, None] + np.where(np.array([False, True])[:, None], key >> 2, key & 3)
+    sign = np.where(index >= 4, 1.0, -1.0)
+    return (-sign * (index >> 1 & 1)).ravel(), np.where(index & 1, -sign, sign).ravel()
+
+
+_DEDUCE_TERM, _SIGNED_TERM = _literal_terms()
+
+
 def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
     """``cnf_loss(matrix, v[r], f[r]).l_cnf`` for every row r of a batch, as one node.
 
@@ -218,16 +238,11 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
     bits = _fact_bits(f)
     if len(x.shape) != 2 or x.shape[1] > n or bits.shape != (x.shape[0], n):
         raise T.ShapeError(f"cnf_loss_rows: matrix is {m}x{n}, x has shape {x.shape}, f has shape {bits.shape}")
-    if fn == "bp" and np.any((x.data < 0.0) | (x.data > 1.0)):
-        raise ValueError("cnf_loss_rows: 'bp' input must lie in [0, 1]")
-    if fn not in ("b", "bp"):
-        raise ValueError(f"cnf_loss_rows: unknown fn {fn!r} (use 'b' or 'bp')")
-    threshold = 0.5 if fn == "bp" else 0.0
     rows, k = x.shape
     fact = bits != 0
     v = fact.copy()
-    v[:, :k] |= x.data >= threshold
-    v[:, k:] |= 0.0 >= threshold  # binarize(0) past the net's columns, as a zero pad gives
+    v[:, :k] |= T.binarize_bits(x.data, fn)
+    v[:, k:] |= 0.0 >= T.THRESHOLDS[fn]  # binarize(0) past the net's columns, as a zero pad gives
     lit_true, true_counts, deduce = _clause_counts(matrix, v, fact)
     unsat = true_counts == 0
     l_unsat = unsat.sum(axis=1) / m if m else np.zeros(rows)
@@ -236,20 +251,21 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
     def back(g: np.ndarray) -> None:
         if x.grad is None:
             return
-        # The clause key of ``cnf._literal_terms``, then the literal's sign and truth above it.
+        # The clause key of ``_literal_terms``, then the literal's truth in bit 4 and its sign in bit 5.
         plan = matrix.plan
         key = (4 * (2 * (deduce & (true_counts == 1)) + 1) + 2 * (deduce & unsat) + unsat).astype(np.uint8)
         index = key.take(plan.clause_of, axis=1)
         index |= lit_true.view(np.uint8) << 4
-        index |= plan.positive_bit
-        per_literal = plan.terms.take(index).ravel()
+        index |= plan.positive.view(np.uint8) << 5
+        per_literal = (_DEDUCE_TERM + _SIGNED_TERM / max(m, 1)).take(index).ravel()
         slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
         grad = np.bincount(slot, weights=per_literal, minlength=rows * n).reshape(rows, n)
         del index, per_literal, slot  # free the (rows, nnz) arrays before the products below
         grad = g[:, None] * grad[:, :k]
         grad *= ~fact[:, :k]
-        if ste is SteMode.SSTE:
-            grad *= (x.data >= -1.0) & (x.data <= 1.0)
+        mask = T.surrogate_mask(x.data, ste)
+        if mask is not None:
+            grad *= mask
         T._acc(x, grad)
 
     out._backward = back
@@ -261,33 +277,12 @@ def bound_loss(x_raw: Tensor) -> Tensor:
     return T.avg_last(T.square(x_raw))
 
 
-def group_selections(group_families, rows: int, cols: int) -> list[np.ndarray]:
-    """The 0/1 selection matrix of each family of index groups into a rows x cols matrix.
-
-    ``group_families`` is a sequence of families; each family is a list of
-    equal-size groups, each group a list of (row, col) positions (or the
-    same as a (groups, size, 2) integer array). A family's matrix is
-    (rows * cols, groups), read-only, with column g marking group g's
-    positions in the row-major flattening.
-    """
-    selections = []
-    for family in group_families:
-        r, c = np.asarray(family, dtype=np.int64).reshape(-1, 2).T
-        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
-        if outside.size:
-            raise IndexError(f"group_selections: position ({r[outside[0]]}, {c[outside[0]]}) outside {rows}x{cols}")
-        sel = np.zeros((rows * cols, len(family)), dtype=np.float64)
-        sel[r * cols + c, np.repeat(np.arange(len(family)), r.size // max(len(family), 1))] = 1.0
-        sel.setflags(write=False)
-        selections.append(sel)
-    return selections
-
-
 def sum_loss(probs: Tensor, selections) -> Tensor:
     """Penalize index groups whose probabilities do not sum to 1.
 
-    ``selections`` holds one matrix per family of groups, as
-    ``group_selections`` builds them for the shape of one ``probs`` matrix.
+    ``selections`` holds one read-only 0/1 matrix per family of groups, of
+    shape (rows * cols, groups): column g marks group g's positions in the
+    row-major flattening of one ``probs`` matrix.
     The squared deviation of each group sum from 1 is averaged within its
     family, and families are summed. ``probs`` is one 2-D matrix (a scalar
     loss) or a (B, rows, cols) stack of them (one loss per matrix).
@@ -304,11 +299,7 @@ def sum_loss(probs: Tensor, selections) -> Tensor:
 
 
 def hint_loss(f, x: Tensor, ste: SteMode = SteMode.ISTE, fn: str = "bp") -> Tensor:
-    """Mean of f * (1 - binarize(x)): facts the prediction fails to assert.
-
-    ``fn`` picks the binarizer as in ``assemble_prediction``: 'bp' for
-    probabilities, 'b' for real-valued logits.
-    """
+    """Mean of f * (1 - binarize(x, fn)): facts the prediction fails to assert."""
     bits = _fact_bits(f)
     if x.shape != bits.shape:
         raise T.ShapeError(f"hint_loss: x has shape {x.shape}, facts have {bits.shape}")
@@ -359,7 +350,7 @@ def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_sat
     c3 = np.zeros(n, dtype=np.int64)
 
     for clause in theory.clauses:
-        satisfied = any((lit > 0) == bool(v.bits[abs(lit) - 1]) for lit in clause)
+        satisfied = v.satisfies_clause(clause)
         fact_negs = sum(1 for lit in clause if lit < 0 and f.bits[-lit - 1])
         in_deduce = len(clause) - fact_negs == 1
         for lit in clause:

@@ -7,6 +7,10 @@ unsatisfiable under every assignment), but no clause may mention the same
 atom twice: duplicated or tautological clauses are rejected at
 construction time because the loss equations downstream assume one
 occurrence per atom per clause.
+
+``ClauseMatrix`` and its ``KernelPlan`` hold clause structure only; the
+loss and its gradient table are ``closs``'s. Clause satisfaction by a 0/1
+assignment is written once, in ``Assignment.satisfies_clause``.
 """
 
 from __future__ import annotations
@@ -256,34 +260,15 @@ def serialize_atom_names(theory: CnfTheory) -> str:
 
 # -- clause matrix ------------------------------------------------------------
 
-def _literal_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Both terms of a literal's gradient in ``closs.cnf_loss_rows``, per (sign, literal true, clause key).
-
-    The gradient is -sign * [deduce and alone] + (-sign if unsat or literal
-    true, else sign) / m. A true literal is alone when its clause has one true
-    literal, a false one when it has none, so a clause's key holds (deduce and
-    alone, unsat or true) for its true literals in bits 2-3, for its false ones in bits 0-1.
-    """
-    key = np.arange(16)
-    index = 4 * np.arange(2)[:, None, None] + np.where(np.array([False, True])[:, None], key >> 2, key & 3)
-    sign = np.where(index >= 4, 1.0, -1.0)
-    return (-sign * (index >> 1 & 1)).ravel(), np.where(index & 1, -sign, sign).ravel()
-
-
-_DEDUCE_TERM, _SIGNED_TERM = _literal_terms()
-
-
 @dataclass(frozen=True)
 class KernelPlan:
-    """The arrays of ``closs.cnf_loss_rows`` that depend on the matrix alone, not on a batch."""
+    """The clause structure ``closs.cnf_loss_rows`` reads from the matrix alone, not from a batch."""
 
     lengths: np.ndarray  # (m,) literals per clause
     nonempty: np.ndarray  # indices of the clauses with a literal
     starts: np.ndarray  # their first literals, for ``np.add.reduceat``
     positive: np.ndarray  # (nnz,) bool: the literal is positive
-    positive_bit: np.ndarray  # (nnz,) uint8: ``positive`` in bit 5 of a literal's table index
     clause_of: np.ndarray  # (nnz,) the clause of each literal
-    terms: np.ndarray  # (64,) a literal's gradient per table index: deduce term + signed term / m
 
 
 @dataclass
@@ -297,19 +282,16 @@ class ClauseMatrix:
 
     @cached_property
     def plan(self) -> KernelPlan:
-        """The kernel's static arrays, built on first use; O(m + nonzeros), never dense."""
+        """The kernel's clause structure, built on first use; O(m + nonzeros), never dense."""
         m = self.shape[0]
         lengths = self.indptr[1:] - self.indptr[:-1]
         nonempty = np.flatnonzero(lengths)
-        positive = self.values > 0
         return KernelPlan(
             lengths=lengths,
             nonempty=nonempty,
             starts=self.indptr[nonempty],
-            positive=positive,
-            positive_bit=positive.view(np.uint8) << 5,
+            positive=self.values > 0,
             clause_of=np.repeat(np.arange(m), lengths),
-            terms=_DEDUCE_TERM + _SIGNED_TERM / max(m, 1),
         )
 
     def dense(self) -> np.ndarray:

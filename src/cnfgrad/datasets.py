@@ -106,47 +106,54 @@ def synthetic_features(count: int, classes: int, noise: float, seed, dim: int = 
 MAX_ENUMERATED_SIDE = 4
 
 
+def grid_units(side: int) -> np.ndarray:
+    """(3, side, side): the cells of each row, column and box of a side x side grid, in that order.
+
+    Cells, units and the cells of a unit go row-major; box i is the i-th b x b block (b * b = side).
+    """
+    b = int(round(np.sqrt(side)))
+    if side < 1 or b * b != side:
+        raise ValueError(f"side must be a positive perfect square, got {side}")
+    grid = np.arange(side * side).reshape(side, side)
+    return np.stack([grid, grid.T, grid.reshape(b, b, b, b).transpose(0, 2, 1, 3).reshape(side, side)])
+
+
+def _peer_cells(side: int) -> np.ndarray:
+    """(cells, 3 * side): the row, column and box cells of each cell, itself included."""
+    units = grid_units(side).reshape(-1, side)
+    holds = np.any(units[:, :, None] == np.arange(side * side), axis=1).T  # holds[c, u]: unit u holds cell c
+    return units[np.nonzero(holds)[1]].reshape(side * side, -1)
+
+
 @lru_cache(maxsize=None)
 def solved_boards(side: int) -> np.ndarray:
     """Every completed board of the given side, one per row, in lexicographic order (288 for 4).
 
     Boards grow row by row: every partial board is extended by every
     permutation of 1..side, taken in lexicographic order, and the
-    extensions that repeat a digit in a column or a box are dropped. The
-    array is shared through the cache, so it is read-only. Sides above
-    ``MAX_ENUMERATED_SIDE`` raise ValueError.
+    extensions that put a digit where a peer cell of an earlier row
+    already holds it are dropped. The array is shared through the cache,
+    so it is read-only. Sides above ``MAX_ENUMERATED_SIDE`` raise ValueError.
     """
-    b = int(round(np.sqrt(side)))
-    if side < 1 or b * b != side:
-        raise ValueError(f"side must be a positive perfect square, got {side}")
+    peers = _peer_cells(side)
     if side > MAX_ENUMERATED_SIDE:
         raise ValueError(
             f"solved_boards({side}): enumerating every board is limited to side <= {MAX_ENUMERATED_SIDE} "
             f"(288 boards); side 9 alone has about 6.7e21"
         )
     perms = np.array(list(itertools.permutations(range(1, side + 1))), dtype=np.int64)
-    same_box = (np.arange(side) // b)[:, None] == (np.arange(side) // b)[None, :]
-    boards = np.zeros((1, 0), dtype=np.int64)
+    boards = np.zeros((1, side * side), dtype=np.int64)
     for r in range(side):
-        # clash[p, j]: row perms[j] under partial board p repeats a digit in a column or a box
-        rows = boards.reshape(len(boards), 1, r, side)
-        clash = np.any(rows == perms[:, None, :], axis=(2, 3))
-        band = rows[:, :, (r // b) * b :, None, :]
-        clash |= np.any((band == perms[:, None, :, None]) & same_box, axis=(2, 3, 4))
+        # used[p, c, d]: a peer of the row's cell c holds d in partial board p (empty cells read 0)
+        row = slice(r * side, (r + 1) * side)
+        used = np.any(boards[:, peers[row], None] == np.arange(side + 1), axis=2)
+        clash = used[:, np.arange(side), perms].any(axis=2)
         # nonzero lists (p, j) in row-major order, which keeps the boards lexicographic
         p, j = np.nonzero(~clash)
-        boards = np.concatenate([boards[p], perms[j]], axis=1)
+        boards = boards[p]
+        boards[:, row] = perms[j]
     boards.setflags(write=False)
     return boards
-
-
-def _peer_cells(side: int) -> np.ndarray:
-    """(cells, 3 * side): the row, column and box cells of each cell, itself included."""
-    b = int(round(np.sqrt(side)))
-    r, c = np.divmod(np.arange(side * side), side)
-    k = np.arange(side)
-    box_r, box_c = (r // b * b)[:, None] + k // b, (c // b * b)[:, None] + k % b
-    return np.concatenate([r[:, None] * side + k, k * side + c[:, None], box_r * side + box_c], axis=1)
 
 
 def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | list[np.ndarray | None] | None:

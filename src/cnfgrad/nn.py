@@ -10,6 +10,7 @@ products do not run on a thread pool either.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -292,14 +293,21 @@ def save_checkpoint(path: str, net: Mlp, meta: dict | None = None) -> str:
 
 
 def load_checkpoint(path: str) -> tuple[Mlp, dict]:
-    with np.load(path, allow_pickle=False) as blob:
-        version = int(blob["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint format {version} not supported (expected {CHECKPOINT_VERSION})")
-        dims = tuple(int(d) for d in blob["layer_dims"])
-        net = Mlp(dims, head=str(blob["head"]), seed=0)
-        for i in range(len(dims) - 1):
-            net.weights[i].data[...] = blob[f"w{i}"]
-            net.biases[i].data[...] = blob[f"b{i}"]
-        meta = json.loads(str(blob["meta"]))
+    """The net and metadata ``save_checkpoint`` wrote; a file it did not write raises ValueError naming ``path``."""
+    try:
+        blob = np.load(path, allow_pickle=False)
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ValueError("it holds one array, not an archive")
+        with blob:
+            version = int(blob["format_version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"format {version} not supported (expected {CHECKPOINT_VERSION})")
+            dims = tuple(int(d) for d in blob["layer_dims"])
+            net = Mlp(dims, head=str(blob["head"]), seed=0)
+            for i in range(len(dims) - 1):
+                net.weights[i].data[...] = blob[f"w{i}"]
+                net.biases[i].data[...] = blob[f"b{i}"]
+            meta = json.loads(str(blob["meta"]))
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a readable checkpoint: {exc.args[0] if isinstance(exc, KeyError) else exc}") from None
     return net, meta

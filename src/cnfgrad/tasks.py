@@ -30,7 +30,6 @@ from .closs import (
     LossWeights,
     bound_loss,
     cnf_loss_rows,
-    group_selections,
     hint_loss,
     sum_loss,
 )
@@ -149,24 +148,35 @@ def member_theory(k: int = 3) -> CnfTheory:
     return theory_from_clauses(clauses, 10 * k + 20, names)
 
 
+def _digit_groups(side: int) -> np.ndarray:
+    """(3, side * side, side): per column, row and box family, group u * side + N holds a(cell, N) for unit u's cells."""
+    units = D.grid_units(side)[[1, 0, 2]]
+    return (units[:, :, None, :] * side + np.arange(side)[:, None]).reshape(3, side * side, side)
+
+
 def sudoku_theory(side: int = 9, include_box_uec: bool = False) -> CnfTheory:
-    """Exactly-one groups for rows, columns, and cell values; boxes optional.
+    """Exactly-one groups for columns, rows, and cell values; boxes optional.
 
     The box family is redundant when a per-cell softmax feeds the
     probability binarizer, so it is off by default. Atom a(R,C,N) sits at
     index side*(side*(R-1) + (C-1)) + (N-1), the flattening of the
     (cells, digits) layout.
     """
-    b = int(round(np.sqrt(side)))
-    if b * b != side:
-        raise ValueError(f"side must be a perfect square, got {side}")
-
-    cube = np.arange(side**3).reshape(side, side, side)
-    groups = [cube.transpose(1, 2, 0), cube.transpose(0, 2, 1), cube]
-    if include_box_uec:
-        groups.append(cube.reshape(b, b, b, b, side).transpose(0, 2, 4, 1, 3))
+    cols, rows, boxes = _digit_groups(side)
+    groups = [cols, rows, np.arange(side**3).reshape(-1, side)] + ([boxes] if include_box_uec else [])
     names = lambda: [f"a({r + 1},{c + 1},{n + 1})" for r in range(side) for c in range(side) for n in range(side)]
-    return CnfTheory(side**3, *_exactly_one(np.concatenate([g.reshape(-1, side) for g in groups])), names)
+    return CnfTheory(side**3, *_exactly_one(np.concatenate(groups)), names)
+
+
+def sudoku_sum_selections(side: int = 9) -> list[np.ndarray]:
+    """The read-only (side**3, side * side) ``sum_loss`` selection of each ``_digit_groups`` family; column g marks group g."""
+    selections = []
+    for groups in _digit_groups(side):
+        sel = np.zeros((side**3, len(groups)))
+        sel[groups, np.arange(len(groups))[:, None]] = 1.0
+        sel.setflags(write=False)
+        selections.append(sel)
+    return selections
 
 
 def _exactly_one(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,23 +186,6 @@ def _exactly_one(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     literals = np.concatenate([groups + 1, -1 - groups[:, pairs].reshape(count, -1)], axis=1)
     lengths = np.tile([size] + [2] * len(pairs), count)
     return np.concatenate([[0], np.cumsum(lengths)]), literals.reshape(-1)
-
-
-def sudoku_sum_groups(side: int = 9) -> np.ndarray:
-    """Row/column/box families of positions into the (cells, digits) matrix.
-
-    A (3, side*side, side, 2) array: per family, per group, the ``side``
-    (cell, digit) positions whose probabilities should sum to 1.
-    """
-    b = int(round(np.sqrt(side)))
-    grid = np.arange(side * side).reshape(side, side)
-    boxes = grid.reshape(b, b, b, b).transpose(0, 2, 1, 3).reshape(side, side)
-    shape = (side, side, side)  # (cell set, digit, position in the set)
-    digits = np.broadcast_to(np.arange(side)[None, :, None], shape)
-    return np.stack([
-        np.stack([np.broadcast_to(cells[:, None, :], shape), digits], axis=-1).reshape(side * side, side, 2)
-        for cells in (grid.T, grid, boxes)
-    ])
 
 
 def shortest_path_theory() -> CnfTheory:
@@ -539,7 +532,7 @@ class SudokuTask(TaskSpec):
         self.name = f"sudoku{side}"
         self.cells = side * side
         self.input_dim = self.cells * (side + 1)
-        self.sum_selections = group_selections(sudoku_sum_groups(side), self.cells, side)
+        self.sum_selections = sudoku_sum_selections(side)
 
     def build_net(self, seed: int) -> Mlp:
         return Mlp((self.input_dim, *self.hidden, self.cells * self.side), head="none", seed=seed)
@@ -648,7 +641,7 @@ class ShortestPathTask(TaskSpec):
         """Exact-match accuracy of the thresholded edge predictions."""
         if not len(split):
             return 0.0
-        return float(np.mean(np.all((net.predict(split.features) >= 0.5) == split.labels, axis=1)))
+        return float(np.mean(np.all(T.binarize_bits(net.predict(split.features), self.fn) == split.labels, axis=1)))
 
     def truth_rows(self, batch: LabelledSplit) -> tuple[Tensor, np.ndarray]:
         """The labelled path's edges through ``assemble``."""
@@ -741,7 +734,7 @@ class ExactlyOneTask(TaskSpec):
 
     def violation_fraction(self, net: Mlp, split: LabelledSplit) -> float:
         """Share of inputs whose thresholded logits are not one-hot."""
-        bits = net.predict(split.features) >= 0.0
+        bits = T.binarize_bits(net.predict(split.features), self.fn)
         return float(np.mean(bits.sum(axis=1) != 1))
 
     def truth_rows(self, batch: LabelledSplit) -> tuple[Tensor, np.ndarray]:

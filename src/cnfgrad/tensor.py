@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class Tensor:
         data,
         requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
-        backward: Callable[[np.ndarray], None] | None = None,
         op: str = "leaf",
     ):
         self.data = np.asarray(data, dtype=np.float64)
@@ -97,7 +96,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.op = op
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
         self._id = next(_ids)
         self._spent = False
 
@@ -474,26 +473,33 @@ def indicator(x, k: float) -> Tensor:
     return Tensor((x.data == k).astype(np.float64))
 
 
-def binarize(x, fn: str, ste: SteMode = SteMode.ISTE) -> Tensor:
-    """Hard threshold: 'b' at 0 on reals, 'bp' at 0.5 on probabilities.
+#: The threshold of each binarizer: 'b' on reals at 0, 'bp' on probabilities at 0.5.
+THRESHOLDS = {"b": 0.0, "bp": 0.5}
 
-    Ties go to 1. The backward pass applies the STE surrogate; for 'bp'
-    inputs (already inside [-1, 1]) both surrogates coincide.
+
+def binarize_bits(x: np.ndarray, fn: str) -> np.ndarray:
+    """The bool bits of a plain array under binarizer ``fn``: ties go to 1, and a 'bp' input must lie in [0, 1]."""
+    if fn not in THRESHOLDS:
+        raise ValueError(f"binarize: unknown fn {fn!r} (use 'b' or 'bp')")
+    if fn == "bp" and np.any((x < 0.0) | (x > 1.0)):
+        raise ValueError("binarize: 'bp' input must lie in [0, 1]")
+    return x >= THRESHOLDS[fn]
+
+
+def surrogate_mask(x: np.ndarray, ste: SteMode) -> np.ndarray | None:
+    """The box [-1, 1] of a plain array, where SSTE passes gradient; None under ISTE, which passes it everywhere."""
+    return (x >= -1.0) & (x <= 1.0) if ste is SteMode.SSTE else None
+
+
+def binarize(x, fn: str, ste: SteMode = SteMode.ISTE) -> Tensor:
+    """Hard threshold at ``THRESHOLDS[fn]`` (``binarize_bits``).
+
+    The backward pass applies the STE surrogate (``surrogate_mask``); for
+    'bp' inputs (already inside [-1, 1]) both surrogates coincide.
     """
     x = as_tensor(x)
-    if fn == "b":
-        val = (x.data >= 0.0).astype(np.float64)
-    elif fn == "bp":
-        if np.any((x.data < 0.0) | (x.data > 1.0)):
-            raise ValueError("binarize: 'bp' input must lie in [0, 1]")
-        val = (x.data >= 0.5).astype(np.float64)
-    else:
-        raise ValueError(f"binarize: unknown fn {fn!r} (use 'b' or 'bp')")
-    out = Tensor(val, parents=(x,), op=f"binarize_{fn}")
-    if ste is SteMode.SSTE:
-        mask = (x.data >= -1.0) & (x.data <= 1.0)
-    else:
-        mask = None
+    out = Tensor(binarize_bits(x.data, fn).astype(np.float64), parents=(x,), op=f"binarize_{fn}")
+    mask = surrogate_mask(x.data, ste)
 
     def back(g: np.ndarray) -> None:
         _acc(x, g if mask is None else g * mask)
@@ -507,8 +513,8 @@ def tgf(x, cfg: TgfConfig) -> Tensor:
     x = as_tensor(x)
     k = cfg.k
     saw = (k * x.data - np.floor(k * x.data)) / k
-    gvals = np.ones_like(x.data) if cfg.g_mode == "one" else ((x.data >= -1.0) & (x.data <= 1.0)).astype(np.float64)
-    out = Tensor((x.data >= 0.0).astype(np.float64) + saw * gvals, parents=(x,), op="tgf")
+    gvals = np.ones_like(x.data) if cfg.g_mode == "one" else surrogate_mask(x.data, SteMode.SSTE).astype(np.float64)
+    out = Tensor(binarize_bits(x.data, "b").astype(np.float64) + saw * gvals, parents=(x,), op="tgf")
 
     def back(g: np.ndarray) -> None:
         _acc(x, g * gvals)

@@ -1,10 +1,10 @@
 """Self-contained verification suites for the loss stack.
 
 Each suite re-derives its expected values independently of the code under
-test: satisfaction and deduce-set membership by direct literal scans,
-gradients from the counting oracle, smooth ops from central finite
-differences. The command-line ``grad-verify`` subcommand and the
-acceptance tests both drive these.
+test: clause satisfaction (``cnf.Assignment``) and deduce-set membership
+by direct literal scans, gradients from the counting oracle, smooth ops
+from central finite differences. The command-line ``grad-verify``
+subcommand and the acceptance tests both drive these.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ def random_theory(rng: np.random.Generator, n_max: int, m_max: int, allow_empty:
 
 def random_facts(rng: np.random.Generator, n: int, p: float = 0.3) -> FactVector:
     return FactVector((rng.random(n) < p).astype(np.int8))
-
-
-def _clause_true(clause, bits: np.ndarray) -> bool:
-    return any((lit > 0) == bool(bits[abs(lit) - 1]) for lit in clause)
 
 
 def _scan_deduce(theory: CnfTheory, facts: FactVector) -> list[int]:
@@ -137,11 +133,12 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
         x = Tensor(rng.random(theory.n))
         v = assemble_prediction(facts, x, "bp", SteMode.ISTE)
         bits = v.data.astype(np.int8)
+        assignment = Assignment(bits)
         breakdown = cnf_loss(matrix, v, facts)
 
-        unsat_count = sum(0 if _clause_true(cl, bits) else 1 for cl in theory.clauses)
+        unsat_count = sum(0 if assignment.satisfies_clause(cl) else 1 for cl in theory.clauses)
         scan = _scan_deduce(theory, facts)
-        deduce_unsat = sum(0 if _clause_true(theory.clauses[i], bits) else 1 for i in scan)
+        deduce_unsat = sum(0 if assignment.satisfies_clause(theory.clauses[i]) else 1 for i in scan)
 
         where = f"trial {trial} (n={theory.n}, m={theory.m})"
         result.check(scan == deduce_set(theory, facts), f"{where}: deduce-set scan mismatch")

@@ -399,6 +399,50 @@ class TestTrainEvalSolve:
         assert code == 1 and stdout == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command,task", [("eval", "exactly-one"), ("solve", "sudoku4")])
+    def test_task_other_than_the_checkpoints_is_refused(self, tmp_path, capsys, monkeypatch, command, task):
+        from cnfgrad import cli
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "ckpt"), TK.make_task("member3").build_net(0), meta={"task": "member3", "options": {}})
+        monkeypatch.setattr(cli, "_make_dataset", lambda *a: pytest.fail("data was built for a refused task"))
+        code, stdout, err = run_cli(capsys, command, ckpt, "--task", task)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {ckpt} holds a member3 net, not {task}; drop --task\n"
+
+    @pytest.mark.parametrize("meta", [{}, {"task": "member3", "options": {}}], ids=["no-task", "same-task"])
+    def test_task_flag_names_a_checkpoint_without_one(self, tmp_path, capsys, meta):
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "ckpt"), TK.make_task("member3").build_net(0), meta=meta)
+        code, stdout, _ = run_cli(capsys, "eval", ckpt, "--task", "member3", "--n-test", "20")
+        assert code == 0 and stdout.startswith("acc=")
+
+    @pytest.mark.parametrize("damage", ["truncated", "text", "no-format-version", "empty", "one-array"])
+    def test_unreadable_checkpoint_names_its_path(self, tmp_path, capsys, damage):
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "ckpt"), TK.make_task("member3").build_net(0), meta={"task": "member3", "options": {}})
+        path = tmp_path / "damaged.npz"
+        if damage == "truncated":
+            path.write_bytes(open(ckpt, "rb").read()[:300])
+        elif damage == "text":
+            path.write_text("task = member3\n")
+        elif damage == "no-format-version":
+            blob = dict(np.load(ckpt))
+            del blob["format_version"]
+            np.savez(path, **blob)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            np.save(open(path, "wb"), np.zeros(3))
+        code, stdout, err = run_cli(capsys, "eval", str(path))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {path} is not a readable checkpoint: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):
         # eval takes the theory variant from the checkpoint; only train picks one.

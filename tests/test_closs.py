@@ -11,7 +11,6 @@ from cnfgrad.closs import (
     cnf_loss,
     cnf_loss_forward,
     cnf_loss_rows,
-    group_selections,
     hint_loss,
     sum_loss,
 )
@@ -224,50 +223,59 @@ class TestBoundLoss:
         assert x.grad.tolist() == [3.0, -4.0]
 
 
+def selections(families, rows, cols):
+    """The ``sum_loss`` selection matrix of each hand-written family of (row, col) groups."""
+    out = []
+    for family in families:
+        sel = np.zeros((rows * cols, len(family)))
+        for g, group in enumerate(family):
+            for r, c in group:
+                sel[r * cols + c, g] = 1.0
+        out.append(sel)
+    return out
+
+
 class TestSumLoss:
     def test_softmax_rows_give_zero(self):
         rng = np.random.default_rng(2)
         probs = T.softmax(Tensor(rng.normal(size=(4, 3))))
         families = [[[(r, c) for c in range(3)] for r in range(4)]]
-        assert float(sum_loss(probs, group_selections(families, 4, 3)).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(sum_loss(probs, selections(families, 4, 3)).data) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_group_deviation(self):
         probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
         families = [[[(0, 0), (0, 1)]]]
-        assert float(sum_loss(probs, group_selections(families, 2, 2)).data) == pytest.approx(0.25)
+        assert float(sum_loss(probs, selections(families, 2, 2)).data) == pytest.approx(0.25)
 
     def test_family_averaging(self):
         probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
         families = [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
         # deviations (0.5)^2 and 0, averaged over the family of two groups
-        assert float(sum_loss(probs, group_selections(families, 2, 2)).data) == pytest.approx(0.125)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError, match=r"\(2, 0\) outside 2x2"):
-            group_selections([[[(2, 0)]]], 2, 2)
+        assert float(sum_loss(probs, selections(families, 2, 2)).data) == pytest.approx(0.125)
 
     def test_sudoku9_groups_shape(self):
-        from cnfgrad.tasks import sudoku_sum_groups
+        from cnfgrad.tasks import sudoku_sum_selections
 
-        families = sudoku_sum_groups(9)
+        families = sudoku_sum_selections(9)
         assert len(families) == 3
-        assert all(len(family) == 81 for family in families)
-        assert all(len(group) == 9 for family in families for group in family)
+        # 81 groups of 9 atoms each, and every atom in exactly one group of a family
+        assert all(sel.shape == (729, 81) and not sel.flags.writeable for sel in families)
+        assert all(np.all(sel.sum(axis=0) == 9) and np.all(sel.sum(axis=1) == 1) for sel in families)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         data = rng.random((3, 4))
         families = [[[(r, c) for c in range(4)] for r in range(3)], [[(r, c) for r in range(3)] for c in range(4)]]
-        selections = group_selections(families, 3, 4)
+        sels = selections(families, 3, 4)
         x = Tensor(data, requires_grad=True)
-        T.backward(sum_loss(x, selections))
+        T.backward(sum_loss(x, sels))
         h = 1e-6
         for r in range(3):
             for c in range(4):
                 up, down = data.copy(), data.copy()
                 up[r, c] += h
                 down[r, c] -= h
-                numeric = (float(sum_loss(Tensor(up), selections).data) - float(sum_loss(Tensor(down), selections).data)) / (2 * h)
+                numeric = (float(sum_loss(Tensor(up), sels).data) - float(sum_loss(Tensor(down), sels).data)) / (2 * h)
                 assert x.grad[r, c] == pytest.approx(numeric, abs=1e-6)
 
 
@@ -558,6 +566,25 @@ class TestFusedRows:
             cnf_loss_rows(matrix, Tensor(np.ones((1, 4))), np.zeros((1, 4)))
         with pytest.raises(ShapeError):
             cnf_loss_rows(matrix, Tensor(np.ones((1, 2))), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("fn", ["b", "bp"])
+@pytest.mark.parametrize("route", ["binarize", "cnf_loss_rows"])
+def test_binarizer_rule_is_shared(route, fn):
+    """A tie at ``THRESHOLDS[fn]`` reads 1, and an out-of-range 'bp' input is refused in the same words, on both routes."""
+
+    def bits(x):
+        if route == "binarize":
+            return T.binarize(Tensor(x), fn).data == 1.0
+        # the unit clause (p1) holds exactly when the row's one column binarizes to 1
+        unit = build_matrix(theory_from_clauses([(1,)], 1))
+        return cnf_loss_rows(unit, Tensor(x[:, None]), np.zeros((len(x), 1), dtype=np.int8), fn).data == 0.0
+
+    t = T.THRESHOLDS[fn]
+    assert bits(np.array([t - 0.25, t, t + 0.25])).tolist() == [False, True, True]
+    if fn == "bp":
+        with pytest.raises(ValueError, match=r"^binarize: 'bp' input must lie in \[0, 1\]$"):
+            bits(np.array([0.5, 1.5]))
 
 
 class TestLossWeights:

@@ -83,6 +83,21 @@ PUZZLE_PINS = [
 ]
 
 
+class TestGridUnits:
+    @pytest.mark.parametrize("side", [4, 9])
+    def test_families_partition_the_cells_and_boxes_are_blocks(self, side):
+        b = int(round(np.sqrt(side)))
+        rows, cols, boxes = D.grid_units(side)
+        for family in (rows, cols, boxes):
+            assert sorted(family.ravel().tolist()) == list(range(side * side))
+        k = np.arange(side)
+        for i in range(side):
+            assert rows[i].tolist() == (i * side + k).tolist()
+            assert cols[i].tolist() == (k * side + i).tolist()
+            # box i is the b x b block at block row i // b, block column i % b, read row by row
+            assert boxes[i].tolist() == [(i // b * b + r) * side + i % b * b + c for r in range(b) for c in range(b)]
+
+
 class TestSolvedBoards:
     @pytest.mark.parametrize("side", [1, 4])
     def test_matches_backtracking_in_order(self, side):

@@ -10,7 +10,7 @@ from cnfgrad import nn as N
 from cnfgrad import tasks as TK
 from cnfgrad import tensor as T
 from cnfgrad import verify as V
-from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, group_selections, hint_loss, sum_loss
+from cnfgrad.closs import LossWeights, assemble_prediction, bound_loss, cnf_loss, cnf_loss_forward, cnf_loss_rows, hint_loss, sum_loss
 from cnfgrad.closs import closed_form_grad
 from cnfgrad.cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, build_matrix, parse_dimacs, serialize_atom_names, serialize_dimacs
 from cnfgrad.tensor import Tensor
@@ -689,7 +689,7 @@ class TestSudokuBatchLoss:
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            terms["sum"] = sum_loss(probs, group_selections(TK.sudoku_sum_groups(task.side), task.cells, task.side))
+            terms["sum"] = sum_loss(probs, TK.sudoku_sum_selections(task.side))
         if config.weights.delta:
             terms["hint"] = hint_loss(facts, x, config.ste)
         return terms
@@ -712,7 +712,7 @@ class TestSudokuBatchLoss:
         assert_same_objective(batched, graph)
 
     def test_sum_loss_batch_axis_matches_per_board(self):
-        selections = group_selections(TK.sudoku_sum_groups(4), 16, 4)
+        selections = TK.sudoku_sum_selections(4)
         data = np.random.default_rng(9).dirichlet(np.ones(4), size=(5, 16))
         stacked = Tensor(data.copy(), requires_grad=True)
         per_row = sum_loss(stacked, selections)
