@@ -13,7 +13,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -22,9 +22,11 @@ from . import datasets as D
 from . import nn as N
 from . import tasks as TK
 from . import verify as V
+from .closs import LossWeights
 from .cnf import (
     ENUM_CAP,
     CnfTheory,
+    FactVector,
     brute_force,
     deduce_set,
     parse_atom_names,
@@ -37,11 +39,14 @@ from .cnf import (
 from .nn import TrainConfig
 from .tensor import SteMode
 
+# The loss weights' flags and config keys are the fields of ``LossWeights``.
+WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
+
 # Training flag / config key -> the cast of a config-file value. A config-file STE
 # mode is checked and spelt as the flag's "i" or "s".
 TRAIN_KEYS = {
     "seed": int, "batch": int, "epochs": int, "lr": float,
-    "alpha": float, "beta": float, "gamma": float, "delta": float,
+    **dict.fromkeys(WEIGHT_KEYS, float),
     "ste": lambda text: SteMode.parse(text).value,
 }
 
@@ -106,7 +111,7 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
     file_conf = _read_config_file(args.config) if args.config else {}
     values = {key: value for key, value in file_conf.items() if getattr(args, key) is None}
     values.update((key, getattr(args, key)) for key in TRAIN_KEYS if getattr(args, key) is not None)
-    weights = {key: values.pop(key) for key in ("alpha", "beta", "gamma", "delta") if key in values}
+    weights = {key: values.pop(key) for key in WEIGHT_KEYS if key in values}
     if "batch" in values:
         values["batch_size"] = values.pop("batch")
     if "ste" in values:
@@ -178,7 +183,7 @@ def _check_sample(theory: CnfTheory, facts, cap: int, samples: int, seed: int) -
             tuple((1 if lit > 0 else -1) * (remap[abs(lit) - 1] + 1) for lit in theory.clauses[i]) for i in chosen
         ]
         sub = theory_from_clauses(sub_clauses, len(order))
-        sub_facts = parse_facts("".join(f"{remap[a] + 1}\n" for a in facts.atoms if a in remap), len(order))
+        sub_facts = FactVector.from_atoms((remap[a] for a in facts.atoms if a in remap), len(order))
         report = brute_force(sub, sub_facts, cap=cap)
         status = "SAT" if report.satisfiable else "UNSAT"
         print(f"sample {k}/{samples}: {status} (clauses={len(chosen)}, atoms={len(order)})")
@@ -259,10 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "batch": config.batch_size,
         "epochs": config.epochs,
         "lr": config.lr,
-        "alpha": config.weights.alpha,
-        "beta": config.weights.beta,
-        "gamma": config.weights.gamma,
-        "delta": config.weights.delta,
+        **asdict(config.weights),
         "fn": task.fn,
         "ste": config.ste.value,
         "n_train": len(dataset.train),
@@ -376,10 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    for key in WEIGHT_KEYS:
+        p.add_argument(f"--{key}", type=float, default=None)
     p.add_argument("--ste", choices=("i", "s"), default=None)
     p.set_defaults(func=cmd_train)
 

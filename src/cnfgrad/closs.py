@@ -25,33 +25,42 @@ inputs are the prediction bits ``v``. ``closed_form_grad`` predicts the
 same gradients by counting clause memberships, evaluating satisfaction
 directly on the clause lists and never through either route above; the
 three are compared in the verification suites.
+
+The deduce rule has three forms, each written once: the literal scan
+``cnf.deduce_set`` (the reference, which ``closed_form_grad`` reads),
+the kernel's arrays (``_clause_counts``) and the dense graph's
+indicators (``deduce_i`` above, in ``cnf_loss``).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .cnf import ENUM_CAP, Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, brute_force
+from .cnf import ENUM_CAP, Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, brute_force, deduce_set
 from .tensor import SteMode, Tensor
 
 
 @dataclass
 class LossWeights:
-    """Multipliers for the constraint, bound, group-sum, and hint terms."""
+    """The loss-term table: each field scales the term its metadata names, in the order the batch objective adds them."""
 
-    alpha: float = 1.0
-    beta: float = 0.1
-    gamma: float = 0.0
-    delta: float = 0.0
+    alpha: float = field(default=1.0, metadata={"term": "cnf"})
+    beta: float = field(default=0.1, metadata={"term": "bound"})
+    gamma: float = field(default=0.0, metadata={"term": "sum"})
+    delta: float = field(default=0.0, metadata={"term": "hint"})
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"loss weight {name} must be finite and nonnegative, got {getattr(self, name)}")
+        for _, name, value in self.terms():
+            if not 0 <= value < np.inf:
+                raise ValueError(f"loss weight {name} must be finite and nonnegative, got {value}")
+
+    def terms(self) -> list[tuple[str, str, float]]:
+        """(term, weight name, weight) for each field, in field order."""
+        return [(f.metadata["term"], f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -183,7 +192,7 @@ def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> Forwar
     """
     m, n = matrix.shape
     v = np.asarray(v_bits, dtype=np.int8)
-    fb = np.asarray(f_bits.bits if isinstance(f_bits, FactVector) else f_bits, dtype=np.int8)
+    fb = np.asarray(_fact_bits(f_bits), dtype=np.int8)
     if v.shape != (n,) or fb.shape != (n,):
         raise T.ShapeError(f"cnf_loss_forward: matrix is {m}x{n}, v has shape {v.shape}, f has shape {fb.shape}")
     _, true_counts, deduce = _clause_counts(matrix, v[None] == 1, fb[None] == 1)
@@ -298,7 +307,7 @@ def sum_loss(probs: Tensor, selections) -> Tensor:
     return total if total is not None else T.constant(np.zeros(lead))
 
 
-def hint_loss(f, x: Tensor, ste: SteMode = SteMode.ISTE, fn: str = "bp") -> Tensor:
+def hint_loss(f, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
     """Mean of f * (1 - binarize(x, fn)): facts the prediction fails to assert."""
     bits = _fact_bits(f)
     if x.shape != bits.shape:
@@ -332,12 +341,12 @@ class GradOracleReport:
 def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_satisfiable: bool = False) -> GradOracleReport:
     """Predict the loss gradients without touching the graph route.
 
-    Satisfaction and deduce-set membership are recomputed here literal by
-    literal. When the theory fits under the enumeration cap, the premise
-    that theory+facts is satisfiable is checked and a warning raised if
-    it fails (the loss is still well defined; the sign guarantees on
-    g_deduce are not). Callers that already screened can pass
-    ``assume_satisfiable`` to skip the check.
+    Satisfaction is evaluated clause by clause (``Assignment``), and
+    deduce-set membership is read from ``cnf.deduce_set``. When the theory
+    fits under the enumeration cap, the premise that theory+facts is
+    satisfiable is checked and a warning raised if it fails (the loss is
+    still well defined; the sign guarantees on g_deduce are not). Callers
+    that already screened can pass ``assume_satisfiable`` to skip the check.
     """
     n, m = theory.n, theory.m
     if f.n != n or v.bits.shape != (n,):
@@ -349,10 +358,9 @@ def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_sat
     c2 = np.zeros(n, dtype=np.int64)
     c3 = np.zeros(n, dtype=np.int64)
 
-    for clause in theory.clauses:
+    deduce = set(deduce_set(theory, f))
+    for i, clause in enumerate(theory.clauses):
         satisfied = v.satisfies_clause(clause)
-        fact_negs = sum(1 for lit in clause if lit < 0 and f.bits[-lit - 1])
-        in_deduce = len(clause) - fact_negs == 1
         for lit in clause:
             j = abs(lit) - 1
             if satisfied:
@@ -361,7 +369,7 @@ def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_sat
                 c1[j] += 1
             else:
                 c2[j] += 1
-            if in_deduce:
+            if i in deduce:
                 if lit > 0:
                     deduce_pos[j] += 1
                 else:

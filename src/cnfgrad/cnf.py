@@ -10,7 +10,8 @@ occurrence per atom per clause.
 
 ``ClauseMatrix`` and its ``KernelPlan`` hold clause structure only; the
 loss and its gradient table are ``closs``'s. Clause satisfaction by a 0/1
-assignment is written once, in ``Assignment.satisfies_clause``.
+assignment is written once, in ``Assignment.satisfies_clause``, and the
+literal scan of the deduce rule once, in ``deduce_set``.
 """
 
 from __future__ import annotations
@@ -313,13 +314,16 @@ def deduce_set(theory: CnfTheory, facts: FactVector) -> list[int]:
     """Clause indices with all but one literal of the form ¬p for p a fact.
 
     Equivalently: clause length minus the count of fact-negating literals
-    equals 1. With no facts this selects exactly the unit clauses.
+    equals 1. With no facts this selects exactly the unit clauses. This
+    literal scan is the reference form of the deduce rule; ``closs`` holds
+    its array and graph forms.
     """
     if facts.n != theory.n:
         raise ValueError(f"facts length {facts.n} does not match theory n={theory.n}")
+    bits = facts.bits.tolist()
     out = []
     for i, clause in enumerate(theory.clauses):
-        false_under_facts = sum(1 for lit in clause if lit < 0 and facts.bits[-lit - 1])
+        false_under_facts = sum(1 for lit in clause if lit < 0 and bits[-lit - 1])
         if len(clause) - false_under_facts == 1:
             out.append(i)
     return out

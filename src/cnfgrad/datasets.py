@@ -268,27 +268,20 @@ def gen_grid_puzzles(
 
 GRID_SIDE = 4
 
-
-def grid_edges(side: int = GRID_SIDE) -> list[tuple[int, int]]:
-    """Edges of the side x side lattice: horizontals row-major, then verticals."""
-    edges = []
-    for i in range(side):
-        for j in range(side - 1):
-            edges.append((i * side + j, i * side + j + 1))
-    for i in range(side - 1):
-        for j in range(side):
-            edges.append((i * side + j, (i + 1) * side + j))
-    return edges
+#: Edges of the 4x4 lattice, horizontals row-major, then verticals; and per node, in edge
+#: order, (neighbour, edge index) of each edge that touches it. Both are built once, here.
+GRID_EDGES = [(i * GRID_SIDE + j, i * GRID_SIDE + j + 1) for i in range(GRID_SIDE) for j in range(GRID_SIDE - 1)] + [
+    (i * GRID_SIDE + j, (i + 1) * GRID_SIDE + j) for i in range(GRID_SIDE - 1) for j in range(GRID_SIDE)
+]
+GRID_INCIDENCE = tuple(
+    tuple((u + v - node, e) for e, (u, v) in enumerate(GRID_EDGES) if node in (u, v)) for node in range(GRID_SIDE * GRID_SIDE)
+)
 
 
-def _unique_shortest_path(present: np.ndarray, s: int, t: int, side: int = GRID_SIDE) -> np.ndarray | None:
-    edges = grid_edges(side)
-    nodes = side * side
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
-    for e, (u, v) in enumerate(edges):
-        if present[e]:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+def _unique_shortest_path(present: np.ndarray, s: int, t: int) -> np.ndarray | None:
+    keep = present.tolist()
+    adj = [[(v, e) for v, e in pairs if keep[e]] for pairs in GRID_INCIDENCE]
+    nodes = len(adj)
     dist = np.full(nodes, -1, dtype=np.int64)
     ways = np.zeros(nodes, dtype=np.int64)
     dist[s] = 0
@@ -306,7 +299,7 @@ def _unique_shortest_path(present: np.ndarray, s: int, t: int, side: int = GRID_
         frontier = nxt
     if dist[t] == -1 or ways[t] != 1:
         return None
-    label = np.zeros(len(edges), dtype=bool)
+    label = np.zeros(len(GRID_EDGES), dtype=bool)
     node = t
     while node != s:
         for u, e in adj[node]:
@@ -323,7 +316,7 @@ def gen_path_instances(count: int, seed=0) -> LabelledSplit:
     Row i of the float64 (count, 40) features holds the 24 edge-present bits
     then the 16 terminal bits; row i of the bool (count, 24) labels marks the path's edges.
     """
-    edges = grid_edges()
+    edges = GRID_EDGES
     nodes = GRID_SIDE * GRID_SIDE
     rng = np.random.default_rng(seed)
     out = LabelledSplit(np.zeros((count, len(edges) + nodes)), np.empty((count, len(edges)), dtype=bool))

@@ -159,22 +159,23 @@ class Optimizer:
             p.grad = None
 
 
-def _batch_total(means: dict[str, Tensor], weights: LossWeights, batch_size: int, cnf_batch_sum: bool) -> Tensor:
+def _batch_total(task, means: dict[str, Tensor], weights: LossWeights, batch_size: int) -> Tensor:
+    """The base mean plus each weighted term, in ``LossWeights.terms`` order.
+
+    The constraint weight is multiplied by the batch size on a task that
+    sums that term (``cnf_batch_sum``). A nonzero weight on a term the task
+    does not build is refused, rather than ignored.
+    """
     total: Tensor | None = means.get("base")
-    alpha = weights.alpha * (batch_size if cnf_batch_sum else 1)
-    for name, w in (("cnf", alpha), ("bound", weights.beta), ("sum", weights.gamma), ("hint", weights.delta)):
-        if name in means and w != 0.0:
-            term = w * means[name]
-            total = term if total is None else total + term
-    return total if total is not None else T.constant(0.0)
-
-
-def _check_weighted_terms(task, means: dict[str, Tensor], weights: LossWeights) -> None:
-    """Refuse a nonzero weight on a term the task does not build, rather than ignore it."""
-    for name, weight in (("cnf", "alpha"), ("bound", "beta"), ("sum", "gamma"), ("hint", "delta")):
-        value = getattr(weights, weight)
+    for name, weight, value in weights.terms():
         if value and name not in means:
             raise ValueError(f"task {task.name} builds no {name} term, so weight {weight}={value} has nothing to scale; set it to 0")
+        if name == "cnf" and task.cnf_batch_sum:
+            value *= batch_size
+        if value:
+            term = value * means[name]
+            total = term if total is None else total + term
+    return total if total is not None else T.constant(0.0)
 
 
 def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, epoch: int) -> dict[str, float]:
@@ -194,8 +195,7 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
     for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
         batch = dataset.train[order[start : start + config.batch_size]]
         means = task.batch_loss(net, batch, config)
-        _check_weighted_terms(task, means, config.weights)
-        total = _batch_total(means, config.weights, len(batch), task.cnf_batch_sum)
+        total = _batch_total(task, means, config.weights, len(batch))
         for name, t in means.items():
             val = float(t.data)
             if not np.isfinite(val):
@@ -214,9 +214,7 @@ def train_epoch(net: Mlp, optimizer: Optimizer, dataset, config: TrainConfig, ep
     row["epoch"] = float(epoch)
     if count:
         row["loss_total"] = total_sum / count
-        for name in ("base", "cnf", "bound", "sum", "hint"):
-            if name in sums:
-                row[f"loss_{name}"] = sums[name] / count
+        row.update((f"loss_{name}", value / count) for name, value in sums.items())
     row["acc_test"] = task.evaluate(net, dataset.test)
     return row
 
@@ -294,11 +292,13 @@ def save_checkpoint(path: str, net: Mlp, meta: dict | None = None) -> str:
 
 def load_checkpoint(path: str) -> tuple[Mlp, dict]:
     """The net and metadata ``save_checkpoint`` wrote; a file it did not write raises ValueError naming ``path``."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
     try:
-        blob = np.load(path, allow_pickle=False)
-        if not isinstance(blob, np.lib.npyio.NpzFile):
-            raise ValueError("it holds one array, not an archive")
-        with blob:
+        # np.load would read anything else as a pickle and refuse it with advice about allow_pickle.
+        if magic not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ValueError("it is not an .npz archive")
+        with np.load(path, allow_pickle=False) as blob:
             version = int(blob["format_version"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"format {version} not supported (expected {CHECKPOINT_VERSION})")

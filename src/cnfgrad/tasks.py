@@ -195,15 +195,11 @@ def shortest_path_theory() -> CnfTheory:
     lattice order. Existence clauses come first, then for every terminal
     all ordered pairs of distinct incident edges.
     """
-    edges = D.grid_edges()
     side = D.GRID_SIDE
     names = lambda: [f"terminal({i + 1},{j + 1})" for i in range(side) for j in range(side)] + [
-        f"sp({u // side + 1},{u % side + 1},{v // side + 1},{v % side + 1})" for u, v in edges
+        f"sp({u // side + 1},{u % side + 1},{v // side + 1},{v % side + 1})" for u, v in D.GRID_EDGES
     ]
-    incident: list[list[int]] = [[] for _ in range(side * side)]
-    for e, (u, v) in enumerate(edges):
-        incident[u].append(e)
-        incident[v].append(e)
+    incident = [[e for _, e in pairs] for pairs in D.GRID_INCIDENCE]
     clauses = []
     for node in range(side * side):
         clauses.append((-(node + 1),) + tuple(16 + e + 1 for e in incident[node]))
@@ -561,7 +557,7 @@ class SudokuTask(TaskSpec):
         if config.weights.gamma:
             per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), self.sum_selections)
         if config.weights.delta:
-            per_board["hint"] = hint_loss(facts, x, config.ste)
+            per_board["hint"] = hint_loss(facts, x, self.fn, config.ste)
         return _batch_means(per_board)
 
     def cell_probs(self, net: Mlp, q: np.ndarray) -> np.ndarray:
@@ -725,7 +721,7 @@ class ExactlyOneTask(TaskSpec):
             facts = np.eye(self.classes, dtype=np.int8)[classes]
             x = logits * (1.0 / self.logit_scale)
             cnf = cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste)
-            cnf = cnf + self.hint_weight * hint_loss(facts, x, config.ste, self.fn)
+            cnf = cnf + self.hint_weight * hint_loss(facts, x, self.fn, config.ste)
             for name, per_row in (("cnf", cnf), ("bound", bound_loss(raw))):
                 total = T.sum_last(per_row)
                 sums[name] = total if name not in sums else sums[name] + total

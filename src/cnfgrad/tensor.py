@@ -330,7 +330,8 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 def sigmoid_value(d: np.ndarray) -> np.ndarray:
     """The logistic function on a plain array, in the form that never overflows ``exp``."""
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x) -> Tensor:
@@ -394,11 +395,12 @@ def cross_entropy(logits, onehot) -> Tensor:
     rows = t2.shape[0]
     z = logits.data.reshape(rows, -1)
     zmax = z.max(axis=-1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    sm = np.exp(z - zmax)
+    norm = sm.sum(axis=-1, keepdims=True)
+    lse = zmax[:, 0] + np.log(norm[:, 0])
     picked = (z * t2).sum(axis=-1)
     out = Tensor((lse - picked).mean(), parents=(logits,), op="cross_entropy")
-    sm = np.exp(z - zmax)
-    sm /= sm.sum(axis=-1, keepdims=True)
+    sm /= norm
 
     def back(g: np.ndarray) -> None:
         _acc(logits, (g * (sm - t2) / rows).reshape(logits.shape))

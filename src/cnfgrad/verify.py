@@ -1,10 +1,12 @@
 """Self-contained verification suites for the loss stack.
 
-Each suite re-derives its expected values independently of the code under
-test: clause satisfaction (``cnf.Assignment``) and deduce-set membership
-by direct literal scans, gradients from the counting oracle, smooth ops
-from central finite differences. The command-line ``grad-verify``
-subcommand and the acceptance tests both drive these.
+Each suite derives its expected values outside the routes under test:
+clause satisfaction from ``cnf.Assignment`` and deduce-set membership from
+the literal scan ``cnf.deduce_set``, gradients from the counting oracle,
+smooth ops from central finite differences. The graph and the kernel
+compute the deduce rule in forms of their own, so the value and gradient
+suites compare three independent forms of it. The command-line
+``grad-verify`` subcommand and the acceptance tests both drive these.
 """
 
 from __future__ import annotations
@@ -68,16 +70,6 @@ def random_facts(rng: np.random.Generator, n: int, p: float = 0.3) -> FactVector
     return FactVector((rng.random(n) < p).astype(np.int8))
 
 
-def _scan_deduce(theory: CnfTheory, facts: FactVector) -> list[int]:
-    # Independent re-derivation: count the literals a fact falsifies.
-    out = []
-    for i, clause in enumerate(theory.clauses):
-        falsified = sum(1 for lit in clause if lit < 0 and facts.bits[-lit - 1])
-        if len(clause) - falsified == 1:
-            out.append(i)
-    return out
-
-
 # -- worked three-atom example ---------------------------------------------------
 
 GOLDEN_X = (0.3, 0.1, 0.9)
@@ -137,11 +129,9 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
         breakdown = cnf_loss(matrix, v, facts)
 
         unsat_count = sum(0 if assignment.satisfies_clause(cl) else 1 for cl in theory.clauses)
-        scan = _scan_deduce(theory, facts)
-        deduce_unsat = sum(0 if assignment.satisfies_clause(theory.clauses[i]) else 1 for i in scan)
+        deduce_unsat = sum(0 if assignment.satisfies_clause(theory.clauses[i]) else 1 for i in deduce_set(theory, facts))
 
         where = f"trial {trial} (n={theory.n}, m={theory.m})"
-        result.check(scan == deduce_set(theory, facts), f"{where}: deduce-set scan mismatch")
         result.check(float(breakdown.l_sat.data) == 0.0, f"{where}: L_sat = {float(breakdown.l_sat.data)}")
         result.check(
             result.dev(float(breakdown.l_deduce.data) - deduce_unsat) == 0.0,

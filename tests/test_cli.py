@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ class TestTrainEvalSolve:
         code, stdout, _ = run_cli(capsys, "eval", ckpt, "--task", "member3", "--n-test", "20")
         assert code == 0 and stdout.startswith("acc=")
 
-    @pytest.mark.parametrize("damage", ["truncated", "text", "no-format-version", "empty", "one-array"])
+    @pytest.mark.parametrize("damage", ["truncated", "text", "pickle", "no-format-version", "empty", "one-array"])
     def test_unreadable_checkpoint_names_its_path(self, tmp_path, capsys, damage):
         from cnfgrad import tasks as TK
         from cnfgrad.nn import save_checkpoint
@@ -431,6 +432,8 @@ class TestTrainEvalSolve:
             path.write_bytes(open(ckpt, "rb").read()[:300])
         elif damage == "text":
             path.write_text("task = member3\n")
+        elif damage == "pickle":
+            path.write_bytes(pickle.dumps({"task": "member3"}))
         elif damage == "no-format-version":
             blob = dict(np.load(ckpt))
             del blob["format_version"]
@@ -442,6 +445,10 @@ class TestTrainEvalSolve:
         code, stdout, err = run_cli(capsys, "eval", str(path))
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: {path} is not a readable checkpoint: ") and err.count("\n") == 1
+        # A file that is not an archive is refused by its first bytes, never offered to pickle.
+        assert "allow_pickle" not in err
+        if damage in ("text", "pickle", "empty", "one-array"):
+            assert err.endswith(": it is not an .npz archive\n")
 
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):

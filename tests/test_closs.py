@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,22 @@ class TestPropGradientSuite:
         result = gradient_suite(trials=40, seed=1)
         assert not result.ok
 
+    def test_dropped_deduce_clause_is_caught(self, monkeypatch):
+        # mutation canary: the reference scan of the deduce rule loses its last clause,
+        # under every name a cnfgrad module binds it to
+        import cnfgrad.cnf as cnf_module
+
+        original = cnf_module.deduce_set
+
+        def dropped(theory, facts):
+            return original(theory, facts)[:-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cnfgrad") and getattr(module, "deduce_set", None) is original:
+                monkeypatch.setattr(module, "deduce_set", dropped)
+        assert not value_suite(trials=50, seed=0).ok
+        assert not gradient_suite(trials=50, seed=0).ok
+
 
 class TestRandomDraws:
     # sha256 of serialize_dimacs plus the fact bits of the first 300
@@ -305,7 +323,7 @@ class TestHintLoss:
     def test_saturated_surrogate_stops_outside_box(self):
         facts = np.array([[1, 0], [1, 0]], dtype=np.int8)
         x = Tensor(np.array([[-0.5, 0.0], [-1.5, 0.0]]), requires_grad=True)
-        T.backward(T.sum_last(hint_loss(facts, x, SteMode.SSTE, fn="b")))
+        T.backward(T.sum_last(hint_loss(facts, x, "b", SteMode.SSTE)))
         assert x.grad.tolist() == [[-0.5, 0.0], [0.0, 0.0]]
 
 

@@ -503,7 +503,7 @@ def _tensor_sum(terms):
 
 def objective_and_grads(task, net, means, config, batch_size):
     """Each term's value, and the parameter gradients of the batch objective."""
-    T.backward(N._batch_total(means, config.weights, batch_size, task.cnf_batch_sum))
+    T.backward(N._batch_total(task, means, config.weights, batch_size))
     grads = [p.grad.copy() for p in net.params()]
     for p in net.params():
         p.grad = None
@@ -558,7 +558,7 @@ class TestSparseTraining:
             net = task.build_net(4)
             means = task.batch_loss(net, batch, config)
             assert {{"gamma": "sum", "delta": "hint"}[t] for t in terms} <= means.keys()
-            backward(N._batch_total(means, config.weights, len(batch), task.cnf_batch_sum))
+            backward(N._batch_total(task, means, config.weights, len(batch)))
             grads.append([p.grad.tobytes() for p in net.params()])
         assert grads[0] == grads[1]
 
@@ -691,7 +691,7 @@ class TestSudokuBatchLoss:
         if config.weights.gamma:
             terms["sum"] = sum_loss(probs, TK.sudoku_sum_selections(task.side))
         if config.weights.delta:
-            terms["hint"] = hint_loss(facts, x, config.ste)
+            terms["hint"] = hint_loss(facts, x, task.fn, config.ste)
         return terms
 
     @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(beta=0.3, gamma=0.5, delta=0.7)])
@@ -710,6 +710,16 @@ class TestSudokuBatchLoss:
         want = {"cnf", "bound"} | ({"sum", "hint"} if weights.gamma else set())
         assert batched[0].keys() == want and batched[0]["cnf"] > 0.0
         assert_same_objective(batched, graph)
+
+    def test_hint_reads_the_task_binarizer(self):
+        task = TK.make_task("sudoku4")
+        batch = task.make_data(seed=8, n_train=4, n_test=1).train
+        net = task.build_net(8)
+        config = task.default_config(seed=8, weights=LossWeights(delta=0.5))
+        assert float(task.batch_loss(net, batch, config)["hint"].data) > 0.0
+        # Under 'b' every probability binarizes to 1, so no fact is missed.
+        task.fn = "b"
+        assert float(task.batch_loss(net, batch, config)["hint"].data) == 0.0
 
     def test_sum_loss_batch_axis_matches_per_board(self):
         selections = TK.sudoku_sum_selections(4)
@@ -782,7 +792,7 @@ def per_instance_objective(task, net, batch, config):
     values: dict = {}
     for i in range(len(batch)):
         means = {name: (1.0 / len(batch)) * t for name, t in instance_graph_terms(task, net, batch[i : i + 1], config).items()}
-        T.backward(N._batch_total(means, config.weights, len(batch), task.cnf_batch_sum))
+        T.backward(N._batch_total(task, means, config.weights, len(batch)))
         for name, t in means.items():
             values[name] = values.get(name, 0.0) + float(t.data)
     grads = [p.grad.copy() for p in net.params()]
@@ -879,7 +889,7 @@ class TestExactlyOneRecipe:
         facts = FactVector(np.eye(task.classes, dtype=np.int8)[fact])
         x = logits * (1.0 / task.logit_scale)
         v = assemble_prediction(facts, x, task.fn, config.ste)
-        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, config.ste, task.fn)
+        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, task.fn, config.ste)
         terms = {"cnf": cnf, "bound": bound_loss(raw)}
         if label >= 0:
             terms["base"] = T.cross_entropy(logits, np.eye(task.classes)[label])
