@@ -408,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, N.TrainingDiverged) as exc:
+    except (CliError, OSError, ValueError, KeyError, N.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,9 @@ with every bracketed indicator a constant, so the only differentiable
 inputs are the prediction bits ``v``. ``closed_form_grad`` predicts the
 same gradients by counting clause memberships, evaluating satisfaction
 directly on the clause lists and never through either route above; the
-three are compared in the verification suites.
+three are compared in the verification suites. It only counts: the
+counts hold whether or not theory plus facts is satisfiable, so it
+enumerates no assignment.
 
 The deduce rule has three forms, each written once: the literal scan
 ``cnf.deduce_set`` (the reference, which ``closed_form_grad`` reads),
@@ -34,13 +36,12 @@ indicators (``deduce_i`` above, in ``cnf_loss``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .cnf import ENUM_CAP, Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, brute_force, deduce_set
+from .cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, deduce_set
 from .tensor import SteMode, Tensor
 
 
@@ -244,7 +245,7 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
     ``closed_form_grad`` predicts.
     """
     m, n = matrix.shape
-    bits = _fact_bits(f)
+    bits = np.asarray(f)
     if len(x.shape) != 2 or x.shape[1] > n or bits.shape != (x.shape[0], n):
         raise T.ShapeError(f"cnf_loss_rows: matrix is {m}x{n}, x has shape {x.shape}, f has shape {bits.shape}")
     rows, k = x.shape
@@ -328,25 +329,22 @@ class GradOracleReport:
                  hold ¬p_j (c2) and p_j (c1)
       g_sat    = -c3/m if v asserts p_j else +c3/m, c3 counting satisfied
                  clauses that mention the atom.
-    ``satisfiable`` is None when the theory was too large to screen.
     """
 
     g_deduce: np.ndarray
     g_unsat: np.ndarray
     g_sat: np.ndarray
     g_total: np.ndarray
-    satisfiable: bool | None = field(default=None)
 
 
-def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_satisfiable: bool = False) -> GradOracleReport:
+def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment) -> GradOracleReport:
     """Predict the loss gradients without touching the graph route.
 
     Satisfaction is evaluated clause by clause (``Assignment``), and
-    deduce-set membership is read from ``cnf.deduce_set``. When the theory
-    fits under the enumeration cap, the premise that theory+facts is
-    satisfiable is checked and a warning raised if it fails (the loss is
-    still well defined; the sign guarantees on g_deduce are not). Callers
-    that already screened can pass ``assume_satisfiable`` to skip the check.
+    deduce-set membership is read from ``cnf.deduce_set``. The counts hold
+    whether or not theory plus facts is satisfiable; only the sign
+    guarantee on g_deduce needs that premise, and the callers that assert
+    it (``verify.gradient_suite``) screen for it themselves.
     """
     n, m = theory.n, theory.m
     if f.n != n or v.bits.shape != (n,):
@@ -380,22 +378,4 @@ def closed_form_grad(theory: CnfTheory, f: FactVector, v: Assignment, assume_sat
     g_unsat = ((c2 - c1) / m) * free if m else np.zeros(n)
     sign = np.where(v.bits == 1, -1.0, 1.0)
     g_sat = (sign * c3 / m) * free if m else np.zeros(n)
-
-    satisfiable: bool | None = None
-    if assume_satisfiable:
-        satisfiable = True
-    elif n <= ENUM_CAP:
-        satisfiable = brute_force(theory, f).satisfiable
-        if not satisfiable:
-            warnings.warn(
-                "theory plus facts is unsatisfiable; the counting gradients "
-                "still match the graph but deduced signs carry no guarantee",
-                stacklevel=2,
-            )
-    return GradOracleReport(
-        g_deduce=g_deduce,
-        g_unsat=g_unsat,
-        g_sat=g_sat,
-        g_total=g_deduce + g_unsat + g_sat,
-        satisfiable=satisfiable,
-    )
+    return GradOracleReport(g_deduce=g_deduce, g_unsat=g_unsat, g_sat=g_sat, g_total=g_deduce + g_unsat + g_sat)

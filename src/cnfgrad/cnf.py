@@ -11,13 +11,15 @@ occurrence per atom per clause.
 ``ClauseMatrix`` and its ``KernelPlan`` hold clause structure only; the
 loss and its gradient table are ``closs``'s. Clause satisfaction by a 0/1
 assignment is written once, in ``Assignment.satisfies_clause``, and the
-literal scan of the deduce rule once, in ``deduce_set``.
+literal scan of the deduce rule once, in ``deduce_set``. ``brute_force``
+reports satisfiability, the model count and the entailed literals, and
+lists no model.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -27,9 +29,6 @@ Clause = tuple[int, ...]
 
 #: Largest atom count the exhaustive oracle will enumerate (2^24 assignments).
 ENUM_CAP = 24
-
-#: Models are listed in a report only when there are at most this many.
-MAX_LISTED_MODELS = 4096
 
 
 class DimacsError(ValueError):
@@ -144,26 +143,11 @@ class Assignment:
 
 @dataclass(frozen=True)
 class SatReport:
-    """What ``brute_force`` found about a theory under its facts.
-
-    The models stay packed as uint64 bit patterns (bit j is atom j), at
-    most ``MAX_LISTED_MODELS`` of them; ``models`` decodes them into
-    ``Assignment``s each time it is read.
-    """
+    """What ``brute_force`` found about a theory under its facts."""
 
     satisfiable: bool
     model_count: int
     entailed_literals: tuple[int, ...]
-    n: int
-    packed_models: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def models(self) -> tuple[Assignment, ...] | None:
-        """Every model, in enumeration order; None when there are more than ``MAX_LISTED_MODELS``."""
-        if self.packed_models is None:
-            return None
-        bits = (self.packed_models[:, None] >> np.arange(self.n, dtype=np.uint64)) & np.uint64(1)
-        return tuple(Assignment(row) for row in bits.astype(np.int8))
 
 
 # -- DIMACS I/O ---------------------------------------------------------------
@@ -334,7 +318,7 @@ SCREEN_CHUNK_ELEMENTS = 1 << 20
 
 
 def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> SatReport:
-    """Enumerate every assignment extending the facts; report models exactly.
+    """Enumerate every assignment extending the facts; count models exactly.
 
     Assignments are packed into uint64 bit patterns, in counter order: bit
     t of the counter sets the t-th free atom. A clause is falsified exactly
@@ -343,8 +327,7 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
     every clause of a chunk. Chunks are a power of two long, so the free
     bits of a chunk's counters are one table, spread once per call, ORed
     with the chunk's high bits. Arrays hold at most
-    ``SCREEN_CHUNK_ELEMENTS`` elements. Deterministic by construction. The
-    report keeps the models packed; ``SatReport.models`` decodes them.
+    ``SCREEN_CHUNK_ELEMENTS`` elements. Deterministic by construction.
     ``cap`` may not exceed ``ENUM_CAP``.
     """
     n = theory.n
@@ -370,7 +353,6 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
     count = 0
     and_acc = np.uint64((1 << n) - 1)
     or_acc = np.uint64(0)
-    listed = np.zeros(0, dtype=np.uint64)
 
     for start in range(0, total, chunk):
         high = sum(1 << int(j) for t, j in enumerate(free) if start >> t & 1)
@@ -381,8 +363,6 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
         if models.size:
             and_acc &= np.bitwise_and.reduce(models)
             or_acc |= np.bitwise_or.reduce(models)
-            if listed.size < MAX_LISTED_MODELS:
-                listed = np.concatenate([listed, models[: MAX_LISTED_MODELS - listed.size]])
 
     entailed: list[int] = []
     if count:
@@ -393,10 +373,4 @@ def brute_force(theory: CnfTheory, facts: FactVector, cap: int = ENUM_CAP) -> Sa
             elif not (or_acc & bit):
                 entailed.append(-(j + 1))
 
-    return SatReport(
-        satisfiable=count > 0,
-        model_count=count,
-        entailed_literals=tuple(entailed),
-        n=n,
-        packed_models=listed if count <= MAX_LISTED_MODELS else None,
-    )
+    return SatReport(satisfiable=count > 0, model_count=count, entailed_literals=tuple(entailed))

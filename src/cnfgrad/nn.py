@@ -10,6 +10,7 @@ products do not run on a thread pool either.
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -308,6 +309,9 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
                 net.weights[i].data[...] = blob[f"w{i}"]
                 net.biases[i].data[...] = blob[f"b{i}"]
             meta = json.loads(str(blob["meta"]))
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path} is not a readable checkpoint: {exc.args[0] if isinstance(exc, KeyError) else exc}") from None
+    # zipfile raises NotImplementedError for a damaged header's compression method or version,
+    # numpy's header parser TokenError for a header dict cut short.
+    except (ValueError, KeyError, EOFError, NotImplementedError, tokenize.TokenError, zipfile.BadZipFile) as exc:
+        reason = exc.args[0] if isinstance(exc, (KeyError, tokenize.TokenError)) else exc
+        raise ValueError(f"{path} is not a readable checkpoint: {reason}") from None
     return net, meta

@@ -5,8 +5,11 @@ clause satisfaction from ``cnf.Assignment`` and deduce-set membership from
 the literal scan ``cnf.deduce_set``, gradients from the counting oracle,
 smooth ops from central finite differences. The graph and the kernel
 compute the deduce rule in forms of their own, so the value and gradient
-suites compare three independent forms of it. The command-line
-``grad-verify`` subcommand and the acceptance tests both drive these.
+suites compare three independent forms of it. ``gradient_suite`` is the
+one place that screens theory plus facts for satisfiability
+(``cnf.brute_force``), the premise of the deduced-sign check; the
+counting oracle itself only counts. The command-line ``grad-verify``
+subcommand and the acceptance tests both drive these.
 """
 
 from __future__ import annotations
@@ -128,8 +131,9 @@ def value_suite(trials: int = 200, seed: int = 0, n_max: int = 10, m_max: int = 
         assignment = Assignment(bits)
         breakdown = cnf_loss(matrix, v, facts)
 
-        unsat_count = sum(0 if assignment.satisfies_clause(cl) else 1 for cl in theory.clauses)
-        deduce_unsat = sum(0 if assignment.satisfies_clause(theory.clauses[i]) else 1 for i in deduce_set(theory, facts))
+        falsified = [not assignment.satisfies_clause(cl) for cl in theory.clauses]
+        unsat_count = sum(falsified)
+        deduce_unsat = sum(falsified[i] for i in deduce_set(theory, facts))
 
         where = f"trial {trial} (n={theory.n}, m={theory.m})"
         result.check(float(breakdown.l_sat.data) == 0.0, f"{where}: L_sat = {float(breakdown.l_sat.data)}")
@@ -228,7 +232,7 @@ def gradient_suite(trials: int = 1000, seed: int = 0, n_max: int = 12, m_max: in
         for b, (fn, x_data) in enumerate(zip(BINARIZERS, xs)):
             threshold = 0.5 if fn == "bp" else 0.0
             bits = np.where(facts.bits == 1, 1, (x_data >= threshold).astype(np.int8)).astype(np.int8)
-            oracle = closs.closed_form_grad(theory, facts, Assignment(bits), assume_satisfiable=True)
+            oracle = closs.closed_form_grad(theory, facts, Assignment(bits))
             where = f"trial {produced} fn={fn} (n={theory.n}, m={theory.m})"
             for term, got, want in (
                 ("deduce", graph[b, 0], oracle.g_deduce),
@@ -301,41 +305,46 @@ def _fd_case(result: SuiteResult, name: str, build, arrays: list[np.ndarray], to
 
 
 def finite_difference_suite(cases: int = 200, seed: int = 0, tol: float = 1e-6, h: float = 1e-5) -> SuiteResult:
-    """Central differences against every smooth op and the bound penalty."""
+    """Central differences against every smooth op and the bound penalty.
+
+    Each op's output is weighed by a random vector, as long as the output
+    of one forward pass on arrays of ones.
+    """
     result = SuiteResult("finite-diff")
     rng = np.random.default_rng(seed)
 
     def dot(tensor: Tensor, weights: np.ndarray) -> Tensor:
         return T.sum_last(T.reshape(tensor, (tensor.size,)) * Tensor(weights))
 
-    def spec(op_name, build, *shapes, low=-1.5, high=1.5):
-        return op_name, build, shapes, low, high
+    def spec(op_name, op, *shapes, low=-1.5, high=1.5):
+        return op_name, op, shapes, low, high
 
     mat, vec = (3, 4), (4,)
     specs = [
-        spec("add", lambda ts, w: dot(ts[0] + ts[1], w), mat, mat),
-        spec("add_broadcast", lambda ts, w: dot(ts[0] + ts[1], w), mat, vec),
-        spec("sub", lambda ts, w: dot(ts[0] - ts[1], w), mat, mat),
-        spec("mul", lambda ts, w: dot(ts[0] * ts[1], w), mat, mat),
-        spec("mul_broadcast", lambda ts, w: dot(ts[0] * ts[1], w), mat, vec),
-        spec("square", lambda ts, w: dot(T.square(ts[0]), w), mat),
-        spec("matmul", lambda ts, w: dot(T.matmul(ts[0], ts[1]), w), (3, 4), (4, 2)),
-        spec("matmul_vec", lambda ts, w: dot(T.matmul(ts[0], ts[1]), w), (3, 4), (4,)),
-        spec("vec_matmul", lambda ts, w: dot(T.matmul(ts[0], ts[1]), w), (4,), (4, 2)),
-        spec("clip", lambda ts, w: dot(T.clip(ts[0], -1.0, 1.0), w), mat),
-        spec("relu", lambda ts, w: dot(T.relu(ts[0]), w), mat),
-        spec("sigmoid", lambda ts, w: dot(T.sigmoid(ts[0]), w), mat),
-        spec("softmax", lambda ts, w: dot(T.softmax(ts[0]), w), mat),
-        spec("log", lambda ts, w: dot(T.log(ts[0]), w), mat, low=0.2, high=2.0),
-        spec("sum_last", lambda ts, w: dot(T.sum_last(ts[0]), w), mat),
-        spec("avg_last", lambda ts, w: dot(T.avg_last(ts[0]), w), mat),
-        spec("prod_last", lambda ts, w: dot(T.prod_last(ts[0]), w), mat),
-        spec("reshape_concat", lambda ts, w: dot(T.concat([T.reshape(ts[0], (12,)), ts[1]]), w), mat, vec),
-        spec("bound_loss", lambda ts, w: bound_loss(ts[0]) * float(w[0]), (6,)),
-        spec("mul_outer", lambda ts, w: dot(ts[0] * ts[1], w), (2, 3, 1), (2, 1, 4)),
-        spec("concat_rows", lambda ts, w: dot(T.concat([ts[0], ts[1]]), w), (3, 4), (3, 2)),
+        spec("add", lambda ts: ts[0] + ts[1], mat, mat),
+        spec("add_broadcast", lambda ts: ts[0] + ts[1], mat, vec),
+        spec("sub", lambda ts: ts[0] - ts[1], mat, mat),
+        spec("mul", lambda ts: ts[0] * ts[1], mat, mat),
+        spec("mul_broadcast", lambda ts: ts[0] * ts[1], mat, vec),
+        spec("square", lambda ts: T.square(ts[0]), mat),
+        spec("matmul", lambda ts: T.matmul(ts[0], ts[1]), (3, 4), (4, 2)),
+        spec("matmul_vec", lambda ts: T.matmul(ts[0], ts[1]), (3, 4), (4,)),
+        spec("vec_matmul", lambda ts: T.matmul(ts[0], ts[1]), (4,), (4, 2)),
+        spec("clip", lambda ts: T.clip(ts[0], -1.0, 1.0), mat),
+        spec("relu", lambda ts: T.relu(ts[0]), mat),
+        spec("sigmoid", lambda ts: T.sigmoid(ts[0]), mat),
+        spec("softmax", lambda ts: T.softmax(ts[0]), mat),
+        spec("log", lambda ts: T.log(ts[0]), mat, low=0.2, high=2.0),
+        spec("sum_last", lambda ts: T.sum_last(ts[0]), mat),
+        spec("avg_last", lambda ts: T.avg_last(ts[0]), mat),
+        spec("prod_last", lambda ts: T.prod_last(ts[0]), mat),
+        spec("reshape_concat", lambda ts: T.concat([T.reshape(ts[0], (12,)), ts[1]]), mat, vec),
+        spec("bound_loss", lambda ts: bound_loss(ts[0]), (6,)),
+        spec("mul_outer", lambda ts: ts[0] * ts[1], (2, 3, 1), (2, 1, 4)),
+        spec("concat_rows", lambda ts: T.concat([ts[0], ts[1]]), (3, 4), (3, 2)),
     ]
-    for name, build, shapes, low, high in specs:
+    for name, op, shapes, low, high in specs:
+        out_size = op([Tensor(np.ones(s)) for s in shapes]).size
         for _ in range(cases):
             arrays = [rng.uniform(low, high, size=s) for s in shapes]
             if name == "clip":
@@ -343,13 +352,8 @@ def finite_difference_suite(cases: int = 200, seed: int = 0, tol: float = 1e-6, 
                 arrays[0][np.abs(np.abs(arrays[0]) - 1.0) < 0.05] = 0.5
             if name == "relu":
                 arrays[0][np.abs(arrays[0]) < 0.05] = 0.5
-            out_size = {
-                "matmul": 6, "matmul_vec": 3, "vec_matmul": 2,
-                "sum_last": 3, "avg_last": 3, "prod_last": 3,
-                "reshape_concat": 16, "bound_loss": 1, "mul_outer": 24, "concat_rows": 18,
-            }.get(name, 12)
             weights = rng.uniform(-1.0, 1.0, size=out_size)
-            _fd_case(result, name, lambda ts, w=weights, b=build: b(ts, w), arrays, tol, h)
+            _fd_case(result, name, lambda ts, w=weights, op=op: dot(op(ts), w), arrays, tol, h)
             result.cases += 1
 
     def ce_build(ts, target):

@@ -1,6 +1,8 @@
 import json
 import os
 import pickle
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -421,7 +423,9 @@ class TestTrainEvalSolve:
         code, stdout, _ = run_cli(capsys, "eval", ckpt, "--task", "member3", "--n-test", "20")
         assert code == 0 and stdout.startswith("acc=")
 
-    @pytest.mark.parametrize("damage", ["truncated", "text", "pickle", "no-format-version", "empty", "one-array"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "text", "pickle", "no-format-version", "empty", "one-array", "compression-99", "npy-header-cut"]
+    )
     def test_unreadable_checkpoint_names_its_path(self, tmp_path, capsys, damage):
         from cnfgrad import tasks as TK
         from cnfgrad.nn import save_checkpoint
@@ -440,6 +444,22 @@ class TestTrainEvalSolve:
             np.savez(path, **blob)
         elif damage == "empty":
             path.write_bytes(b"")
+        elif damage == "compression-99":
+            # compression method 99 in every local (offset 8) and central (offset 10) zip header
+            data = bytearray(open(ckpt, "rb").read())
+            for signature, at in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+                for k in [hit.start() for hit in re.finditer(re.escape(signature), data)]:
+                    data[k + at : k + at + 2] = (99).to_bytes(2, "little")
+            path.write_bytes(bytes(data))
+        elif damage == "npy-header-cut":
+            # format_version.npy's header dict stops inside its shape tuple; the header keeps its length
+            with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+                for name in src.namelist():
+                    raw = src.read(name)
+                    if name == "format_version.npy":
+                        end = raw.index(b"\n")
+                        raw = raw[:10] + b"{'descr': '<i8', 'fortran_order': False, 'shape': (3,".ljust(end - 10) + raw[end:]
+                    dst.writestr(name, raw)
         else:
             np.save(open(path, "wb"), np.zeros(3))
         code, stdout, err = run_cli(capsys, "eval", str(path))
@@ -449,6 +469,8 @@ class TestTrainEvalSolve:
         assert "allow_pickle" not in err
         if damage in ("text", "pickle", "empty", "one-array"):
             assert err.endswith(": it is not an .npz archive\n")
+        if damage == "compression-99":
+            assert err.endswith(": That compression method is not supported\n")
 
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):

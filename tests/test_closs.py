@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,18 +131,18 @@ class TestPropGradientSuite:
         report = closed_form_grad(theory, facts, Assignment(np.ones(3, dtype=np.int8)))
         assert np.all(report.g_total == 0.0)
 
-    def test_unsat_premise_warns(self):
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_contradiction_counts_silently(self, bit):
+        # the counts need no satisfiable premise: the oracle neither screens nor warns, and matches the graph
         theory = theory_from_clauses([(1,), (-1,)], 1)
         facts = FactVector(np.zeros(1, dtype=np.int8))
-        with pytest.warns(UserWarning, match="unsatisfiable"):
-            report = closed_form_grad(theory, facts, Assignment(np.ones(1, dtype=np.int8)))
-        assert report.satisfiable is False
-
-    def test_flag_unknown_above_cap(self):
-        theory = theory_from_clauses([(1,)], 30)
-        facts = FactVector(np.zeros(30, dtype=np.int8))
-        report = closed_form_grad(theory, facts, Assignment(np.ones(30, dtype=np.int8)))
-        assert report.satisfiable is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = closed_form_grad(theory, facts, Assignment(np.array([bit], dtype=np.int8)))
+        for term, name in (("deduce", "g_deduce"), ("unsat", "g_unsat"), ("sat", "g_sat"), ("cnf", "g_total")):
+            v = Tensor(np.array([float(bit)]), requires_grad=True)
+            T.backward(getattr(cnf_loss(build_matrix(theory), v, facts), f"l_{term}"))
+            assert v.grad.tolist() == getattr(report, name).tolist(), term
 
     def test_worked_example_counts(self):
         theory, _, facts = make_golden()
@@ -532,9 +533,7 @@ class TestFusedRows:
                 assert np.all(v_rows.grad[0][~free] == 0.0)
                 np.testing.assert_allclose(v_rows.grad[0][free], v_graph.grad[free], rtol=0.0, atol=1e-12)
 
-                oracle = closed_form_grad(
-                    theory, FactVector(facts[r]), Assignment(bits.astype(np.int8)), assume_satisfiable=True
-                )
+                oracle = closed_form_grad(theory, FactVector(facts[r]), Assignment(bits.astype(np.int8)))
                 np.testing.assert_allclose(v_rows.grad[0][free], oracle.g_total[free], rtol=0.0, atol=1e-12)
 
     def test_golden_example(self):
@@ -580,6 +579,8 @@ class TestFusedRows:
             cnf_loss_rows(matrix, Tensor(np.array([1.0, 0.0, 1.0])), facts.bits)
         with pytest.raises(ShapeError):
             cnf_loss_rows(matrix, Tensor(np.ones((2, 3))), facts.bits[None])
+        with pytest.raises(ShapeError):
+            cnf_loss_rows(matrix, Tensor(np.ones((1, 3))), facts)
         with pytest.raises(ShapeError, match=r"x has shape \(1, 4\)"):
             cnf_loss_rows(matrix, Tensor(np.ones((1, 4))), np.zeros((1, 4)))
         with pytest.raises(ShapeError):

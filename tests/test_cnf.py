@@ -4,11 +4,11 @@ import pytest
 from cnfgrad import cnf as cnf_module
 from cnfgrad.cnf import (
     ENUM_CAP,
-    MAX_LISTED_MODELS,
     Assignment,
     CnfTheory,
     DimacsError,
     FactVector,
+    SatReport,
     brute_force,
     build_matrix,
     deduce_set,
@@ -264,12 +264,10 @@ class TestBruteForce:
             brute_force(theory, FactVector(np.zeros(30, dtype=np.int8)))
 
     def test_model_count_and_models(self):
-        # one clause over two atoms: 3 of 4 assignments satisfy it
+        # one clause over two atoms: 3 of 4 assignments satisfy it, and no literal holds in all 3
         theory = theory_from_clauses([(1, 2)], 2)
         report = brute_force(theory, FactVector(np.zeros(2, dtype=np.int8)))
-        assert report.model_count == 3
-        assert report.models is not None and len(report.models) == 3
-        assert all(model.satisfies(theory) for model in report.models)
+        assert report == SatReport(satisfiable=True, model_count=3, entailed_literals=())
 
     def test_facts_restrict_enumeration(self):
         theory = theory_from_clauses([(1, 2)], 2)
@@ -282,44 +280,24 @@ class TestBruteForce:
             theory = random_theory(rng, n_max=6, m_max=10, allow_empty=True)
             facts = random_facts(rng, theory.n)
             report = brute_force(theory, facts)
-            count = 0
+            models = []
             for value in range(2**theory.n):
                 bits = np.array([(value >> j) & 1 for j in range(theory.n)], dtype=np.int8)
                 if np.any(bits[facts.bits == 1] == 0):
                     continue
-                count += Assignment(bits).satisfies(theory)
-            assert report.model_count == count
-
-    @staticmethod
-    def reference_models(theory, facts):
-        """Every model in enumeration order: bit t of the counter sets the t-th free atom."""
-        free = np.flatnonzero(facts.bits == 0)
-        out = []
-        for value in range(2 ** free.size):
-            bits = facts.bits.copy()
-            bits[free] = [(value >> t) & 1 for t in range(free.size)]
-            if Assignment(bits).satisfies(theory):
-                out.append(bits.tolist())
-        return out
-
-    def test_lazy_models_match_reference_decode(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            theory = random_theory(rng, n_max=8, m_max=10, allow_empty=True)
-            facts = random_facts(rng, theory.n)
-            report = brute_force(theory, facts)
-            # the per-model, per-bit decode the report once ran eagerly
-            eager = [[(int(v) >> j) & 1 for j in range(theory.n)] for v in report.packed_models]
-            models = report.models
-            assert len(models) == report.model_count
-            assert all(m.bits.dtype == np.int8 and m.bits.shape == (theory.n,) for m in models)
-            assert [m.bits.tolist() for m in models] == eager == self.reference_models(theory, facts)
-
-    def test_models_unlisted_above_the_listing_cap(self):
-        theory = theory_from_clauses([], 13)
-        report = brute_force(theory, FactVector(np.zeros(13, dtype=np.int8)))
-        assert report.model_count == 2**13 > MAX_LISTED_MODELS
-        assert report.models is None and report.packed_models is None
+                if Assignment(bits).satisfies(theory):
+                    models.append(bits)
+            assert report.model_count == len(models)
+            assert report.satisfiable == bool(models)
+            # a literal is entailed when every model makes it true; with no model, none is reported
+            entailed = []
+            for j in range(theory.n):
+                values = {int(bits[j]) for bits in models}
+                if values == {1}:
+                    entailed.append(j + 1)
+                elif values == {0}:
+                    entailed.append(-(j + 1))
+            assert report.entailed_literals == tuple(entailed)
 
     def test_cap_above_enum_cap_refused(self):
         theory = theory_from_clauses([(1, 2)], 2)
@@ -335,7 +313,7 @@ class TestBruteForceAgainstClauseLoop:
 
     @staticmethod
     def reference(theory, facts):
-        """(model_count, entailed_literals, packed_models) from one mask test per clause."""
+        """(model_count, entailed_literals) from one mask test per clause."""
         n = theory.n
         free = np.flatnonzero(facts.bits == 0)
         base = np.uint64(0)
@@ -362,19 +340,13 @@ class TestBruteForceAgainstClauseLoop:
                     entailed.append(j + 1)
                 elif not (or_acc & bit):
                     entailed.append(-(j + 1))
-        listed = models if models.size <= MAX_LISTED_MODELS else None
-        return int(models.size), tuple(entailed), listed
+        return int(models.size), tuple(entailed)
 
     def assert_matches(self, theory, facts):
         report = brute_force(theory, facts)
-        count, entailed, listed = self.reference(theory, facts)
+        count, entailed = self.reference(theory, facts)
         assert report.model_count == count and report.satisfiable == (count > 0)
         assert report.entailed_literals == entailed
-        if listed is None:
-            assert report.packed_models is None
-        else:
-            assert report.packed_models.dtype == np.uint64
-            assert np.array_equal(report.packed_models, listed)
 
     def test_random_theories(self):
         rng = np.random.default_rng(29)
@@ -404,7 +376,7 @@ class TestBruteForceAgainstClauseLoop:
         self.assert_matches(theory, facts)
 
     def test_listing_across_small_chunks(self, monkeypatch):
-        # at most 64 elements per chunk array, so models and the listing cross chunk edges
+        # at most 64 elements per chunk array, so the count and the entailment accumulators cross chunk edges
         monkeypatch.setattr(cnf_module, "SCREEN_CHUNK_ELEMENTS", 64)
         rng = np.random.default_rng(41)
         for _ in range(100):

@@ -864,9 +864,7 @@ class TestApply2x2BatchLoss:
         leaf = Tensor(v, requires_grad=True)
         T.backward(T.sum_last(cnf_loss_rows(task.matrix, leaf, f)))
         for row in range(v.shape[0]):
-            oracle = closed_form_grad(
-                task.theory, FactVector(f[row]), Assignment(v[row].astype(np.int8)), assume_satisfiable=True
-            )
+            oracle = closed_form_grad(task.theory, FactVector(f[row]), Assignment(v[row].astype(np.int8)))
             free = f[row] == 0
             np.testing.assert_allclose(leaf.grad[row][free], oracle.g_total[free], rtol=0, atol=1e-9)
             assert np.any(oracle.g_total[free] != 0.0)
