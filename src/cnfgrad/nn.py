@@ -309,9 +309,9 @@ def load_checkpoint(path: str) -> tuple[Mlp, dict]:
                 net.weights[i].data[...] = blob[f"w{i}"]
                 net.biases[i].data[...] = blob[f"b{i}"]
             meta = json.loads(str(blob["meta"]))
-    # zipfile raises NotImplementedError for a damaged header's compression method or version,
-    # numpy's header parser TokenError for a header dict cut short.
-    except (ValueError, KeyError, EOFError, NotImplementedError, tokenize.TokenError, zipfile.BadZipFile) as exc:
+    # zipfile raises NotImplementedError for a damaged header's compression method or version, and
+    # OSError for an offset it cannot seek to; numpy's header parser TokenError for a header dict cut short.
+    except (ValueError, KeyError, EOFError, OSError, NotImplementedError, tokenize.TokenError, zipfile.BadZipFile) as exc:
         reason = exc.args[0] if isinstance(exc, (KeyError, tokenize.TokenError)) else exc
         raise ValueError(f"{path} is not a readable checkpoint: {reason}") from None
     return net, meta

@@ -1,16 +1,16 @@
 """Benchmark tasks: clause families, prediction assembly, and datasets.
 
-Each task bundles a generated theory, a dataset maker, an accuracy
-definition and a training recipe that takes the batch as the unit of
-work. Every split is a ``Split``: a frozen dataclass of arrays whose row
-i is instance i, and a batch is ``split[index]``. A batch is one net pass
-per input position, the (rows, k) atom-probability columns x from the
-task's ``assemble`` (four rows per instance for apply2x2), the (rows, n)
-fact rows from its ``fact_rows``, and one ``cnf_loss_rows`` call, all
-built from whole fields. The ground-truth check feeds one-hot labels
-through the same assembly. Atom orders follow the assembly recipes, so
-the k network-driven atoms always come first; the atoms after them read
-as binarize(0), which under the default ``bp`` leaves them to the facts.
+Each task bundles a generated theory, a dataset maker and an accuracy
+definition. Every split is a ``Split``: a frozen dataclass of arrays
+whose row i is instance i, and a batch is ``split[index]``. One recipe,
+``TaskSpec.batch_loss``, trains every task but exactly-one: a net pass
+per input position, the (rows, k) columns x from the task's ``assemble``
+(four rows per instance for apply2x2), the (rows, n) facts from its
+``fact_rows`` and one ``cnf_loss_rows`` call, all on whole fields. The
+ground-truth check feeds one-hot labels through the same assembly. Atom
+orders follow the assembly recipes, so the k network-driven atoms always
+come first; the atoms after them read as binarize(0), which under the
+default ``bp`` leaves them to the facts.
 """
 
 from __future__ import annotations
@@ -267,16 +267,34 @@ class TaskSpec:
         """The (rows, n) int8 facts that a batch's labels pin."""
         raise NotImplementedError(f"task {self.name} has no fact rows")
 
-    def batch_loss(self, net: Mlp, batch: Split, config: TrainConfig) -> dict[str, Tensor]:
-        """The batch mean of each loss term, built as one graph; ``nn.train_epoch`` weights them.
+    def net_inputs(self, batch: Split) -> list[np.ndarray]:
+        """What the net reads at each input position; by default the (B, d) images at it."""
+        return [batch.images[:, p] for p in range(batch.images.shape[1])]
 
-        By default one constraint row per instance, from the assembled digit outputs.
+    def extra_rows(self, batch: Split, outputs: Sequence[Tensor], x: Tensor, facts: np.ndarray, config: TrainConfig) -> dict[str, Tensor]:
+        """Per-instance terms besides the constraint and the bound; none by default."""
+        return {}
+
+    def batch_loss(self, net: Mlp, batch: Split, config: TrainConfig) -> dict[str, Tensor]:
+        """The batch mean of each per-instance term, built as one graph; ``nn.train_epoch`` weights them.
+
+        An instance that ``assemble`` lays out as several rows (apply2x2) sums their constraint terms.
         """
-        return _batch_means(_digit_rows(self, net, batch, config))
+        count = len(batch)
+        outs = [net.forward(Tensor(inputs)) for inputs in self.net_inputs(batch)]
+        outputs = [probs for probs, _ in outs]
+        x = self.assemble(outputs)
+        facts = self.fact_rows(batch)
+        cnf = cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste)
+        if x.shape[0] != count:
+            cnf = T.sum_last(T.reshape(cnf, (count, x.shape[0] // count)))
+        bounds = [bound_loss(raw) for _, raw in outs]
+        terms = {"cnf": cnf, "bound": sum(bounds[1:], bounds[0]), **self.extra_rows(batch, outputs, x, facts, config)}
+        return {name: (1.0 / count) * T.sum_last(rows) for name, rows in terms.items()}
 
     def truth_rows(self, batch: Split) -> tuple[Tensor, np.ndarray]:
         """The ground truth's x and fact rows; by default each image's one-hot digit goes through ``assemble``."""
-        return self.assemble(_truth_outputs(batch.digits, 10)), self.fact_rows(batch)
+        return self.assemble([T.constant(np.eye(10)[digits]) for digits in batch.digits.T]), self.fact_rows(batch)
 
     def evaluate(self, net: Mlp, split: Split) -> float:
         """Test accuracy; by default the net classifies the rows of a ``LabelledSplit``."""
@@ -288,28 +306,6 @@ class TaskSpec:
         """Per constraint row, whether the ground truth, laid out as training lays out the net's outputs, has zero loss."""
         x, facts = self.truth_rows(split)
         return cnf_loss_rows(self.matrix, x, facts, self.fn).data == 0.0
-
-
-def _batch_means(per_row: dict[str, Tensor]) -> dict[str, Tensor]:
-    """The batch mean of each (B,) per-row term."""
-    return {name: (1.0 / rows.shape[0]) * T.sum_last(rows) for name, rows in per_row.items()}
-
-
-def _truth_outputs(labels: np.ndarray, classes: int) -> list[Tensor]:
-    """Per input position, the (B, classes) one-hot rows of the (B, positions) labels at that position."""
-    return [T.constant(np.eye(classes)[labels[:, p]]) for p in range(labels.shape[1])]
-
-
-def _digit_rows(task: TaskSpec, net: Mlp, batch: Split, config: TrainConfig) -> dict[str, Tensor]:
-    """Per-row constraint and bound terms: one net pass per image position, over the (B, d) images at it."""
-    outs = [net.forward(Tensor(batch.images[:, p])) for p in range(batch.images.shape[1])]
-    x = task.assemble([probs for probs, _ in outs])
-    facts = task.fact_rows(batch)
-    bounds = [bound_loss(raw) for _, raw in outs]
-    return {
-        "cnf": cnf_loss_rows(task.matrix, x, facts, task.fn, config.ste),
-        "bound": sum(bounds[1:], bounds[0]),
-    }
 
 
 def _outer_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -493,15 +489,9 @@ class Apply2x2Task(TaskSpec):
         atoms = 9 + np.searchsorted(self.atom_keys, _apply_key(batch.digits[:, None], batch.results))
         return _pinned(self.theory.n, atoms.reshape(-1))
 
-    def batch_loss(self, net: Mlp, batch: Apply2x2Split, config: TrainConfig) -> dict[str, Tensor]:
-        """An instance's constraint term is the sum of its four rows."""
-        per_row = _digit_rows(self, net, batch, config)
-        per_row["cnf"] = T.sum_last(T.reshape(per_row["cnf"], (len(batch), 4)))
-        return _batch_means(per_row)
-
     def truth_rows(self, batch: Apply2x2Split) -> tuple[Tensor, np.ndarray]:
         """Each operator image's one-hot operator through ``assemble``."""
-        return self.assemble(_truth_outputs(batch.ops, 3)), self.fact_rows(batch)
+        return self.assemble([T.constant(np.eye(3)[ops]) for ops in batch.ops.T]), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 500, n_test: int = 200, noise: float = 0.2) -> TaskDataset:
         rng = np.random.default_rng([seed, 15])
@@ -514,11 +504,7 @@ class Apply2x2Task(TaskSpec):
 
 
 class SudokuTask(TaskSpec):
-    """Unsupervised grid completion from the exactly-one constraints.
-
-    Training and completion take (B, cells) stacks of boards: a batch is
-    one net pass and one ``cnf_loss_rows`` call, with the givens as facts.
-    """
+    """Unsupervised grid completion from the exactly-one constraints, on (B, cells) stacks of boards."""
 
     hidden = (256, 256)
 
@@ -538,27 +524,31 @@ class SudokuTask(TaskSpec):
         q = np.asarray(q, dtype=np.int64)
         return np.eye(self.side + 1)[q].reshape(q.shape[:-1] + (-1,))
 
-    def fact_rows(self, q: np.ndarray) -> np.ndarray:
+    def board_bits(self, q: np.ndarray) -> np.ndarray:
         """The filled cells of one board (n,) or of a (B, cells) stack (B, n), as 0/1 atoms."""
         q = np.asarray(q, dtype=np.int64)
         return np.eye(self.side + 1, dtype=np.int8)[q][..., 1:].reshape(q.shape[:-1] + (-1,))
 
-    def batch_loss(self, net: Mlp, batch: GridSplit, config: TrainConfig) -> dict[str, Tensor]:
-        """One net pass and one ``cnf_loss_rows`` call; each per-board term is averaged."""
-        rows = len(batch)
-        _, raw = net.forward(Tensor(self.encode_board(batch.q)))
-        probs = T.softmax(T.reshape(raw, (rows * self.cells, self.side)))
-        x = T.reshape(probs, (rows, self.theory.n))
-        facts = self.fact_rows(batch.q)
-        per_board = {
-            "cnf": cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste),
-            "bound": bound_loss(raw),
-        }
+    def net_inputs(self, batch: GridSplit) -> list[np.ndarray]:
+        return [self.encode_board(batch.q)]
+
+    def assemble(self, outputs: Sequence[Tensor]) -> Tensor:
+        """A softmax over each cell's digits, the cells side by side."""
+        (raw,) = outputs
+        probs = T.softmax(T.reshape(raw, (raw.shape[0] * self.cells, self.side)))
+        return T.reshape(probs, (raw.shape[0], self.theory.n))
+
+    def fact_rows(self, batch: GridSplit) -> np.ndarray:
+        return self.board_bits(batch.q)
+
+    def extra_rows(self, batch: GridSplit, outputs: Sequence[Tensor], x: Tensor, facts: np.ndarray, config: TrainConfig) -> dict[str, Tensor]:
+        """The group-sum and hint terms, each only when its weight is nonzero."""
+        terms = {}
         if config.weights.gamma:
-            per_board["sum"] = sum_loss(T.reshape(probs, (rows, self.cells, self.side)), self.sum_selections)
+            terms["sum"] = sum_loss(T.reshape(x, (len(batch), self.cells, self.side)), self.sum_selections)
         if config.weights.delta:
-            per_board["hint"] = hint_loss(facts, x, self.fn, config.ste)
-        return _batch_means(per_board)
+            terms["hint"] = hint_loss(facts, x, self.fn, config.ste)
+        return terms
 
     def cell_probs(self, net: Mlp, q: np.ndarray) -> np.ndarray:
         """(cells, side) digit probabilities of one board, (B, cells, side) of a stack."""
@@ -577,7 +567,7 @@ class SudokuTask(TaskSpec):
         """Direct clause evaluation of a completed board."""
         if np.any(np.asarray(board) == 0):
             return False
-        return Assignment(self.fact_rows(board)).satisfies(self.theory)
+        return Assignment(self.board_bits(board)).satisfies(self.theory)
 
     def evaluate(self, net: Mlp, split: GridSplit, inference_trick: bool = True) -> float:
         """Share of boards completed to their solution, all filled in one call."""
@@ -588,7 +578,7 @@ class SudokuTask(TaskSpec):
 
     def truth_rows(self, batch: GridSplit) -> tuple[Tensor, np.ndarray]:
         """The solutions as 0/1 rows, with the givens as facts."""
-        return T.constant(self.fact_rows(batch.solution)), self.fact_rows(batch.q)
+        return T.constant(self.board_bits(batch.solution)), self.fact_rows(batch)
 
     def make_data(self, seed: int = 0, n_train: int = 2000, n_test: int = 200, tier: str = "easy") -> TaskDataset:
         grids = D.gen_grid_puzzles(self.side, n_train + n_test, tier=tier, seed=[seed, 17])
@@ -619,19 +609,15 @@ class ShortestPathTask(TaskSpec):
         facts[:, :16] = batch.features[:, 24:]
         return facts
 
-    def batch_loss(self, net: Mlp, batch: LabelledSplit, config: TrainConfig) -> dict[str, Tensor]:
-        """One net pass over the (B, 40) features."""
-        probs, raw = net.forward(Tensor(batch.features))
-        x = self.assemble([probs])
-        facts = self.fact_rows(batch)
+    def net_inputs(self, batch: LabelledSplit) -> list[np.ndarray]:
+        return [batch.features]
+
+    def extra_rows(self, batch: LabelledSplit, outputs: Sequence[Tensor], x: Tensor, facts: np.ndarray, config: TrainConfig) -> dict[str, Tensor]:
+        """The edges' cross-entropy against the labelled path."""
         label = T.constant(batch.labels)
         # Clamp away from the sigmoid's saturated endpoints before taking logs.
-        safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
-        return _batch_means({
-            "base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)),
-            "cnf": cnf_loss_rows(self.matrix, x, facts, self.fn, config.ste),
-            "bound": bound_loss(raw),
-        })
+        safe = T.clip(outputs[0], 1e-12, 1.0 - 1e-12)
+        return {"base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe))}
 
     def evaluate(self, net: Mlp, split: LabelledSplit) -> float:
         """Exact-match accuracy of the thresholded edge predictions."""
@@ -643,11 +629,21 @@ class ShortestPathTask(TaskSpec):
         """The labelled path's edges through ``assemble``."""
         return self.assemble([T.constant(batch.labels)]), self.fact_rows(batch)
 
-    def make_data(self, seed: int = 0, n_train: int = 1288, n_test: int = 322, csv_path: str | None = None) -> TaskDataset:
-        paths = D.load_path_csv(csv_path) if csv_path else D.gen_path_instances(n_train + n_test, seed=[seed, 18])
-        if len(paths) < n_train + n_test:
+    def make_data(self, seed: int = 0, n_train: int | None = None, n_test: int | None = None, csv_path: str | None = None) -> TaskDataset:
+        """The first n_train instances (1,288 by default) and the next n_test (322), generated or read from ``csv_path``.
+
+        Sizes given must fit the file. A size not given is capped at what the file holds past the other;
+        with neither given, a file too short for both defaults splits 80/20.
+        """
+        given = {name: size for name, size in (("n_train", n_train), ("n_test", n_test)) if size is not None}
+        wanted = given.get("n_train", 1288) + given.get("n_test", 322)
+        paths = D.load_path_csv(csv_path) if csv_path else D.gen_path_instances(wanted, seed=[seed, 18])
+        if sum(given.values()) > len(paths):
+            raise ValueError(f"{csv_path} holds {len(paths)} instances, fewer than {' plus '.join(f'{k} {v}' for k, v in given.items())}")
+        if not given and len(paths) < wanted:
             n_train = int(len(paths) * 0.8)
-            n_test = len(paths) - n_train
+        n_train = min(1288, len(paths) - (n_test or 0)) if n_train is None else n_train
+        n_test = min(322, len(paths) - n_train) if n_test is None else n_test
         return TaskDataset(self, paths[:n_train], paths[n_train : n_train + n_test])
 
 
@@ -703,6 +699,8 @@ class ExactlyOneTask(TaskSpec):
     def batch_loss(self, net: Mlp, batch: LabelledSplit, config: TrainConfig) -> dict[str, Tensor]:
         """Labelled and unlabelled rows each go through the net as one matrix.
 
+        Not ``TaskSpec.batch_loss``: an unlabelled row's fact comes from the net's own logits, and
+        one pass over both row groups would change the matrix products' row counts, and so their rounding.
         Cross-entropy averages over the labelled rows; the constraint (with
         its hint) and the bound average over all rows, as per instance.
         """

@@ -281,6 +281,43 @@ class TestTrainEvalSolve:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @staticmethod
+    def path_csv(tmp_path, count: int) -> str:
+        from cnfgrad.datasets import gen_path_instances, save_path_csv
+
+        path = str(tmp_path / "paths.csv")
+        save_path_csv(gen_path_instances(count, seed=5), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "sizes,asked",
+        [
+            (("--n-train", "300", "--n-test", "0"), "n_train 300 plus n_test 0"),
+            (("--n-train", "90", "--n-test", "20"), "n_train 90 plus n_test 20"),
+            (("--n-test", "101"), "n_test 101"),
+        ],
+        ids=["train-300", "train-90-test-20", "test-101"],
+    )
+    def test_shortest_path_sizes_the_csv_cannot_hold_fail_fast(self, tmp_path, capsys, sizes, asked):
+        csv = self.path_csv(tmp_path, 100)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "train", "shortest-path", "--csv", csv, *sizes, "--epochs", "1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {csv} holds 100 instances, fewer than {asked}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sizes,split",
+        [((), (80, 20)), (("--n-train", "60", "--n-test", "40"), (60, 40)), (("--n-train", "50"), (50, 50)), (("--n-test", "0"), (100, 0))],
+        ids=["none-80-20", "both", "train-only", "test-only"],
+    )
+    def test_shortest_path_sizes_that_fit_are_used(self, tmp_path, capsys, sizes, split):
+        csv = self.path_csv(tmp_path, 100)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "train", "shortest-path", "--csv", csv, *sizes, "--epochs", "1", "--out", str(out))
+        run = json.loads((out / "run.json").read_text())
+        assert code == 0 and (run["n_train"], run["n_test"]) == split
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -424,7 +461,8 @@ class TestTrainEvalSolve:
         assert code == 0 and stdout.startswith("acc=")
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "text", "pickle", "no-format-version", "empty", "one-array", "compression-99", "npy-header-cut"]
+        "damage",
+        ["truncated", "text", "pickle", "no-format-version", "empty", "one-array", "compression-99", "npy-header-cut", "central-directory-offset"],
     )
     def test_unreadable_checkpoint_names_its_path(self, tmp_path, capsys, damage):
         from cnfgrad import tasks as TK
@@ -460,6 +498,12 @@ class TestTrainEvalSolve:
                         end = raw.index(b"\n")
                         raw = raw[:10] + b"{'descr': '<i8', 'fortran_order': False, 'shape': (3,".ljust(end - 10) + raw[end:]
                     dst.writestr(name, raw)
+        elif damage == "central-directory-offset":
+            # 2**31 added to the central directory's offset (bytes 16-19 of the end record): zipfile seeks past any file
+            data = bytearray(open(ckpt, "rb").read())
+            k = data.rindex(b"PK\x05\x06")
+            data[k + 16 : k + 20] = (int.from_bytes(data[k + 16 : k + 20], "little") + 2**31).to_bytes(4, "little")
+            path.write_bytes(bytes(data))
         else:
             np.save(open(path, "wb"), np.zeros(3))
         code, stdout, err = run_cli(capsys, "eval", str(path))
@@ -471,6 +515,8 @@ class TestTrainEvalSolve:
             assert err.endswith(": it is not an .npz archive\n")
         if damage == "compression-99":
             assert err.endswith(": That compression method is not supported\n")
+        if damage == "central-directory-offset":
+            assert err.endswith(": [Errno 22] Invalid argument\n")
 
     @pytest.mark.parametrize("flag", ["--uec", "--include-box"])
     def test_eval_refuses_theory_variant_flags(self, capsys, flag):

@@ -171,7 +171,7 @@ class TestSudokuTask:
         task = TK.make_task("sudoku4")
         q = np.zeros(16, dtype=np.int64)
         q[0] = 3
-        assert np.flatnonzero(task.fact_rows(q)).tolist() == [2]
+        assert np.flatnonzero(task.board_bits(q)).tolist() == [2]
 
     def test_solution_zeroes_loss(self):
         task = TK.make_task("sudoku4")
@@ -218,7 +218,7 @@ class TestSudokuTask:
         task = TK.make_task("sudoku4")
         inst = task.make_data(seed=6, n_train=1, n_test=1).train[0]
         x = T.Tensor(np.full(64, 0.25), requires_grad=True)
-        facts = FactVector(task.fact_rows(inst.q))
+        facts = FactVector(task.board_bits(inst.q))
         T.backward(cnf_loss(task.matrix, assemble_prediction(facts, x, "bp"), facts).l_cnf)
         assert np.all(x.grad[facts.bits == 1] == 0.0)
 
@@ -622,13 +622,18 @@ class TestTrainingBytesPinned:
         "sudoku4": ({"n_train": 32}, "5382f09fb359de39f174d9c63332e5204d3475b0504883dd077f9463d27c36bb"),
         "shortest-path": ({"n_train": 32}, "a8b8cbeddce5aad42a0dbc59f6c84326542c5a9d6c660661ba25c12f81ecea03"),
         "exactly-one": ({"n_labeled": 40, "n_unlabeled": 60}, "84a7d92605dfbef71675b08b8ef6207b825cf01a84a4f11d3728db180de41ba1"),
+        "sudoku4-sum-hint": ({"n_train": 32}, "a2d50e3a59c5d3f40ab791f99e6bc4f1cef459bee636e6af969c7eedd42d3002"),
     }
+    # A run that is not a task at its default weights -> (task, the weights it sets).
+    RUNS = {"sudoku4-sum-hint": ("sudoku4", {"gamma": 0.5, "delta": 0.3})}
 
-    @pytest.mark.parametrize("name", sorted(DIGESTS))
-    def test_metrics_digest(self, name, request):
+    @pytest.mark.parametrize("run", sorted(DIGESTS))
+    def test_metrics_digest(self, run, request):
+        name, weights = self.RUNS.get(run, (run, {}))
         task = request.getfixturevalue("mnist_add3_task") if name == "mnist-add3" else TK.make_task(name)
-        sizes, digest = self.DIGESTS[name]
-        _, rows = N.run_training(task.make_data(seed=1, n_test=16, **sizes), task.default_config(seed=1, epochs=2))
+        sizes, digest = self.DIGESTS[run]
+        config = task.default_config(seed=1, epochs=2, weights=dataclasses.replace(task.weights, **weights))
+        _, rows = N.run_training(task.make_data(seed=1, n_test=16, **sizes), config)
         assert hashlib.sha256(N.format_metrics(rows).encode()).hexdigest() == digest
 
 
@@ -677,13 +682,19 @@ class TestNoGradientForConstants:
         assert scale.grad.tolist() == [V.GOLDEN_FORWARD["cnf"]]
 
 
+def test_one_batch_recipe_and_one_exception():
+    """Every task trains through ``TaskSpec.batch_loss`` but exactly-one, whose unlabelled rows take their facts from its logits."""
+    owners = {name for name, cls in vars(TK).items() if isinstance(cls, type) and cls.__module__ == TK.__name__ and "batch_loss" in vars(cls)}
+    assert owners == {"TaskSpec", "ExactlyOneTask"}
+
+
 class TestSudokuBatchLoss:
     def graph_terms(self, task, net, inst, config):
         """The per-board recipe for one board, built on the dense graph route."""
         _, raw = net.forward(Tensor(task.encode_board(inst.q)))
         probs = T.softmax(T.reshape(raw, (task.cells, task.side)))
         x = T.reshape(probs, (task.theory.n,))
-        facts = FactVector(task.fact_rows(inst.q))
+        facts = FactVector(task.board_bits(inst.q))
         terms = {
             "cnf": cnf_loss(task.matrix, assemble_prediction(facts, x, task.fn, config.ste), facts).l_cnf,
             "bound": bound_loss(raw),
@@ -738,10 +749,10 @@ class TestSudokuBatchLoss:
 
     def test_fact_rows_match_board_facts(self):
         task = TK.make_task("sudoku4")
-        boards = task.make_data(seed=1, n_train=6, n_test=0).train.q
-        rows = task.fact_rows(boards)
+        train = task.make_data(seed=1, n_train=6, n_test=0).train
+        rows = task.fact_rows(train)
         assert rows.shape == (6, 64) and rows.dtype == np.int8
-        for q, row in zip(boards, rows):
+        for q, row in zip(train.q, rows):
             want = np.zeros(64, dtype=np.int8)
             for cell, value in enumerate(q):
                 if value:
