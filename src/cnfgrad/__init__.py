@@ -4,7 +4,10 @@ A CNF theory becomes a differentiable loss over binarized network
 outputs; straight-through surrogates carry the gradient through the
 thresholds, so minimizing the loss pushes predictions toward satisfying
 assignments. Ships with a small reverse-mode tensor engine, brute-force
-logical oracles, the benchmark task encodings, and a CLI. Importing the
+logical oracles, the benchmark task encodings, and a CLI. The reference
+routes that the verification suites compare the kernel against
+(``cnf_loss``, ``assemble_prediction``, ``closed_form_grad``,
+``cnf_loss_forward``) are reached through ``cnfgrad.closs``. Importing the
 package sets numpy's OpenBLAS to one thread (see ``cnfgrad.blas``) and
 fixes glibc's malloc thresholds so that the arrays a training batch frees
 stay in the process (see ``cnfgrad.heap``). Neither has a flag, and
@@ -13,19 +16,7 @@ neither changes a result.
 
 from . import blas as _blas
 from . import heap as _heap
-from .closs import (
-    GradOracleReport,
-    LossBreakdown,
-    LossWeights,
-    assemble_prediction,
-    bound_loss,
-    closed_form_grad,
-    cnf_loss,
-    cnf_loss_forward,
-    cnf_loss_rows,
-    hint_loss,
-    sum_loss,
-)
+from .closs import LossWeights, bound_loss, cnf_loss_rows, hint_loss, sum_loss
 from .cnf import (
     Assignment,
     ClauseMatrix,

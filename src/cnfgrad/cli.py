@@ -50,11 +50,6 @@ TRAIN_KEYS = {
     "ste": lambda text: SteMode.parse(text).value,
 }
 
-# Task flag -> (constructor option, the tasks that take it).
-TASK_FLAGS = {
-    "include_box": ("include_box_uec", ("sudoku4", "sudoku9")),
-}
-
 # Data flag -> the ``make_data`` keyword it sets.
 DATA_FLAGS = {
     "n_train": "n_train", "n_test": "n_test", "noise": "noise", "tier": "tier", "csv": "csv_path",
@@ -120,14 +115,12 @@ def _resolve_train_config(args: argparse.Namespace, task: TK.TaskSpec) -> TrainC
 
 
 def _task_options(args: argparse.Namespace) -> dict:
-    """Constructor options from the task flags; a flag on a task that does not take it is refused."""
-    options = {}
-    for flag, (option, tasks) in TASK_FLAGS.items():
-        if getattr(args, flag):
-            if args.task not in tasks:
-                raise CliError(f"--{flag.replace('_', '-')} applies to {' and '.join(tasks)} only, not {args.task}")
-            options[option] = True
-    return options
+    """Constructor options from the task flags; ``--include-box`` on a task other than Sudoku is refused."""
+    if not args.include_box:
+        return {}
+    if args.task not in ("sudoku4", "sudoku9"):
+        raise CliError(f"--include-box applies to sudoku4 and sudoku9 only, not {args.task}")
+    return {"include_box_uec": True}
 
 
 def _load_theory(cnf_path: str, names_path: str | None) -> CnfTheory:
@@ -221,14 +214,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_grad_verify(args: argparse.Namespace) -> int:
+    if args.n_max > ENUM_CAP:
+        raise CliError(f"--n-max {args.n_max} is outside 1..{ENUM_CAP} (ENUM_CAP, the most atoms brute_force enumerates)")
     results = V.run_all(seed=args.seed, trials=args.trials, n_max=args.n_max, m_max=args.m_max)
     for result in results:
         print(result.summary())
     return 0 if all(r.ok for r in results) else 1
 
 
-def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.TaskDataset:
-    """``task.make_data`` with each given data flag as its keyword; a keyword it does not take is refused."""
+def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int, idx=None) -> TK.TaskDataset:
+    """``task.make_data`` with each given data flag as its keyword; a keyword it does not take is refused.
+
+    ``idx`` is the ``--mnist`` pair if the caller has loaded it already.
+    """
     accepted = inspect.signature(task.make_data).parameters
     kwargs: dict = {"seed": seed}
     for flag, keyword in DATA_FLAGS.items():
@@ -237,17 +235,21 @@ def _make_dataset(task: TK.TaskSpec, args: argparse.Namespace, seed: int) -> TK.
             continue
         if keyword not in accepted:
             raise CliError(f"--{flag.replace('_', '-')} does not apply to {task.name}, whose data takes no {keyword}")
-        kwargs[keyword] = D.load_idx(*value) if flag == "mnist" else value
+        if flag == "mnist":
+            value = idx if idx is not None else D.load_idx(*value)
+        kwargs[keyword] = value
     return task.make_data(**kwargs)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     task_options = _task_options(args)
+    idx = None
     if args.mnist and args.task.startswith("mnist-add"):
-        task_options.update(input_dim=784, hidden=[128])
+        idx = D.load_idx(*args.mnist)  # the net's input width is the files' image size
+        task_options.update(input_dim=idx[0].shape[1], hidden=[128])
     task = TK.make_task(args.task, **task_options)
     config = _resolve_train_config(args, task)
-    dataset = _make_dataset(task, args, config.seed)
+    dataset = _make_dataset(task, args, config.seed, idx)
     if not len(dataset.train):
         raise CliError(f"the {task.name} training split is empty; train needs at least 1 instance")
 
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-verify", help="run the value/gradient/gate verification suites")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trials", type=_at_least(1), default=1000)
-    p.add_argument("--n-max", type=_at_least(1), default=12)
+    p.add_argument("--n-max", type=_at_least(1), default=12, help=f"most atoms of a random theory, 1..{ENUM_CAP} (default 12)")
     p.add_argument("--m-max", type=_at_least(0), default=30)
     p.set_defaults(func=cmd_grad_verify)
 

@@ -6,7 +6,8 @@ and overlays the facts itself, and since the loss of binarized 0/1
 predictions and its gradient are clause counts, one node computes both
 from the sparse clause matrix. Its backward reads each literal's
 gradient from one table, ``_literal_terms``, kept here beside it; the
-matrix's ``KernelPlan`` supplies only clause structure.
+``ClauseMatrix`` supplies only clause structure. The training terms take
+int8 fact rows, and ``sum_loss`` a (B, rows, cols) stack.
 ``cnf_loss`` is the reference: on predictions that ``assemble_prediction``
 builds as graph nodes, it builds the dense chain (for one instance, or
 for each row of a stack of them)
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, KernelPlan, deduce_set
+from .cnf import Assignment, ClauseMatrix, CnfTheory, FactVector, deduce_set
 from .tensor import SteMode, Tensor
 
 
@@ -160,29 +161,28 @@ def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
     return LossBreakdown(l_f, l_v, deduce, unsat, keep, l_deduce, l_unsat, l_sat, l_cnf)
 
 
-def _per_clause(plan: KernelPlan, flags: np.ndarray) -> np.ndarray:
+def _per_clause(matrix: ClauseMatrix, flags: np.ndarray) -> np.ndarray:
     """Per-clause counts of (rows, nonzeros) flags; an empty clause counts 0.
 
     ``reduceat`` runs over the non-empty clauses only: at a repeated start it
     would return that one element, and a trailing empty clause would read past
     the last literal.
     """
-    counts = np.add.reduceat(flags, plan.starts, axis=1, dtype=np.int32)
-    if plan.nonempty.size == plan.lengths.size:
+    counts = np.add.reduceat(flags, matrix.starts, axis=1, dtype=np.int32)
+    if matrix.nonempty.size == matrix.lengths.size:
         return counts
-    padded = np.zeros((flags.shape[0], plan.lengths.size), dtype=np.int32)
-    padded[:, plan.nonempty] = counts
+    padded = np.zeros((flags.shape[0], matrix.lengths.size), dtype=np.int32)
+    padded[:, matrix.nonempty] = counts
     return padded
 
 
 def _clause_counts(matrix: ClauseMatrix, v: np.ndarray, fact: np.ndarray):
     """Literal truth (rows, nnz), true-literal counts and deduce membership (rows, m)
     of boolean predictions ``v`` under boolean facts ``fact``, both (rows, n)."""
-    plan = matrix.plan
-    lit_true = v.take(matrix.indices, axis=1) == plan.positive
-    neg_fact = fact.take(matrix.indices, axis=1) > plan.positive
-    deduce = plan.lengths - _per_clause(plan, neg_fact) == 1
-    return lit_true, _per_clause(plan, lit_true), deduce
+    lit_true = v.take(matrix.indices, axis=1) == matrix.positive
+    neg_fact = fact.take(matrix.indices, axis=1) > matrix.positive
+    deduce = matrix.lengths - _per_clause(matrix, neg_fact) == 1
+    return lit_true, _per_clause(matrix, lit_true), deduce
 
 
 def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> ForwardBreakdown:
@@ -262,11 +262,10 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
         if x.grad is None:
             return
         # The clause key of ``_literal_terms``, then the literal's truth in bit 4 and its sign in bit 5.
-        plan = matrix.plan
         key = (4 * (2 * (deduce & (true_counts == 1)) + 1) + 2 * (deduce & unsat) + unsat).astype(np.uint8)
-        index = key.take(plan.clause_of, axis=1)
+        index = key.take(matrix.clause_of, axis=1)
         index |= lit_true.view(np.uint8) << 4
-        index |= plan.positive.view(np.uint8) << 5
+        index |= matrix.positive.view(np.uint8) << 5
         per_literal = (_DEDUCE_TERM + _SIGNED_TERM / max(m, 1)).take(index).ravel()
         slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
         grad = np.bincount(slot, weights=per_literal, minlength=rows * n).reshape(rows, n)
@@ -288,29 +287,28 @@ def bound_loss(x_raw: Tensor) -> Tensor:
 
 
 def sum_loss(probs: Tensor, selections) -> Tensor:
-    """Penalize index groups whose probabilities do not sum to 1.
+    """Penalize index groups whose probabilities do not sum to 1, one loss per matrix of a (B, rows, cols) stack.
 
     ``selections`` holds one read-only 0/1 matrix per family of groups, of
     shape (rows * cols, groups): column g marks group g's positions in the
     row-major flattening of one ``probs`` matrix.
     The squared deviation of each group sum from 1 is averaged within its
-    family, and families are summed. ``probs`` is one 2-D matrix (a scalar
-    loss) or a (B, rows, cols) stack of them (one loss per matrix).
+    family, and families are summed in the order given.
     """
-    if len(probs.shape) not in (2, 3):
-        raise T.ShapeError(f"sum_loss: probs must be 2-D or (B, rows, cols), got shape {probs.shape}")
-    lead, (rows, cols) = probs.shape[:-2], probs.shape[-2:]
-    flat = T.reshape(probs, lead + (rows * cols,))
-    total: Tensor | None = None
-    for sel in selections:
-        term = T.avg_last(T.square(T.matmul(flat, Tensor(sel)) - 1.0))
-        total = term if total is None else total + term
-    return total if total is not None else T.constant(np.zeros(lead))
+    if len(probs.shape) != 3:
+        raise T.ShapeError(f"sum_loss: probs must be (B, rows, cols), got shape {probs.shape}")
+    count, rows, cols = probs.shape
+    flat = T.reshape(probs, (count, rows * cols))
+    first, *rest = (T.avg_last(T.square(T.matmul(flat, Tensor(sel)) - 1.0)) for sel in selections)
+    return sum(rest, first)
 
 
-def hint_loss(f, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
-    """Mean of f * (1 - binarize(x, fn)): facts the prediction fails to assert."""
-    bits = _fact_bits(f)
+def hint_loss(f: np.ndarray, x: Tensor, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
+    """Mean over the last axis of f * (1 - binarize(x, fn)): facts the prediction fails to assert.
+
+    ``f`` is an int8 fact array of ``x``'s shape.
+    """
+    bits = np.asarray(f)
     if x.shape != bits.shape:
         raise T.ShapeError(f"hint_loss: x has shape {x.shape}, facts have {bits.shape}")
     f_t = T.constant(bits)

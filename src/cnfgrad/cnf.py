@@ -8,12 +8,12 @@ atom twice: duplicated or tautological clauses are rejected at
 construction time because the loss equations downstream assume one
 occurrence per atom per clause.
 
-``ClauseMatrix`` and its ``KernelPlan`` hold clause structure only; the
-loss and its gradient table are ``closs``'s. Clause satisfaction by a 0/1
-assignment is written once, in ``Assignment.satisfies_clause``, and the
-literal scan of the deduce rule once, in ``deduce_set``. ``brute_force``
-reports satisfiability, the model count and the entailed literals, and
-lists no model.
+``ClauseMatrix`` holds clause structure only, with the arrays the loss
+kernel reads; the loss and its gradient table are ``closs``'s. Clause
+satisfaction by a 0/1 assignment is written once, in
+``Assignment.satisfies_clause``, and the literal scan of the deduce rule
+once, in ``deduce_set``. ``brute_force`` reports satisfiability, the
+model count and the entailed literals, and lists no model.
 """
 
 from __future__ import annotations
@@ -245,45 +245,30 @@ def serialize_atom_names(theory: CnfTheory) -> str:
 
 # -- clause matrix ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelPlan:
-    """The clause structure ``closs.cnf_loss_rows`` reads from the matrix alone, not from a batch."""
-
-    lengths: np.ndarray  # (m,) literals per clause
-    nonempty: np.ndarray  # indices of the clauses with a literal
-    starts: np.ndarray  # their first literals, for ``np.add.reduceat``
-    positive: np.ndarray  # (nnz,) bool: the literal is positive
-    clause_of: np.ndarray  # (nnz,) the clause of each literal
-
-
 @dataclass
 class ClauseMatrix:
-    """Sparse m x n matrix over {-1, 0, +1}: row = clause, column = atom."""
+    """Sparse m x n matrix over {-1, 0, +1}: row = clause, column = atom.
+
+    Beside the CSR arrays it holds the clause structure the loss kernel
+    reads, computed on construction in O(m + nonzeros), never dense.
+    """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
 
-    @cached_property
-    def plan(self) -> KernelPlan:
-        """The kernel's clause structure, built on first use; O(m + nonzeros), never dense."""
-        m = self.shape[0]
-        lengths = self.indptr[1:] - self.indptr[:-1]
-        nonempty = np.flatnonzero(lengths)
-        return KernelPlan(
-            lengths=lengths,
-            nonempty=nonempty,
-            starts=self.indptr[nonempty],
-            positive=self.values > 0,
-            clause_of=np.repeat(np.arange(m), lengths),
-        )
+    def __post_init__(self) -> None:
+        self.lengths = self.indptr[1:] - self.indptr[:-1]  # (m,) literals per clause
+        self.nonempty = np.flatnonzero(self.lengths)  # indices of the clauses with a literal
+        self.starts = self.indptr[self.nonempty]  # their first literals, for ``np.add.reduceat``
+        self.positive = self.values > 0  # (nnz,) bool: the literal is positive
+        self.clause_of = np.repeat(np.arange(self.shape[0]), self.lengths)  # (nnz,) the clause of each literal
 
     def dense(self) -> np.ndarray:
         """Materialize as a fresh float64 array."""
-        m, n = self.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        out[np.repeat(np.arange(m), np.diff(self.indptr)), self.indices] = self.values
+        out = np.zeros(self.shape, dtype=np.float64)
+        out[self.clause_of, self.indices] = self.values
         return out
 
 

@@ -156,20 +156,19 @@ def solved_boards(side: int) -> np.ndarray:
     return boards
 
 
-def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | list[np.ndarray | None] | None:
-    """Iterate single-candidate deduction; None where a board gets stuck.
+def naked_single_completion(q: np.ndarray, side: int) -> list[np.ndarray | None]:
+    """Iterate single-candidate deduction on a (B, side * side) stack of boards.
 
-    ``q`` is one board of ``side * side`` cells, which gives the completed
-    board or None, or a (B, cells) stack, which gives a list of B such
-    results. Each sweep visits the cells that were empty when it started,
-    in row-major order, and sees the cells filled earlier in the sweep. A
-    cell's candidates are the digits its row, column and box do not use;
-    it is filled when exactly one is left. A board is stuck when a cell
-    has none, or when a sweep fills nothing; it is done when no cell is
-    empty. One cell position is handled for all boards at once.
+    Gives a list of B results: the completed board, or None where the
+    board gets stuck. Each sweep visits the cells that were empty when it
+    started, in row-major order, and sees the cells filled earlier in the
+    sweep. A cell's candidates are the digits its row, column and box do
+    not use; it is filled when exactly one is left. A board is stuck when
+    a cell has none, or when a sweep fills nothing; it is done when no
+    cell is empty. One cell position is handled for all boards at once.
     """
     cells = side * side
-    boards = np.array(q, dtype=np.int64).reshape(-1, cells)
+    boards = np.array(q, dtype=np.int64)
     peers = _peer_cells(side)
     digits = np.arange(1, side + 1)
     done = np.zeros(len(boards), dtype=bool)
@@ -193,8 +192,7 @@ def naked_single_completion(q: np.ndarray, side: int) -> np.ndarray | list[np.nd
             boards[rows[single], pos] = np.argmax(candidates[single], axis=1) + 1
             filled[sel[single]] = True
         active = active[filled & ~stuck]
-    results = [board if ok else None for board, ok in zip(boards, done)]
-    return results if np.ndim(q) == 2 else results[0]
+    return [board if ok else None for board, ok in zip(boards, done)]
 
 
 #: Draws ``gen_grid_puzzles`` may make in a row without finding a new puzzle.

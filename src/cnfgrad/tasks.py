@@ -359,9 +359,12 @@ class MnistAddTask(TaskSpec):
         return _pinned(self.theory.n, self.sum_base + batch.label_sum)
 
     def make_data(self, seed: int = 0, n_train: int = 5000, n_test: int = 2000, noise: float = 0.2, idx=None) -> TaskDataset:
-        """Pairs of digit features with sum labels; test items are single digits."""
+        """Pairs of digit features with sum labels; test items are single digits. Labels outside 0..9 are refused."""
         k = 2 * self.digits
         feats, labels = idx if idx is not None else D.synthetic_features(k * n_train + n_test, 10, noise, [seed, 11], dim=self.input_dim)
+        outside = (labels < 0) | (labels > 9)
+        if outside.any():
+            raise ValueError(f"digit labels must lie in 0..9, found {labels[np.argmax(outside)]}")
         if len(feats) < k * n_train + n_test:
             raise ValueError(f"need {k * n_train + n_test} images, file has {len(feats)}")
         images, digits, test = _image_rows(feats, labels, k, n_train, n_test)

@@ -383,27 +383,26 @@ def log(x) -> Tensor:
     return out
 
 
-def cross_entropy(logits, onehot) -> Tensor:
-    """Mean softmax cross-entropy between logit rows and one-hot targets."""
+def cross_entropy(logits, onehot: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy between (rows, classes) logits and one-hot target rows."""
     logits = as_tensor(logits)
-    target = np.asarray(onehot.data if isinstance(onehot, Tensor) else onehot, dtype=np.float64)
-    if logits.shape != target.shape or len(logits.shape) not in (1, 2):
+    target = np.asarray(onehot, dtype=np.float64)
+    if logits.shape != target.shape or len(logits.shape) != 2:
         raise ShapeError(f"cross_entropy: shapes {logits.shape} and {target.shape}")
-    t2 = target.reshape(-1, target.shape[-1])
-    if not (np.all((t2 == 0.0) | (t2 == 1.0)) and np.all(t2.sum(axis=-1) == 1.0)):
+    if not (np.all((target == 0.0) | (target == 1.0)) and np.all(target.sum(axis=-1) == 1.0)):
         raise ValueError("cross_entropy: target rows must be one-hot")
-    rows = t2.shape[0]
-    z = logits.data.reshape(rows, -1)
+    rows = target.shape[0]
+    z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
     sm = np.exp(z - zmax)
     norm = sm.sum(axis=-1, keepdims=True)
     lse = zmax[:, 0] + np.log(norm[:, 0])
-    picked = (z * t2).sum(axis=-1)
+    picked = (z * target).sum(axis=-1)
     out = Tensor((lse - picked).mean(), parents=(logits,), op="cross_entropy")
     sm /= norm
 
     def back(g: np.ndarray) -> None:
-        _acc(logits, (g * (sm - t2) / rows).reshape(logits.shape))
+        _acc(logits, g * (sm - target) / rows)
 
     out._backward = back
     return out

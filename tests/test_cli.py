@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import re
+import struct
 import zipfile
 
 import numpy as np
@@ -18,6 +19,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_idx(tmp_path, labels, rows=28, cols=28):
+    """An IDX image/label pair of blank images with these labels; returns the two paths as strings."""
+    from cnfgrad import datasets as D
+
+    images, label_file = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    count = len(labels)
+    images.write_bytes(struct.pack(">IIII", D.IDX_IMAGES_MAGIC, count, rows, cols) + bytes(count * rows * cols))
+    label_file.write_bytes(struct.pack(">II", D.IDX_LABELS_MAGIC, count) + bytes(labels))
+    return str(images), str(label_file)
 
 
 class TestGenCnf:
@@ -122,6 +134,18 @@ class TestGradVerify:
         assert code == 0
         assert "golden: OK" in out
         assert "gradients: OK" in out
+
+    @pytest.mark.parametrize("n_max", ["25", "100"])
+    def test_n_max_above_enum_cap_refused_before_any_suite(self, capsys, monkeypatch, n_max):
+        from cnfgrad import verify
+
+        def refuse(**_):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_all", refuse)
+        code, out, err = run_cli(capsys, "grad-verify", "--n-max", n_max, "--trials", "50")
+        assert code == 1 and out == ""
+        assert err == f"error: --n-max {n_max} is outside 1..24 (ENUM_CAP, the most atoms brute_force enumerates)\n"
 
 
 # (command, flag, lower bound, a value below it) for every size flag.
@@ -527,25 +551,41 @@ class TestTrainEvalSolve:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_mnist_idx_files_build_one_task(self, tmp_path, capsys, monkeypatch):
-        import struct
-
-        from cnfgrad import datasets as D
         from cnfgrad import tasks as TK
 
-        images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
-        images.write_bytes(struct.pack(">IIII", D.IDX_IMAGES_MAGIC, 10, 28, 28) + bytes(10 * 784))
-        labels.write_bytes(struct.pack(">II", D.IDX_LABELS_MAGIC, 10) + bytes(range(10)))
+        images, labels = write_idx(tmp_path, range(10))
         built = []
         init = TK.MnistAddTask.__init__
         monkeypatch.setattr(TK.MnistAddTask, "__init__", lambda task, *a, **k: built.append(k) or init(task, *a, **k))
         code, _, err = run_cli(
-            capsys, "train", "mnist-add", "--mnist", str(images), str(labels),
+            capsys, "train", "mnist-add", "--mnist", images, labels,
             "--n-train", "4", "--n-test", "2", "--epochs", "1", "--out", str(tmp_path / "run"),
         )
         assert code == 0, err
         assert built == [{"digits": 1, "input_dim": 784, "hidden": [128]}]
         echo = json.loads((tmp_path / "run" / "run.json").read_text())
         assert echo["task_options"] == {"hidden": [128], "input_dim": 784}
+
+    def test_mnist_net_width_is_the_idx_image_size(self, tmp_path, capsys):
+        images, labels = write_idx(tmp_path, range(10), rows=16, cols=16)
+        out = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "train", "mnist-add", "--mnist", images, labels, "--n-train", "4", "--n-test", "2", "--epochs", "1", "--out", str(out)
+        )
+        assert code == 0, err
+        assert json.loads((out / "run.json").read_text())["task_options"] == {"hidden": [128], "input_dim": 256}
+
+    @pytest.mark.parametrize("task", ["mnist-add", "mnist-add2"])
+    def test_mnist_label_outside_the_digits_fails_fast(self, tmp_path, capsys, task):
+        # the first pair sums to 21, past the largest sum atom (18)
+        images, labels = write_idx(tmp_path, [12, 9, *(i % 10 for i in range(62))])
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            capsys, "train", task, "--mnist", images, labels, "--n-train", "8", "--n-test", "8", "--epochs", "1", "--out", str(out)
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: digit labels must lie in 0..9, found 12\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("task,weight", [("mnist-add", "delta"), ("member3", "gamma")])
     def test_weight_on_a_missing_term_fails_fast(self, tmp_path, capsys, task, weight):

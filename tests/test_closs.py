@@ -257,20 +257,25 @@ def selections(families, rows, cols):
 class TestSumLoss:
     def test_softmax_rows_give_zero(self):
         rng = np.random.default_rng(2)
-        probs = T.softmax(Tensor(rng.normal(size=(4, 3))))
+        probs = T.softmax(Tensor(rng.normal(size=(1, 4, 3))))
         families = [[[(r, c) for c in range(3)] for r in range(4)]]
-        assert float(sum_loss(probs, selections(families, 4, 3)).data) == pytest.approx(0.0, abs=1e-12)
+        assert sum_loss(probs, selections(families, 4, 3)).data.tolist() == pytest.approx([0.0], abs=1e-12)
 
     def test_single_group_deviation(self):
-        probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
+        probs = Tensor(np.array([[[0.75, 0.75], [0.5, 0.5]]]))
         families = [[[(0, 0), (0, 1)]]]
-        assert float(sum_loss(probs, selections(families, 2, 2)).data) == pytest.approx(0.25)
+        assert sum_loss(probs, selections(families, 2, 2)).data.tolist() == pytest.approx([0.25])
 
     def test_family_averaging(self):
-        probs = Tensor(np.array([[0.75, 0.75], [0.5, 0.5]]))
+        probs = Tensor(np.array([[[0.75, 0.75], [0.5, 0.5]]]))
         families = [[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]]
         # deviations (0.5)^2 and 0, averaged over the family of two groups
-        assert float(sum_loss(probs, selections(families, 2, 2)).data) == pytest.approx(0.125)
+        assert sum_loss(probs, selections(families, 2, 2)).data.tolist() == pytest.approx([0.125])
+
+    def test_takes_a_stack_only(self):
+        families = [[[(0, 0), (0, 1)]]]
+        with pytest.raises(ShapeError, match=r"got shape \(2, 2\)"):
+            sum_loss(Tensor(np.full((2, 2), 0.5)), selections(families, 2, 2))
 
     def test_sudoku9_groups_shape(self):
         from cnfgrad.tasks import sudoku_sum_selections
@@ -283,41 +288,41 @@ class TestSumLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        data = rng.random((3, 4))
+        data = rng.random((1, 3, 4))
         families = [[[(r, c) for c in range(4)] for r in range(3)], [[(r, c) for r in range(3)] for c in range(4)]]
         sels = selections(families, 3, 4)
         x = Tensor(data, requires_grad=True)
-        T.backward(sum_loss(x, sels))
+        T.backward(T.sum_last(sum_loss(x, sels)))
         h = 1e-6
         for r in range(3):
             for c in range(4):
                 up, down = data.copy(), data.copy()
-                up[r, c] += h
-                down[r, c] -= h
-                numeric = (float(sum_loss(Tensor(up), sels).data) - float(sum_loss(Tensor(down), sels).data)) / (2 * h)
-                assert x.grad[r, c] == pytest.approx(numeric, abs=1e-6)
+                up[0, r, c] += h
+                down[0, r, c] -= h
+                numeric = (sum_loss(Tensor(up), sels).data[0] - sum_loss(Tensor(down), sels).data[0]) / (2 * h)
+                assert x.grad[0, r, c] == pytest.approx(numeric, abs=1e-6)
 
 
 class TestHintLoss:
     def test_fact_predicted(self):
-        assert float(hint_loss(FactVector(np.array([1, 0], dtype=np.int8)), Tensor(np.array([0.9, 0.1]))).data) == 0.0
+        assert float(hint_loss(np.array([1, 0], dtype=np.int8), Tensor(np.array([0.9, 0.1]))).data) == 0.0
 
     def test_fact_missed(self):
-        assert float(hint_loss(FactVector(np.array([1, 0], dtype=np.int8)), Tensor(np.array([0.2, 0.1]))).data) == 0.5
+        assert float(hint_loss(np.array([1, 0], dtype=np.int8), Tensor(np.array([0.2, 0.1]))).data) == 0.5
 
     def test_no_facts(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.random(5))
-        assert float(hint_loss(FactVector(np.zeros(5, dtype=np.int8)), x).data) == 0.0
+        assert float(hint_loss(np.zeros(5, dtype=np.int8), x).data) == 0.0
 
     def test_gradient_via_iste(self):
-        facts = FactVector(np.array([1, 0], dtype=np.int8))
+        facts = np.array([1, 0], dtype=np.int8)
         x = Tensor(np.array([0.2, 0.1]), requires_grad=True)
         T.backward(hint_loss(facts, x))
         assert x.grad.tolist() == [-0.5, 0.0]
 
     def test_sign_binarizer_on_logits(self):
-        facts = FactVector(np.array([1, 0], dtype=np.int8))
+        facts = np.array([1, 0], dtype=np.int8)
         assert float(hint_loss(facts, Tensor(np.array([-0.5, 3.0])), fn="b").data) == 0.5
         assert float(hint_loss(facts, Tensor(np.array([0.0, -3.0])), fn="b").data) == 0.0
 
@@ -326,6 +331,12 @@ class TestHintLoss:
         x = Tensor(np.array([[-0.5, 0.0], [-1.5, 0.0]]), requires_grad=True)
         T.backward(T.sum_last(hint_loss(facts, x, "b", SteMode.SSTE)))
         assert x.grad.tolist() == [[-0.5, 0.0], [0.0, 0.0]]
+
+    def test_shape_mismatch(self):
+        x = Tensor(np.array([0.2, 0.1]))
+        for facts in (FactVector(np.array([1, 0], dtype=np.int8)), np.array([[1, 0]], dtype=np.int8)):
+            with pytest.raises(ShapeError, match="hint_loss"):
+                hint_loss(facts, x)
 
 
 class TestSparseForward:
@@ -486,22 +497,14 @@ class TestFusedRows:
             T.backward(T.sum_last(chain * weights))
             assert got.grad.shape == (5, k) and got.grad.tobytes() == want.grad.tobytes()
 
-    def test_plan_is_built_once_per_matrix(self, monkeypatch):
-        import cnfgrad.cnf as C
-
-        built, real = [], C.KernelPlan
-        monkeypatch.setattr(C, "KernelPlan", lambda **arrays: built.append(real(**arrays)) or built[-1])
+    def test_matrix_holds_the_clause_structure(self):
         matrix = build_matrix(theory_from_clauses([(1, -2), (), (2, 3), ()], 3))
-        for _ in range(3):
-            x = Tensor(np.full((2, 3), 0.75), requires_grad=True)
-            T.backward(T.sum_last(cnf_loss_rows(matrix, x, np.zeros((2, 3), dtype=np.int8))))
-        assert len(built) == 1 and matrix.plan is built[0]
-        plan = built[0]
-        assert plan.lengths.tolist() == [2, 0, 2, 0] and plan.nonempty.tolist() == [0, 2] and plan.starts.tolist() == [0, 2]
-        assert plan.clause_of.tolist() == [0, 0, 2, 2] and plan.positive.tolist() == [True, False, True, True]
-        # a chain of 49 clauses over 50 atoms: no plan array grows with m x n (2,450), only with the 98 literals
+        assert matrix.lengths.tolist() == [2, 0, 2, 0] and matrix.nonempty.tolist() == [0, 2] and matrix.starts.tolist() == [0, 2]
+        assert matrix.clause_of.tolist() == [0, 0, 2, 2] and matrix.positive.tolist() == [True, False, True, True]
+        # a chain of 49 clauses over 50 atoms: no array grows with m x n (2,450), only with the 98 literals or the 49 clauses
         chain = build_matrix(theory_from_clauses([(i + 1, -(i + 2)) for i in range(49)], 50))
-        assert chain.plan is not plan and all(a.size <= 98 for a in vars(chain.plan).values())
+        arrays = (chain.lengths, chain.nonempty, chain.starts, chain.clause_of, chain.positive)
+        assert [a.size for a in arrays] == [49, 49, 49, 98, 98]
 
     @pytest.mark.parametrize("fn", ["b", "bp"])
     def test_matches_graph_and_oracle(self, fn):

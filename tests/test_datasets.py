@@ -140,14 +140,6 @@ class TestNakedSingleScreen:
         # stuck and completed boards both occur, and so do boards given full
         assert {(True, False), (False, False), (False, True)} <= outcomes
 
-    def test_one_board_is_the_one_row_case(self):
-        for q in random_boards(300, seed=1):
-            want = per_cell_completion(q, 4)
-            got = D.naked_single_completion(q, 4)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.shape == (16,) and np.array_equal(got, want)
-
     def test_input_is_not_modified(self):
         q = random_boards(50, seed=2)
         before = q.copy()

@@ -190,13 +190,13 @@ class TestSudokuTask:
 
     def test_easy_tier_is_deducible(self):
         for inst in D.gen_grid_puzzles(4, 30, tier="easy", seed=3):
-            completed = D.naked_single_completion(inst.q, 4)
+            [completed] = D.naked_single_completion(inst.q[None], 4)
             assert completed is not None
             assert np.array_equal(completed, inst.solution)
 
     def test_hard_tier_is_not_deducible(self):
         for inst in D.gen_grid_puzzles(4, 15, tier="hard", seed=3, holes=(6, 12)):
-            assert D.naked_single_completion(inst.q, 4) is None
+            assert D.naked_single_completion(inst.q[None], 4) == [None]
 
     def test_exhausted_pool_raises_in_bounded_time(self, time_limit):
         # only 288 solved 4x4 boards exist, so no 289th distinct zero-hole puzzle exists
@@ -700,9 +700,10 @@ class TestSudokuBatchLoss:
             "bound": bound_loss(raw),
         }
         if config.weights.gamma:
-            terms["sum"] = sum_loss(probs, TK.sudoku_sum_selections(task.side))
+            one_board = T.reshape(probs, (1, task.cells, task.side))
+            terms["sum"] = T.reshape(sum_loss(one_board, TK.sudoku_sum_selections(task.side)), ())
         if config.weights.delta:
-            terms["hint"] = hint_loss(facts, x, task.fn, config.ste)
+            terms["hint"] = hint_loss(facts.bits, x, task.fn, config.ste)
         return terms
 
     @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(beta=0.3, gamma=0.5, delta=0.7)])
@@ -741,11 +742,11 @@ class TestSudokuBatchLoss:
         weights = np.arange(1.0, 6.0)
         T.backward(T.sum_last(per_row * weights))
         for b in range(5):
-            single = Tensor(data[b].copy(), requires_grad=True)
+            single = Tensor(data[b : b + 1].copy(), requires_grad=True)
             value = sum_loss(single, selections)
-            assert value.shape == () and float(value.data) == pytest.approx(per_row.data[b], rel=1e-12)
-            T.backward(weights[b] * value)
-            np.testing.assert_allclose(stacked.grad[b], single.grad, rtol=1e-9, atol=1e-12)
+            assert value.shape == (1,) and value.data[0] == pytest.approx(per_row.data[b], rel=1e-12)
+            T.backward(T.sum_last(weights[b] * value))
+            np.testing.assert_allclose(stacked.grad[b], single.grad[0], rtol=1e-9, atol=1e-12)
 
     def test_fact_rows_match_board_facts(self):
         task = TK.make_task("sudoku4")
@@ -898,10 +899,10 @@ class TestExactlyOneRecipe:
         facts = FactVector(np.eye(task.classes, dtype=np.int8)[fact])
         x = logits * (1.0 / task.logit_scale)
         v = assemble_prediction(facts, x, task.fn, config.ste)
-        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts, x, task.fn, config.ste)
+        cnf = cnf_loss(task.matrix, v, facts).l_cnf + task.hint_weight * hint_loss(facts.bits, x, task.fn, config.ste)
         terms = {"cnf": cnf, "bound": bound_loss(raw)}
         if label >= 0:
-            terms["base"] = T.cross_entropy(logits, np.eye(task.classes)[label])
+            terms["base"] = T.cross_entropy(T.reshape(logits, (1, task.classes)), np.eye(task.classes)[[label]])
         return terms
 
     def test_batch_loss_matches_per_instance_graph(self):

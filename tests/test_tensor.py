@@ -60,6 +60,12 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="one-hot"):
             T.cross_entropy(Tensor(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
 
+    def test_cross_entropy_takes_logit_rows_and_an_array_target(self):
+        with pytest.raises(ShapeError, match=r"cross_entropy: shapes \(3,\) and \(3,\)"):
+            T.cross_entropy(Tensor(np.zeros(3)), np.eye(3)[0])
+        with pytest.raises(TypeError):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), Tensor(np.eye(3)[:2]))
+
     def test_concat_and_reshape(self):
         out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
         assert out.data.tolist() == [1.0, 2.0, 3.0]
