@@ -62,11 +62,13 @@ class CliError(Exception):
 
 
 def _at_least(low: int, cast=int):
-    """An argparse ``type`` that casts a flag's value and refuses one below ``low`` (or NaN)."""
+    """An argparse ``type`` that casts a flag's value and refuses one below ``low`` (or NaN), or an infinite one."""
     def parse(text: str):
         value = cast(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if value == np.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = cast.__name__  # argparse names the cast in "invalid int value"
     return parse

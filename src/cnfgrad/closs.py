@@ -4,9 +4,12 @@ Training uses ``cnf_loss_rows``: it takes a batch of the net's output
 columns and fact rows, binarizes the columns (``tensor.binarize_bits``)
 and overlays the facts itself, and since the loss of binarized 0/1
 predictions and its gradient are clause counts, one node computes both
-from the sparse clause matrix. Its backward reads each literal's
-gradient from one table, ``_literal_terms``, kept here beside it; the
-``ClauseMatrix`` supplies only clause structure. The training terms take
+from the sparse clause matrix. It counts each clause's literals with one
+``np.bincount`` when the clauses are short (mean length below
+``BINCOUNT_MEAN_LENGTH``), else with ``np.add.reduceat``. Its backward
+reads each literal's gradient from one table, ``_literal_terms``, kept
+here beside it; the ``ClauseMatrix`` supplies clause structure and the
+bincount slots. The training terms take
 int8 fact rows, and ``sum_loss`` a (B, rows, cols) stack.
 ``cnf_loss`` is the reference: on predictions that ``assemble_prediction``
 builds as graph nodes, it builds the dense chain (for one instance, or
@@ -62,7 +65,10 @@ class LossWeights:
 
     def terms(self) -> list[tuple[str, str, float]]:
         """(term, weight name, weight) for each field, in field order."""
-        return [(f.metadata["term"], f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(term, name, getattr(self, name)) for term, name in _TERMS]
+
+
+_TERMS = tuple((f.metadata["term"], f.name) for f in fields(LossWeights))
 
 
 @dataclass
@@ -161,6 +167,12 @@ def cnf_loss(matrix: ClauseMatrix, v: Tensor, f) -> LossBreakdown:
     return LossBreakdown(l_f, l_v, deduce, unsat, keep, l_deduce, l_unsat, l_sat, l_cnf)
 
 
+#: Below this mean clause length ``_clause_counts`` counts with one ``np.bincount`` over every
+#: literal; at or above it with ``np.add.reduceat``, which pays per clause. They cost the same at about 5-6
+#: literals: sudoku4 (2.3) counts 2.5x faster by bincount, mnist-add2 (51) 7x faster by reduceat.
+BINCOUNT_MEAN_LENGTH = 6
+
+
 def _per_clause(matrix: ClauseMatrix, flags: np.ndarray) -> np.ndarray:
     """Per-clause counts of (rows, nonzeros) flags; an empty clause counts 0.
 
@@ -178,11 +190,27 @@ def _per_clause(matrix: ClauseMatrix, flags: np.ndarray) -> np.ndarray:
 
 def _clause_counts(matrix: ClauseMatrix, v: np.ndarray, fact: np.ndarray):
     """Literal truth (rows, nnz), true-literal counts and deduce membership (rows, m)
-    of boolean predictions ``v`` under boolean facts ``fact``, both (rows, n)."""
+    of boolean predictions ``v`` under boolean facts ``fact``, both (rows, n).
+
+    On short clauses one weighted ``bincount`` counts both flags of a literal,
+    its truth and whether a fact negates it: the second is scaled past the
+    longest clause's length, so the float sums, exact below 2^26 literals a
+    clause, unpack into two counts. On long ones ``reduceat`` counts each
+    flag, as a bool array an eighth of the memory of the float weights.
+    """
+    m = matrix.shape[0]
     lit_true = v.take(matrix.indices, axis=1) == matrix.positive
     neg_fact = fact.take(matrix.indices, axis=1) > matrix.positive
-    deduce = matrix.lengths - _per_clause(matrix, neg_fact) == 1
-    return lit_true, _per_clause(matrix, lit_true), deduce
+    if matrix.indices.size < BINCOUNT_MEAN_LENGTH * m:
+        rows, shift = lit_true.shape[0], int(matrix.lengths.max(initial=0)).bit_length()
+        weights = np.multiply(neg_fact, float(1 << shift))
+        weights += lit_true
+        counts = np.bincount(matrix.slots(rows, by_clause=True), weights=weights.ravel(), minlength=rows * m)
+        counts = counts.reshape(rows, m).astype(np.int64)
+        true_counts, negated = counts & ((1 << shift) - 1), counts >> shift
+    else:
+        true_counts, negated = _per_clause(matrix, lit_true), _per_clause(matrix, neg_fact)
+    return lit_true, true_counts, negated == matrix.lengths - 1
 
 
 def cnf_loss_forward(matrix: ClauseMatrix, v_bits: np.ndarray, f_bits) -> ForwardBreakdown:
@@ -220,6 +248,8 @@ def _literal_terms() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DEDUCE_TERM, _SIGNED_TERM = _literal_terms()
+# The clause key of ``_literal_terms`` per 3 * deduce + min(true literals, 2).
+_KEYS = np.array([4 * (2 * (d and t == 1) + 1) + 2 * (d and t == 0) + (t == 0) for d in (0, 1) for t in (0, 1, 2)], dtype=np.uint8)
 
 
 def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMode = SteMode.ISTE) -> Tensor:
@@ -262,14 +292,13 @@ def cnf_loss_rows(matrix: ClauseMatrix, x: Tensor, f, fn: str = "bp", ste: SteMo
         if x.grad is None:
             return
         # The clause key of ``_literal_terms``, then the literal's truth in bit 4 and its sign in bit 5.
-        key = (4 * (2 * (deduce & (true_counts == 1)) + 1) + 2 * (deduce & unsat) + unsat).astype(np.uint8)
+        key = _KEYS.take(np.minimum(true_counts, 2) + 3 * deduce)
         index = key.take(matrix.clause_of, axis=1)
         index |= lit_true.view(np.uint8) << 4
         index |= matrix.positive.view(np.uint8) << 5
         per_literal = (_DEDUCE_TERM + _SIGNED_TERM / max(m, 1)).take(index).ravel()
-        slot = (np.arange(rows)[:, None] * n + matrix.indices).ravel()
-        grad = np.bincount(slot, weights=per_literal, minlength=rows * n).reshape(rows, n)
-        del index, per_literal, slot  # free the (rows, nnz) arrays before the products below
+        grad = np.bincount(matrix.slots(rows, by_clause=False), weights=per_literal, minlength=rows * n).reshape(rows, n)
+        del index, per_literal  # free the (rows, nnz) arrays before the products below
         grad = g[:, None] * grad[:, :k]
         grad *= ~fact[:, :k]
         mask = T.surrogate_mask(x.data, ste)

@@ -245,12 +245,19 @@ def serialize_atom_names(theory: CnfTheory) -> str:
 
 # -- clause matrix ------------------------------------------------------------
 
+#: Most slots ``ClauseMatrix.slots`` keeps per kind (512 KiB of int64). Building them costs
+#: 10-25 us a call on the small theories; on a larger batch of literals that is a small share
+#: of the call, and keeping them would hold rows x nonzeros int64s (128 MB on mnist-add3).
+SLOTS_KEPT = 1 << 16
+
+
 @dataclass
 class ClauseMatrix:
     """Sparse m x n matrix over {-1, 0, +1}: row = clause, column = atom.
 
     Beside the CSR arrays it holds the clause structure the loss kernel
-    reads, computed on construction in O(m + nonzeros), never dense.
+    reads, computed on construction in O(m + nonzeros), never dense, and
+    the kernel's ``np.bincount`` slots for the most rows asked so far.
     """
 
     shape: tuple[int, int]
@@ -264,6 +271,24 @@ class ClauseMatrix:
         self.starts = self.indptr[self.nonempty]  # their first literals, for ``np.add.reduceat``
         self.positive = self.values > 0  # (nnz,) bool: the literal is positive
         self.clause_of = np.repeat(np.arange(self.shape[0]), self.lengths)  # (nnz,) the clause of each literal
+        self._slots: dict[bool, np.ndarray] = {}
+
+    def slots(self, rows: int, by_clause: bool) -> np.ndarray:
+        """The flat (rows * nonzeros,) ``np.bincount`` slot of each literal of ``rows`` rows, in literal order.
+
+        Row r's literal on clause i and atom j goes to r * m + i by clause,
+        else to r * n + j. The array for the most rows asked so far is kept,
+        one per kind, up to ``SLOTS_KEPT`` slots; fewer rows read a prefix of it.
+        """
+        size = rows * self.indices.size
+        kept = self._slots.get(by_clause)
+        if kept is not None and kept.size >= size:
+            return kept[:size]
+        width, of = (self.shape[0], self.clause_of) if by_clause else (self.shape[1], self.indices)
+        slots = (np.arange(rows)[:, None] * width + of).ravel()
+        if size <= SLOTS_KEPT:
+            self._slots[by_clause] = slots
+        return slots
 
     def dense(self) -> np.ndarray:
         """Materialize as a fresh float64 array."""

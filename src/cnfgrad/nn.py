@@ -1,10 +1,12 @@
 """Small dense networks, the Adam optimizer, and the training loop.
 
-Everything is seeded and single-threaded: two runs with the same config
-produce bit-identical parameter trajectories and metrics files. The
-training loop is plain Python over numpy, and importing ``cnfgrad`` sets
-numpy's OpenBLAS to one thread (``cnfgrad.blas``), so the matrix
-products do not run on a thread pool either.
+A net's parameters are views of one array and their gradients views of
+another, so the optimizer steps them all with one pass of each Adam
+operation. Everything is seeded and single-threaded: two runs with the
+same config produce bit-identical parameter trajectories and metrics
+files. The training loop is plain Python over numpy, and importing
+``cnfgrad`` sets numpy's OpenBLAS to one thread (``cnfgrad.blas``), so
+the matrix products do not run on a thread pool either.
 """
 
 from __future__ import annotations
@@ -57,11 +59,39 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
+def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """The one data and one gradient buffer that ``params`` are views of, each parameter at the same offset in both.
+
+    Parameters that ``_pack`` already laid out so keep their buffers. Others
+    are copied in order into new ones (a missing gradient as zeros), and
+    their ``data`` and ``grad`` rebound to views of them.
+    """
+    total = sum(p.size for p in params)
+    data = grad = None
+    if params and params[0].grad is not None:
+        data, grad = params[0].data.base, params[0].grad.base
+    laid_out = data is not None and grad is not None and data.size == grad.size == total
+    if laid_out and all(p.data.base is data and p.grad is not None and p.grad.base is grad for p in params):
+        return data, grad
+    data, grad = np.empty(total), np.zeros(total)
+    start = 0
+    for p in params:
+        end = start + p.size
+        data[start:end] = p.data.ravel()
+        if p.grad is not None:
+            grad[start:end] = p.grad.ravel()
+        p.data, p.grad = data[start:end].reshape(p.shape), grad[start:end].reshape(p.shape)
+        start = end
+    return data, grad
+
+
 class Mlp:
     """Fully connected net with rectifier hiddens and a configurable head.
 
     ``forward`` returns both the head output and the raw pre-activation,
-    in one graph, so the bound penalty can see the raw values.
+    in one graph, so the bound penalty can see the raw values. The weights
+    and biases, in ``params`` order, are views of one array, and their
+    gradients views of a second one.
     """
 
     def __init__(self, layer_dims: Sequence[int], head: str = "softmax", seed: int = 0):
@@ -78,6 +108,7 @@ class Mlp:
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)), requires_grad=True))
             self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+        _pack(self.params())
 
     def params(self) -> list[Tensor]:
         out = []
@@ -92,7 +123,7 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.matmul(h, w) + b
+            h = T.linear(h, w, b)
             if i != last:
                 h = T.relu(h)
         raw = h
@@ -127,7 +158,13 @@ class Mlp:
 
 
 class Optimizer:
-    """Adam over a fixed parameter list; it moves only via its bias-corrected moments."""
+    """Adam over a fixed parameter list; it moves only via its bias-corrected moments.
+
+    The parameters and their gradients are views of one buffer each (``_pack``), so a step
+    runs each elementwise operation once over all of them. Once read, the gradient buffer
+    serves the step as scratch, so it holds no gradient afterwards; ``zero_grad`` refills it
+    with zeros in place.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -135,29 +172,34 @@ class Optimizer:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        # Two scratch planes per parameter: a step allocates nothing.
-        self._scratch = [np.empty((2,) + p.shape) for p in self.params]
+        self.data, self.grad = _pack(self.params)
+        self._views = [p.grad for p in self.params]
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        # One scratch plane; the spent gradient buffer is the second, so a step allocates nothing.
+        self._scratch = np.empty_like(self.data)
 
     def step(self) -> None:
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
-            m, v, (num, den) = self.m[i], self.v[i], self._scratch[i]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=num)
-            v *= self.beta2
-            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=num), g, out=num)
-            np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
-            p.data -= np.divide(np.multiply(np.divide(m, c1, out=num), self.lr, out=num), den, out=num)
+        for p, view in zip(self.params, self._views):
+            if p.grad is not view:  # assigned, not accumulated into the buffer
+                view[...] = 0.0 if p.grad is None else p.grad
+        # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+        # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
+        g, m, v, den = self.grad, self.m, self.v, self._scratch
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=den)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=den), g, out=den)
+        np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
+        num = g  # the gradient is spent
+        self.data -= np.divide(np.multiply(np.divide(m, c1, out=num), self.lr, out=num), den, out=num)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
+        for p, view in zip(self.params, self._views):
+            p.grad = view
 
 
 def _batch_total(task, means: dict[str, Tensor], weights: LossWeights, batch_size: int) -> Tensor:
@@ -254,7 +296,7 @@ def predict_with_inference_trick(net: Mlp, boards: np.ndarray, task) -> np.ndarr
             return q
         open_boards = grid[active]
         probs = task.cell_probs(net, open_boards)
-        confidence = np.where(open_boards == 0, probs.max(axis=-1), -np.inf)
+        confidence = np.where(open_boards == 0, T.max_last(probs), -np.inf)
         cell = np.argmax(confidence, axis=1)
         grid[active, cell] = np.argmax(probs[np.arange(active.size), cell], axis=-1) + 1
 

@@ -2,22 +2,25 @@
 
 The op set is deliberately small: elementwise arithmetic under numpy
 broadcasting (gradients are summed back over the broadcast axes), matrix
-products, reshape and last-axis concatenation, last-axis reductions that
-squeeze the reduced axis, the usual activations, and the threshold nodes
-whose backward pass substitutes a straight-through surrogate (identity or
-saturated) or the analytic sawtooth-gate gradient.
+products (``linear`` adds a bias in the same node), reshape and last-axis
+concatenation, last-axis reductions that squeeze the reduced axis, the
+usual activations, and the threshold nodes whose backward pass
+substitutes a straight-through surrogate (identity or saturated) or the
+analytic sawtooth-gate gradient.
 
 Gradients accumulate in the reverse of node-creation order, which is a
 topological order by construction, so repeated runs are bit-identical.
 An interior node takes its first gradient contribution as its ``grad``
 and adds later ones into a new array; only leaves that require a
-gradient own a buffer, zero-filled once, that contributions are added
-into. Indicator outputs are constants: no gradient ever flows through them.
+gradient own a buffer, zero-filled once (an optimizer may refill it in
+place), that contributions are added into. Indicator outputs are
+constants: no gradient ever flows through them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -268,12 +271,38 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def linear(x, w, b) -> Tensor:
+    """``matmul(x, w) + b`` as one node, for a (rows, k) or (k,) input, a (k, width) ``w`` and a (width,) ``b``.
+
+    Its values and gradients are those of the two nodes, each computed as
+    they compute it: the bias gradient first, then the input's, then the weights'.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    sx, sw = x.shape, w.shape
+    if not 1 <= len(sx) <= 2 or len(sw) != 2 or sx[-1] != sw[0] or b.shape != sw[1:]:
+        raise ShapeError(f"linear: incompatible shapes {sx}, {sw} and {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+    out = Tensor(data, parents=(x, w, b), op="linear")
+
+    def back(g: np.ndarray) -> None:
+        if b.grad is not None:
+            _acc(b, _unbroadcast(g, b.shape))
+        if x.grad is not None:
+            _acc(x, g @ w.data.T if len(sx) == 2 else w.data @ g)
+        if w.grad is not None:
+            _acc(w, x.data.T @ g if len(sx) == 2 else np.outer(x.data, g))
+
+    out._backward = back
+    return out
+
+
 # -- shape plumbing ---------------------------------------------------------
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape), parents=(x,), op="reshape")
 
@@ -346,9 +375,25 @@ def sigmoid(x) -> Tensor:
     return out
 
 
+def max_last(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` of a plain array.
+
+    numpy reduces a short last axis row by row, at about 50 ns a row, so
+    past 128 rows of at most 16 columns one elementwise maximum per column
+    is faster (13 -> 3 us at 256 x 4). A maximum is exact: both give the same values.
+    """
+    width = a.shape[-1]
+    if not 1 <= width <= 16 or a.size < 128 * width:
+        return a.max(axis=-1)
+    out = a[..., 0].copy()
+    for i in range(1, width):
+        np.maximum(out, a[..., i], out=out)
+    return out
+
+
 def softmax_value(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array, shifted by the slice maximum; one new array."""
-    e = z - z.max(axis=-1, keepdims=True)
+    e = z - max_last(z)[..., None]
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -421,7 +466,9 @@ def sum_last(x) -> Tensor:
     out = Tensor(x.data.sum(axis=-1), parents=(x,), op="sum_last")
 
     def back(g: np.ndarray) -> None:
-        _acc(x, np.broadcast_to(np.expand_dims(g, -1), x.shape).copy())
+        spread = np.empty(x.shape)
+        spread[...] = g[..., None]
+        _acc(x, spread)
 
     out._backward = back
     return out
@@ -440,7 +487,9 @@ def avg_last(x) -> Tensor:
 
     def back(g: np.ndarray) -> None:
         if n:
-            _acc(x, np.broadcast_to(np.expand_dims(g / n, -1), x.shape).copy())
+            spread = np.empty(x.shape)
+            spread[...] = (g / n)[..., None]
+            _acc(x, spread)
 
     out._backward = back
     return out

@@ -342,6 +342,8 @@ def finite_difference_suite(cases: int = 200, seed: int = 0, tol: float = 1e-6, 
         spec("bound_loss", lambda ts: bound_loss(ts[0]), (6,)),
         spec("mul_outer", lambda ts: ts[0] * ts[1], (2, 3, 1), (2, 1, 4)),
         spec("concat_rows", lambda ts: T.concat([ts[0], ts[1]]), (3, 4), (3, 2)),
+        spec("linear", lambda ts: T.linear(ts[0], ts[1], ts[2]), (3, 4), (4, 2), (2,)),
+        spec("linear_vec", lambda ts: T.linear(ts[0], ts[1], ts[2]), (4,), (4, 2), (2,)),
     ]
     for name, op, shapes, low, high in specs:
         out_size = op([Tensor(np.ones(s)) for s in shapes]).size

@@ -167,6 +167,10 @@ SIZE_FLAG_CASES = [
 ]
 
 
+# (command, flag, an infinite value) for every flag that takes a float with a lower bound.
+INFINITE_FLAG_CASES = [(("train", "member3"), "--noise", "inf"), (("eval", "ckpt.npz"), "--noise", "inf")]
+
+
 @pytest.fixture(scope="module")
 def sudoku4_checkpoint(tmp_path_factory):
     """A briefly trained sudoku4 net, saved once: it completes some boards and misses others."""
@@ -398,6 +402,16 @@ class TestTrainEvalSolve:
             main([*argv, flag, value, *extra])
         assert exc.value.code == 2
         assert f"error: argument {flag}: must be at least {low}, got {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,value", INFINITE_FLAG_CASES, ids=[f"{argv[0]}{flag}" for argv, flag, _ in INFINITE_FLAG_CASES])
+    def test_infinite_flag_is_refused(self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "out"
+        extra = ("--out", str(out)) if argv[0] == "train" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value, *extra])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be finite, got {value}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ste_matters_only_under_the_sign_binarizer(self, tmp_path, capsys):

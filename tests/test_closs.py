@@ -6,6 +6,7 @@ import pytest
 
 import cnfgrad.tensor as T
 from cnfgrad.closs import (
+    BINCOUNT_MEAN_LENGTH,
     DENSE_BYTES_CAP,
     LossWeights,
     assemble_prediction,
@@ -17,7 +18,7 @@ from cnfgrad.closs import (
     hint_loss,
     sum_loss,
 )
-from cnfgrad.cnf import Assignment, ClauseMatrix, FactVector, build_matrix, theory_from_clauses
+from cnfgrad.cnf import SLOTS_KEPT, Assignment, ClauseMatrix, FactVector, build_matrix, theory_from_clauses
 from cnfgrad.tensor import ShapeError, SteMode, Tensor
 from cnfgrad.verify import (
     GOLDEN_FORWARD,
@@ -505,6 +506,46 @@ class TestFusedRows:
         chain = build_matrix(theory_from_clauses([(i + 1, -(i + 2)) for i in range(49)], 50))
         arrays = (chain.lengths, chain.nonempty, chain.starts, chain.clause_of, chain.positive)
         assert [a.size for a in arrays] == [49, 49, 49, 98, 98]
+
+    # Clause lengths, 0 for an empty clause: a mean below BINCOUNT_MEAN_LENGTH counts by bincount, else by reduceat.
+    COUNTING_SIDES = {
+        "bincount": [0, 2, 1, 3, 0, 0, 4, 2, 2, 3, 1, 0],
+        "reduceat": [0, 9, 12, 0, 8, 10, 11, 7, 0],
+    }
+
+    @pytest.mark.parametrize("side", sorted(COUNTING_SIDES))
+    def test_both_counting_rules_reuse_slots_across_row_counts(self, side):
+        lengths = self.COUNTING_SIDES[side]
+        n = 12
+        rng = np.random.default_rng(len(lengths))
+        clauses = [tuple(int(a) * int(rng.choice((-1, 1))) for a in rng.choice(np.arange(1, n + 1), k, replace=False)) for k in lengths]
+        matrix = build_matrix(theory_from_clauses(clauses, n))
+        assert (sum(lengths) < BINCOUNT_MEAN_LENGTH * len(lengths)) == (side == "bincount")
+        for case, rows in enumerate([1, 2, 16, 17, 2, 16]):
+            fn, ste = (("bp", SteMode.ISTE), ("b", SteMode.SSTE))[case % 2]
+            k = n - case % 3
+            facts = (rng.random((rows, n)) < 0.2).astype(np.int8)
+            xs = rng.random((rows, k)) if fn == "bp" else rng.uniform(-2.0, 2.0, (rows, k))
+            weights = Tensor(rng.normal(size=rows))
+            got, want = Tensor(xs.copy(), requires_grad=True), Tensor(xs.copy(), requires_grad=True)
+            fused = cnf_loss_rows(matrix, got, facts, fn, ste)
+            chain = reference_rows(matrix, want, facts, fn, ste)
+            assert fused.data.tobytes() == chain.data.tobytes()
+            T.backward(T.sum_last(fused * weights))
+            T.backward(T.sum_last(chain * weights))
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_slots_for_fewer_rows_are_a_prefix_of_the_kept_ones(self):
+        matrix = build_matrix(theory_from_clauses([(1, -2), (), (2, 3), ()], 3))
+        (m, n), nnz = matrix.shape, matrix.indices.size
+        for rows in (3, 17, 2):
+            by_clause, by_atom = matrix.slots(rows, by_clause=True), matrix.slots(rows, by_clause=False)
+            assert by_clause.tolist() == (np.arange(rows)[:, None] * m + matrix.clause_of).ravel().tolist()
+            assert by_atom.tolist() == (np.arange(rows)[:, None] * n + matrix.indices).ravel().tolist()
+        assert np.shares_memory(matrix.slots(2, by_clause=True), matrix.slots(17, by_clause=True))
+        assert matrix.slots(17, by_clause=False).size == 17 * nnz
+        big = matrix.slots(SLOTS_KEPT // nnz + 1, by_clause=True)  # past the bound: built, not kept
+        assert not np.shares_memory(big, matrix.slots(17, by_clause=True))
 
     @pytest.mark.parametrize("fn", ["b", "bp"])
     def test_matches_graph_and_oracle(self, fn):

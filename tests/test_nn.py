@@ -208,6 +208,44 @@ class TestOptimizer:
             assert np.array_equal(w.grad, grads[0]) and np.array_equal(b.grad, grads[1])
 
 
+class TestFlatParameters:
+    """An ``Mlp``'s parameters and their gradients are views of one array each, which ``Optimizer`` steps as one."""
+
+    def test_params_and_grads_are_views_of_one_array_each(self):
+        net = Mlp((6, 8, 5, 4), seed=1)
+        params = net.params()
+        total = sum(p.size for p in params)
+        for attr in ("data", "grad"):
+            base = getattr(params[0], attr).base
+            assert base.shape == (total,) and all(getattr(p, attr).base is base for p in params)
+            base[...] = np.arange(total)  # in params order, back to back
+            assert np.concatenate([getattr(p, attr).ravel() for p in params]).tolist() == list(range(total))
+        opt = Optimizer(params)
+        assert opt.data is params[0].data.base and opt.grad is params[0].grad.base
+
+    def test_training_step_keeps_each_gradient_array(self):
+        task = TK.make_task("exactly-one")
+        data = task.make_data(seed=0, n_labeled=20, n_unlabeled=20, n_test=4, noise=0.2)
+        net = task.build_net(0)
+        opt = Optimizer(net.params(), lr=0.01)
+        grads = [p.grad for p in net.params()]
+        before = opt.data.copy()
+        train_epoch(net, opt, data, task.default_config(seed=0, batch_size=8), 1)
+        assert all(p.grad is g for p, g in zip(net.params(), grads))
+        assert not np.any(opt.grad) and not np.array_equal(opt.data, before)
+
+    def test_load_checkpoint_restores_into_the_views(self, tmp_path):
+        net = Mlp((6, 8, 4), head="sigmoid", seed=3)
+        base = net.params()[0].data.base
+        base[...] = np.random.default_rng(5).normal(size=base.size)
+        path = save_checkpoint(str(tmp_path / "a"), net)
+        loaded, _ = load_checkpoint(path)
+        restored = loaded.params()[0].data.base
+        assert all(p.data.base is restored for p in loaded.params()) and restored.tobytes() == base.tobytes()
+        again = save_checkpoint(str(tmp_path / "b"), loaded)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+
 class TestTraining:
     def make_dataset(self, n_train=60, n_test=40, seed=0):
         task = TK.make_task("exactly-one")

@@ -252,6 +252,49 @@ class TestTapeAgainstZeroFill:
         assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 
+class TestLinear:
+    """``linear`` is ``matmul`` then ``add`` in one node, byte for byte: its value and all three gradients."""
+
+    @pytest.mark.parametrize("run", [T.backward, tape_reference.backward], ids=["backward", "zero-filled"])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (4,)], ids=["rows", "one-input"])
+    def test_is_matmul_then_add(self, run, x_shape):
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)]
+        weights = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+        results = []
+        for build in (T.linear, lambda x, w, b: T.matmul(x, w) + b):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = build(*leaves)
+            loss = T.relu(out) * weights
+            run(T.sum_last(T.reshape(loss, (loss.size,))))
+            results.append([out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves])
+        assert results[0] == results[1]
+
+    def test_is_one_node(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+        out = T.linear(x, w, b)
+        assert out.op == "linear" and out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)), ((1, 2, 3), (3, 2), (2,)), ((2, 3), (3,), ())])
+    def test_shapes_checked(self, shapes):
+        with pytest.raises(ShapeError, match="^linear: incompatible shapes"):
+            T.linear(*(Tensor(np.ones(s)) for s in shapes))
+
+
+class TestMaxLast:
+    """``max_last`` is ``max(axis=-1)`` byte for byte, on both sides of its column-by-column rule."""
+
+    @pytest.mark.parametrize("shape", [(16, 4), (127, 16), (256, 4), (3200, 16), (200, 16, 4), (256, 17), (300, 1)])
+    def test_is_numpy_max(self, shape):
+        a = np.random.default_rng(9).normal(size=shape)
+        a.reshape(-1)[:3] = (np.nan, np.inf, -np.inf)
+        assert T.max_last(a).tobytes() == a.max(axis=-1).tobytes()
+
+    def test_empty_axis_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError, match="zero-size"):
+            T.max_last(np.ones((200, 0)))
+
+
 class TestIndicator:
     def test_matches_equality(self):
         out = T.indicator(Tensor([1.0, 0.0, 0.0]), 0.0)
