@@ -299,6 +299,8 @@ def _load_net_for(args: argparse.Namespace) -> tuple[TK.TaskSpec, N.Mlp]:
 def cmd_eval(args: argparse.Namespace) -> int:
     task, net = _load_net_for(args)
     dataset = _make_dataset(task, args, args.seed)
+    if not len(dataset.test):
+        raise CliError(f"the {task.name} test split is empty; eval needs at least 1 instance")
     if isinstance(task, TK.SudokuTask):
         acc_wo = task.evaluate(net, dataset.test, inference_trick=False)
         acc_w = task.evaluate(net, dataset.test, inference_trick=True)
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("--task", choices=TK.TASK_NAMES, help="the task of a checkpoint that records none")
     p.add_argument("--board", help="space/comma separated cell values, 0 for empty")
-    p.add_argument("--count", type=_at_least(0), default=10, help="number of generated puzzles when no board is given")
+    p.add_argument("--count", type=_at_least(1), default=10, help="number of generated puzzles when no board is given")
     p.add_argument("--tier", choices=("easy", "hard"), default="easy")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--inference-trick", action="store_true", default=True)

@@ -1,17 +1,19 @@
 """Small dense networks, the Adam optimizer, and the training loop.
 
-A net's parameters are views of one array and their gradients views of
-another, so the optimizer steps them all with one pass of each Adam
-operation. Everything is seeded and single-threaded: two runs with the
-same config produce bit-identical parameter trajectories and metrics
-files. The training loop is plain Python over numpy, and importing
-``cnfgrad`` sets numpy's OpenBLAS to one thread (``cnfgrad.blas``), so
-the matrix products do not run on a thread pool either.
+A net owns one data array and one gradient array, its parameters and
+their gradients are views of them, and the optimizer steps the two with
+one pass of each Adam operation. Everything is seeded and
+single-threaded: two runs with the same config produce bit-identical
+parameter trajectories and metrics files. The training loop is plain
+Python over numpy, and importing ``cnfgrad`` sets numpy's OpenBLAS to
+one thread (``cnfgrad.blas``), so the matrix products do not run on a
+thread pool either.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import tokenize
 import zipfile
 from dataclasses import dataclass, field
@@ -59,39 +61,14 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
-def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
-    """The one data and one gradient buffer that ``params`` are views of, each parameter at the same offset in both.
-
-    Parameters that ``_pack`` already laid out so keep their buffers. Others
-    are copied in order into new ones (a missing gradient as zeros), and
-    their ``data`` and ``grad`` rebound to views of them.
-    """
-    total = sum(p.size for p in params)
-    data = grad = None
-    if params and params[0].grad is not None:
-        data, grad = params[0].data.base, params[0].grad.base
-    laid_out = data is not None and grad is not None and data.size == grad.size == total
-    if laid_out and all(p.data.base is data and p.grad is not None and p.grad.base is grad for p in params):
-        return data, grad
-    data, grad = np.empty(total), np.zeros(total)
-    start = 0
-    for p in params:
-        end = start + p.size
-        data[start:end] = p.data.ravel()
-        if p.grad is not None:
-            grad[start:end] = p.grad.ravel()
-        p.data, p.grad = data[start:end].reshape(p.shape), grad[start:end].reshape(p.shape)
-        start = end
-    return data, grad
-
-
 class Mlp:
     """Fully connected net with rectifier hiddens and a configurable head.
 
     ``forward`` returns both the head output and the raw pre-activation,
-    in one graph, so the bound penalty can see the raw values. The weights
-    and biases, in ``params`` order, are views of one array, and their
-    gradients views of a second one.
+    in one graph, so the bound penalty can see the raw values. The net
+    owns two flat arrays: ``data``, whose views are the weights and biases
+    in ``params`` order, and ``grad``, whose views at the same offsets are
+    their gradients.
     """
 
     def __init__(self, layer_dims: Sequence[int], head: str = "softmax", seed: int = 0):
@@ -102,13 +79,22 @@ class Mlp:
         self.layer_dims = tuple(int(d) for d in layer_dims)
         self.head = head
         rng = np.random.default_rng(seed)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+        dims = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        total = sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
+        self.data, self.grad = np.zeros(total), np.zeros(total)
+        params: list[Tensor] = []
+        start = 0
+        for fan_in, fan_out in dims:
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                end = start + math.prod(shape)
+                p = Tensor(self.data[start:end].reshape(shape), requires_grad=True)
+                p.grad = self.grad[start:end].reshape(shape)
+                params.append(p)
+                start = end
             lim = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(Tensor(rng.uniform(-lim, lim, size=(fan_in, fan_out)), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        _pack(self.params())
+            params[-2].data[...] = rng.uniform(-lim, lim, size=(fan_in, fan_out))
+        self.weights: list[Tensor] = params[0::2]
+        self.biases: list[Tensor] = params[1::2]
 
     def params(self) -> list[Tensor]:
         out = []
@@ -158,33 +144,28 @@ class Mlp:
 
 
 class Optimizer:
-    """Adam over a fixed parameter list; it moves only via its bias-corrected moments.
+    """Adam over a net's parameters; it moves only via its bias-corrected moments.
 
-    The parameters and their gradients are views of one buffer each (``_pack``), so a step
-    runs each elementwise operation once over all of them. Once read, the gradient buffer
-    serves the step as scratch, so it holds no gradient afterwards; ``zero_grad`` refills it
+    It steps the net's one data array with its one gradient array (``Mlp.data``, ``Mlp.grad``),
+    so a step runs each elementwise operation once over every parameter. Once read, the gradient
+    array serves the step as scratch, so it holds no gradient afterwards; ``zero_grad`` refills it
     with zeros in place.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
-        self.params = list(params)
+    def __init__(self, net: Mlp, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.data, self.grad = _pack(self.params)
-        self._views = [p.grad for p in self.params]
+        self.data, self.grad = net.data, net.grad
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
-        # One scratch plane; the spent gradient buffer is the second, so a step allocates nothing.
+        # One scratch plane; the spent gradient array is the second, so a step allocates nothing.
         self._scratch = np.empty_like(self.data)
 
     def step(self) -> None:
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        for p, view in zip(self.params, self._views):
-            if p.grad is not view:  # assigned, not accumulated into the buffer
-                view[...] = 0.0 if p.grad is None else p.grad
         # In place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
         # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps): bit-identical to that formula.
         g, m, v, den = self.grad, self.m, self.v, self._scratch
@@ -198,8 +179,6 @@ class Optimizer:
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-        for p, view in zip(self.params, self._views):
-            p.grad = view
 
 
 def _batch_total(task, means: dict[str, Tensor], weights: LossWeights, batch_size: int) -> Tensor:
@@ -271,7 +250,7 @@ def run_training(dataset, config: TrainConfig, net: Mlp | None = None) -> tuple[
     task = dataset.task
     if net is None:
         net = task.build_net(config.seed)
-    optimizer = Optimizer(net.params(), lr=config.lr)
+    optimizer = Optimizer(net, lr=config.lr)
     rows: list[dict[str, float]] = []
     for epoch in range(1, config.epochs + 1):
         rows.append(train_epoch(net, optimizer, dataset, config, epoch))

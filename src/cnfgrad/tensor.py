@@ -2,19 +2,20 @@
 
 The op set is deliberately small: elementwise arithmetic under numpy
 broadcasting (gradients are summed back over the broadcast axes), matrix
-products (``linear`` adds a bias in the same node), reshape and last-axis
-concatenation, last-axis reductions that squeeze the reduced axis, the
-usual activations, and the threshold nodes whose backward pass
-substitutes a straight-through surrogate (identity or saturated) or the
-analytic sawtooth-gate gradient.
+products of 2-D operands (``linear`` adds a bias in the same node),
+reshape and last-axis concatenation, last-axis reductions that squeeze
+the reduced axis, the usual activations, and the threshold nodes whose
+backward pass substitutes a straight-through surrogate (identity or
+saturated) or the analytic sawtooth-gate gradient.
 
 Gradients accumulate in the reverse of node-creation order, which is a
 topological order by construction, so repeated runs are bit-identical.
 An interior node takes its first gradient contribution as its ``grad``
 and adds later ones into a new array; only leaves that require a
-gradient own a buffer, zero-filled once (an optimizer may refill it in
-place), that contributions are added into. Indicator outputs are
-constants: no gradient ever flows through them.
+gradient own a buffer that contributions are added into. ``backward``
+zero-fills one for a leaf that has none; an ``Mlp`` hands its parameters
+views of its gradient array, which the optimizer refills in place.
+Indicator outputs are constants: no gradient ever flows through them.
 """
 
 from __future__ import annotations
@@ -249,37 +250,31 @@ def square(x) -> Tensor:
 # -- matrix products --------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """The product of a (rows, k) ``a`` and a (k, cols) ``b``; a 1-D operand is refused."""
     a, b = as_tensor(a), as_tensor(b)
-    sa, sb = a.shape, b.shape
-    if not (1 <= len(sa) <= 2 and 1 <= len(sb) <= 2) or sa[-1] != sb[0]:
-        raise ShapeError(f"matmul: incompatible shapes {sa} and {sb}")
+    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data, parents=(a, b), op="matmul")
 
     def back(g: np.ndarray) -> None:
         if a.grad is not None:
-            if len(sb) == 2:
-                _acc(a, g @ b.data.T if len(sa) == 2 else b.data @ g)
-            else:
-                _acc(a, np.outer(g, b.data) if len(sa) == 2 else g * b.data)
+            _acc(a, g @ b.data.T)
         if b.grad is not None:
-            if len(sa) == 2:
-                _acc(b, a.data.T @ g)
-            else:
-                _acc(b, np.outer(a.data, g) if len(sb) == 2 else g * a.data)
+            _acc(b, a.data.T @ g)
 
     out._backward = back
     return out
 
 
 def linear(x, w, b) -> Tensor:
-    """``matmul(x, w) + b`` as one node, for a (rows, k) or (k,) input, a (k, width) ``w`` and a (width,) ``b``.
+    """``matmul(x, w) + b`` as one node, for a (rows, k) ``x``, a (k, width) ``w`` and a (width,) ``b``.
 
     Its values and gradients are those of the two nodes, each computed as
     they compute it: the bias gradient first, then the input's, then the weights'.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     sx, sw = x.shape, w.shape
-    if not 1 <= len(sx) <= 2 or len(sw) != 2 or sx[-1] != sw[0] or b.shape != sw[1:]:
+    if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[0] or b.shape != sw[1:]:
         raise ShapeError(f"linear: incompatible shapes {sx}, {sw} and {b.shape}")
     data = x.data @ w.data
     data += b.data
@@ -289,9 +284,9 @@ def linear(x, w, b) -> Tensor:
         if b.grad is not None:
             _acc(b, _unbroadcast(g, b.shape))
         if x.grad is not None:
-            _acc(x, g @ w.data.T if len(sx) == 2 else w.data @ g)
+            _acc(x, g @ w.data.T)
         if w.grad is not None:
-            _acc(w, x.data.T @ g if len(sx) == 2 else np.outer(x.data, g))
+            _acc(w, x.data.T @ g)
 
     out._backward = back
     return out

@@ -156,7 +156,7 @@ SIZE_FLAG_CASES = [
     *((("eval", "ckpt.npz"), flag, 0, value) for flag, value in (
         ("--n-train", "-1"), ("--n-test", "-10"), ("--labeled", "-1"), ("--unlabeled", "-2"), ("--noise", "nan"),
     )),
-    (("solve", "ckpt.npz"), "--count", 0, "-1"),
+    (("solve", "ckpt.npz"), "--count", 1, "0"),
     (("check", "t.cnf", "t.facts"), "--sample", 1, "0"),
     (("grad-verify",), "--n-max", 1, "0"),
     (("grad-verify",), "--m-max", 0, "-1"),
@@ -451,6 +451,16 @@ class TestTrainEvalSolve:
         assert code == 1 and stdout == ""
         assert err == f"error: the {argv[0]} training split is empty; train needs at least 1 instance\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["member3", "sudoku4", "exactly-one"])
+    def test_empty_test_split_fails_fast(self, tmp_path, capsys, task):
+        from cnfgrad import tasks as TK
+        from cnfgrad.nn import save_checkpoint
+
+        ckpt = save_checkpoint(str(tmp_path / "ckpt"), TK.make_task(task).build_net(0), meta={"task": task, "options": {}})
+        code, stdout, err = run_cli(capsys, "eval", ckpt, "--n-test", "0")
+        assert code == 1 and stdout == ""
+        assert err == f"error: the {task} test split is empty; eval needs at least 1 instance\n"
 
     @pytest.mark.parametrize(
         "command,meta,message",

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import platform
 import subprocess
@@ -52,10 +53,23 @@ class TestMlp:
     @pytest.mark.parametrize("head", ["softmax", "sigmoid", "none"])
     @pytest.mark.parametrize("shape", [(7, 6), (6,)])
     def test_predict_is_forward_bytes(self, head, shape):
+        # forward takes rows only, so a 1-D input goes to it as one (1, 6) row
         net = Mlp((6, 8, 5, 4), head=head, seed=1)
         x = np.random.default_rng(2).normal(scale=3.0, size=shape)
         got = net.predict(x)
-        assert got.dtype == np.float64 and got.tobytes() == net.forward(Tensor(x))[0].data.tobytes()
+        assert got.dtype == np.float64 and got.tobytes() == net.forward(Tensor(x.reshape(-1, 6)))[0].data.tobytes()
+
+    @pytest.mark.parametrize(
+        "dims,seed,digest",
+        [
+            ((6, 8, 5, 4), 1, "015f697d98031f2b46bcd67eadf0723ef0765e191f5c5a10b5a08b4763507324"),
+            ((20, 16, 10), 7, "d178fb1ec0906a8a348c0c3fdb28fac3b8cdd3110c30e56a3ea6ed1172fc8a30"),
+        ],
+    )
+    def test_initial_parameters_pinned(self, dims, seed, digest):
+        """The initial weights and biases, in ``params`` order, hash to the bytes recorded before the net owned its arrays."""
+        net = Mlp(dims, seed=seed)
+        assert hashlib.sha256(b"".join(p.data.tobytes() for p in net.params())).hexdigest() == digest
 
     @pytest.mark.parametrize("head", ["softmax", "sigmoid", "none"])
     @pytest.mark.parametrize("dims", [(6, 4), (6, 8, 5, 4)])
@@ -164,39 +178,43 @@ class TestHeap:
 
 class TestOptimizer:
     def test_adam_bias_correction_first_step(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([1.0, -2.0])
-        opt = Optimizer([p], lr=0.1)
+        net = Mlp((1, 2), seed=0)
+        net.data[...] = 0.0
+        net.biases[0].grad[...] = [1.0, -2.0]
+        opt = Optimizer(net, lr=0.1)
         opt.step()
         # first Adam step has magnitude lr regardless of gradient scale
-        np.testing.assert_allclose(np.abs(p.data), 0.1, atol=1e-6)
-        assert p.data[0] < 0 < p.data[1]
+        b = net.biases[0].data
+        np.testing.assert_allclose(np.abs(b), 0.1, atol=1e-6)
+        assert b[0] < 0 < b[1]
 
     def test_identical_gradients_identical_updates(self):
         rng = np.random.default_rng(4)
         grads = [rng.normal(size=(3, 2)) for _ in range(5)]
         results = []
         for _ in range(2):
-            p = Tensor(np.zeros((3, 2)), requires_grad=True)
-            opt = Optimizer([p], lr=0.01)
+            net = Mlp((3, 2), seed=0)
+            opt = Optimizer(net, lr=0.01)
             for g in grads:
-                p.grad = g.copy()
+                net.weights[0].grad[...] = g
                 opt.step()
-            results.append(p.data.copy())
+                opt.zero_grad()
+            results.append(net.data.copy())
         assert np.array_equal(results[0], results[1])
 
     def test_adam_matches_textbook_formula(self):
         rng = np.random.default_rng(11)
         lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
-        w = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=5), requires_grad=True)
-        opt = Optimizer([w, b], lr=lr)
+        net = Mlp((7, 5), seed=0)
+        w, b = net.weights[0], net.biases[0]
+        w.data[...], b.data[...] = rng.normal(size=(7, 5)), rng.normal(size=5)
+        opt = Optimizer(net, lr=lr)
         want = [w.data.copy(), b.data.copy()]
         m = [np.zeros_like(p) for p in want]
         v = [np.zeros_like(p) for p in want]
         for t in range(1, 51):
             grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3) for p in want]
-            w.grad, b.grad = grads[0].copy(), grads[1].copy()
+            w.grad[...], b.grad[...] = grads
             opt.step()
             for i, g in enumerate(grads):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
@@ -205,7 +223,6 @@ class TestOptimizer:
                 vhat = v[i] / (1.0 - b2**t)
                 want[i] = want[i] - lr * mhat / (np.sqrt(vhat) + eps)
             assert np.array_equal(w.data, want[0]) and np.array_equal(b.data, want[1])
-            assert np.array_equal(w.grad, grads[0]) and np.array_equal(b.grad, grads[1])
 
 
 class TestFlatParameters:
@@ -220,14 +237,31 @@ class TestFlatParameters:
             assert base.shape == (total,) and all(getattr(p, attr).base is base for p in params)
             base[...] = np.arange(total)  # in params order, back to back
             assert np.concatenate([getattr(p, attr).ravel() for p in params]).tolist() == list(range(total))
-        opt = Optimizer(params)
-        assert opt.data is params[0].data.base and opt.grad is params[0].grad.base
+        assert net.data is params[0].data.base and net.grad is params[0].grad.base
+        opt = Optimizer(net)
+        assert opt.data is net.data and opt.grad is net.grad
+
+    def test_step_is_textbook_adam_on_the_net_arrays(self):
+        rng = np.random.default_rng(12)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        net = Mlp((6, 8, 5, 4), seed=1)
+        opt = Optimizer(net, lr=lr)
+        want, m, v = net.data.copy(), np.zeros(net.data.size), np.zeros(net.data.size)
+        for t in range(1, 21):
+            g = rng.normal(size=net.grad.size) * 10.0 ** rng.integers(-3, 3)
+            net.grad[...] = g
+            opt.step()
+            opt.zero_grad()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            want = want - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert net.data.tobytes() == want.tobytes() and not np.any(net.grad)
 
     def test_training_step_keeps_each_gradient_array(self):
         task = TK.make_task("exactly-one")
         data = task.make_data(seed=0, n_labeled=20, n_unlabeled=20, n_test=4, noise=0.2)
         net = task.build_net(0)
-        opt = Optimizer(net.params(), lr=0.01)
+        opt = Optimizer(net, lr=0.01)
         grads = [p.grad for p in net.params()]
         before = opt.data.copy()
         train_epoch(net, opt, data, task.default_config(seed=0, batch_size=8), 1)

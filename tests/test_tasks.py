@@ -494,6 +494,11 @@ class TestTrainSplit:
             assert np.array_equal(board.q, q) and np.array_equal(board.solution, solution)
 
 
+def forward_one(net, x):
+    """``net.forward`` on one 1-D input, passed as a (1, d) row; both outputs come back 1-D."""
+    return tuple(T.reshape(t, (t.size,)) for t in net.forward(Tensor(x[None])))
+
+
 def _tensor_sum(terms):
     acc = terms[0]
     for t in terms[1:]:
@@ -691,7 +696,7 @@ def test_one_batch_recipe_and_one_exception():
 class TestSudokuBatchLoss:
     def graph_terms(self, task, net, inst, config):
         """The per-board recipe for one board, built on the dense graph route."""
-        _, raw = net.forward(Tensor(task.encode_board(inst.q)))
+        _, raw = forward_one(net, task.encode_board(inst.q))
         probs = T.softmax(T.reshape(raw, (task.cells, task.side)))
         x = T.reshape(probs, (task.theory.n,))
         facts = FactVector(task.board_bits(inst.q))
@@ -770,16 +775,16 @@ def outer_chain(probs):
 
 
 def instance_graph_terms(task, net, row, config):
-    """The loss terms of the one instance in split ``row``, with 1-D net passes and the dense graph ``cnf_loss``."""
+    """The loss terms of the one instance in split ``row``, with one net pass per input and the dense graph ``cnf_loss``."""
     facts = FactVector(task.fact_rows(row)[0])
     if isinstance(task, TK.ShortestPathTask):
-        probs, raw = net.forward(Tensor(row.features[0]))
+        probs, raw = forward_one(net, row.features[0])
         x = T.concat([T.constant(np.zeros(16)), probs])
         label = T.constant(row.labels[0].astype(np.float64))
         safe = T.clip(probs, 1e-12, 1.0 - 1e-12)
         terms = {"base": -1.0 * T.avg_last(label * T.log(safe) + (1.0 - label) * T.log(1.0 - safe)), "bound": bound_loss(raw)}
     else:
-        outs = [net.forward(Tensor(img)) for img in row.images[0]]
+        outs = [forward_one(net, img) for img in row.images[0]]
         probs = [p for p, _ in outs]
         if isinstance(task, TK.MnistAddTask):
             parts = [outer_chain(probs)]
@@ -894,7 +899,7 @@ class TestExactlyOneRecipe:
     def graph_terms(self, task, net, inst, config):
         """The recipe for one instance, built on the dense graph route."""
         label = int(inst.labels)
-        logits, raw = net.forward(Tensor(inst.features))
+        logits, raw = forward_one(net, inst.features)
         fact = int(np.argmax(logits.data)) if label < 0 else label
         facts = FactVector(np.eye(task.classes, dtype=np.int8)[fact])
         x = logits * (1.0 / task.logit_scale)
@@ -933,7 +938,7 @@ class TestExactlyOneRecipe:
             unlabelled = TK.LabelledSplit(np.zeros((1, task.input_dim)), np.array([-1]))
             term = task.batch_loss(net, unlabelled, task.default_config())["cnf"]
         else:  # no facts, identity surrogate: the recipe the fact replaces
-            out, _ = net.forward(Tensor(np.zeros(task.input_dim)))
+            out, _ = forward_one(net, np.zeros(task.input_dim))
             term = cnf_loss(task.matrix, assemble_prediction(np.zeros(task.classes), out, "b"), np.zeros(task.classes)).l_cnf
         T.backward(term)
         return net.biases[-1].grad
